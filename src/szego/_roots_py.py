@@ -1,10 +1,5 @@
 """Pure-Python simultaneous root iteration (Aberth-Ehrlich).
 
-Fallback twin of the compiled kernel in _roots_core.pyx; the two must
-stay algorithmically identical so results differ only by floating-point
-noise from the interpreter/compiler boundary (in practice they agree to
-the last bit, as both run the same double arithmetic in the same order).
-
 Initialization is deterministic: all starts lie on the circle whose
 radius is the Cauchy bound 1 + max|c_i|/|c_n|, at equally spaced angles
 with a fixed 0.4 rad phase offset to avoid real-axis symmetry traps.

@@ -2,8 +2,8 @@
 
 Subcommands: compose, decompose, phi, xi-iterate, verify, report.
 Polynomials are given either as comma-separated ascending rational
-coefficients ("1,3,1" is 1 + 3x + x^2), as inline JSON, or as a path to
-a JSON file; the theory-side vectors (--c for decompose) use the
+coefficients ("1,3,1" is 1 + 3x + x^2), as inline JSON, or as a path
+ending in .json; the theory-side vectors (--c for decompose) use the
 descending-tail convention c_1..c_n of the coefficient maps.  Outputs
 are UTF-8 JSON (or CSV for tabulation) written atomically.
 
@@ -67,8 +67,12 @@ def _default_seed() -> int:
 
 
 def _load_json_value(text: str):
-    """Parse a JSON document given inline or as a file path."""
-    if os.path.exists(text):
+    """Parse a JSON document given inline or as a path ending in .json.
+
+    Only a ``.json`` suffix makes the argument a path, so a literal such
+    as ``1`` never reads a file that happens to share its name.
+    """
+    if text.endswith(".json"):
         with open(text, encoding="utf-8") as fh:
             return json.load(fh)
     stripped = text.strip()
@@ -78,7 +82,7 @@ def _load_json_value(text: str):
 
 
 def _parse_vector(text: str) -> list[Fraction]:
-    """Rational vector from a comma list, inline JSON array, or file."""
+    """Rational vector from a comma list, inline JSON array, or .json file."""
     doc = _load_json_value(text)
     if doc is not None:
         if not isinstance(doc, list):
@@ -91,7 +95,7 @@ def _parse_vector(text: str) -> list[Fraction]:
 
 
 def _parse_poly(text: str) -> Poly:
-    """Polynomial from ascending comma coefficients, JSON, or a file."""
+    """Polynomial from ascending comma coefficients, JSON, or a .json file."""
     doc = _load_json_value(text)
     if doc is not None:
         if isinstance(doc, dict) and "exp_poly" in doc:
@@ -119,7 +123,7 @@ def _cmd_compose(args) -> int:
             raise ValueError("--from-sigma replaces --a/--b")
         doc = _load_json_value(args.from_sigma)
         if doc is None:
-            raise ValueError("--from-sigma takes a decomposition JSON or file")
+            raise ValueError("--from-sigma takes a decomposition JSON or .json file")
         dec = decomposition_from_json(doc)
         result = recompose(dec)
         obj = exp_poly_to_json(result) if isinstance(result, ExpPoly) else poly_to_json(result)
@@ -268,10 +272,10 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("compose", help="compose two polynomials, or rebuild from factor data")
     c.add_argument("--ambient", type=int, help="ambient degree of the finite composition")
-    c.add_argument("--a", help="first operand (ascending coefficients, JSON, or file)")
+    c.add_argument("--a", help="first operand (ascending coefficients, JSON, or .json file)")
     c.add_argument("--b", help="second operand")
     c.add_argument("--exp", action="store_true", help="compose e^x * A and e^x * B")
-    c.add_argument("--from-sigma", help="decomposition JSON (inline or file) to recompose")
+    c.add_argument("--from-sigma", help="decomposition JSON (inline or .json file) to recompose")
     c.add_argument("--out", help="write JSON here instead of stdout")
     c.set_defaults(func=_cmd_compose)
 
@@ -301,7 +305,7 @@ def _build_parser() -> _Parser:
     f.set_defaults(func=_cmd_phi)
 
     x = sub.add_parser("xi-iterate", help="apply the falling-factorial transform nu times")
-    x.add_argument("--poly", required=True, help="ascending coefficients, JSON, or file")
+    x.add_argument("--poly", required=True, help="ascending coefficients, JSON, or .json file")
     x.add_argument("--nu", type=int, required=True, help="iteration count (>= 0)")
     x.add_argument("--out", help="also write the result as JSON")
     x.set_defaults(func=_cmd_xi_iterate)

@@ -11,27 +11,19 @@ Known containments, asserted by the property tests:
 (hyperbolicity cone intersect sign cone) subset of half-plane region
 subset of sign cone.
 
-The numerical kernel is compiled when the extension built; set
-SZEGO_PURE_PYTHON=1 to force the pure-Python fallback.
+The numerical root finder runs the pure-Python Aberth kernel in
+_roots_py.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import _roots_py as _kernel
 from .poly import NEG_INF, Poly, poly_gcd
-
-if os.environ.get("SZEGO_PURE_PYTHON", "").strip() not in ("", "0"):
-    from . import _roots_py as _kernel
-else:
-    try:
-        from . import _roots_core as _kernel  # type: ignore[no-redef]
-    except ImportError:  # extension not built
-        from . import _roots_py as _kernel  # type: ignore[no-redef]
 
 __all__ = [
     "kernel_backend",
@@ -54,8 +46,8 @@ __all__ = [
 
 
 def kernel_backend() -> str:
-    """Which root-iteration kernel is active: 'compiled' or 'python'."""
-    return "compiled" if _kernel.__name__.endswith("_roots_core") else "python"
+    """Name of the root-iteration kernel, recorded in report metadata."""
+    return "python"
 
 
 class RootFindingError(RuntimeError):

@@ -1066,7 +1066,12 @@ def run_suite(
     tol: float = 1e-8,
 ) -> list[CheckReport]:
     """Run the registered cells (all, or those matching the given base
-    names / cell ids) in deterministic registry order."""
+    names / cell ids) in deterministic registry order.
+
+    At most min(jobs, cells, CPUs) worker processes run; jobs < 1 is an
+    error."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = _cell_specs(trials, seed, tol)
     if names:
         wanted = {n for n in names}
@@ -1083,8 +1088,9 @@ def run_suite(
                     f"unknown checks: {sorted(unknown)}; "
                     f"available: {', '.join(available_checks())}"
                 )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, specs))
     return [_run_cell(s) for s in specs]
 

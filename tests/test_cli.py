@@ -195,6 +195,21 @@ def test_poly_json_file_input(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1,3,1"
 
 
+def test_literal_argument_never_reads_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1").write_text(json.dumps({"coeffs": ["5", "7"]}))
+    rc = main(["compose", "--a", "1", "--b", "3", "--ambient", "0"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"coeffs": ["3"]}
+
+
+def test_missing_json_file_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    rc = main(["xi-iterate", "--poly", str(missing), "--nu", "0"])
+    assert rc == 1
+    assert "absent.json" in capsys.readouterr().err  # the OS error names the path
+
+
 def test_verify_single_check(capsys):
     rc = main(["verify", "--suite", "derivative_identities", "--trials", "5", "--seed", "3"])
     assert rc == 0
@@ -209,6 +224,12 @@ def test_verify_unknown_suite(capsys):
     rc = main(["verify", "--suite", "bogus", "--trials", "5"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_jobs(capsys):
+    rc = main(["verify", "--suite", "derivative_identities", "--trials", "1", "--jobs", "0"])
+    assert rc == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from szego import (
     sturm_count,
     taylor_window_bound,
 )
+from szego import _roots_py
 
 
 def _rand_poly(rng, deg, bound=6):
@@ -32,7 +33,31 @@ def _rand_poly(rng, deg, bound=6):
 
 
 def test_backend_reports_a_known_name():
-    assert kernel_backend() in ("compiled", "python")
+    assert kernel_backend() == "python"
+
+
+def _random_complex_coeffs(rng, degree):
+    coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree)]
+    coeffs.append(1 + 0j)
+    return coeffs
+
+
+def test_kernel_converges_on_random_polynomials():
+    rng = random.Random(51)
+    for _ in range(30):
+        coeffs = _random_complex_coeffs(rng, rng.randint(2, 12))
+        roots, residuals, _, ok = _roots_py.solve(list(coeffs), 1e-12, 400)
+        assert ok
+        assert len(roots) == len(coeffs) - 1
+        assert max(residuals) <= 1e-12
+
+
+def test_kernel_reports_nonconvergence_honestly():
+    coeffs = _random_complex_coeffs(random.Random(52), 9)
+    roots, residuals, iters, ok = _roots_py.solve(list(coeffs), 1e-12, 1)
+    assert not ok
+    assert iters <= 1
+    assert len(roots) == 9 and len(residuals) == 9
 
 
 def test_sturm_count_worked():
@@ -120,6 +145,10 @@ def _match(roots, expected, tol):
 def test_aberth_simple_quadratic():
     roots = aberth_roots(Poly([1, 0, 1]), tol=1e-12)
     _match(roots, [1j, -1j], 1e-10)
+
+
+def test_aberth_integer_cubic():
+    _match(aberth_roots(Poly([-6, 11, -6, 1])), [1, 2, 3], 1e-9)  # (x-1)(x-2)(x-3)
 
 
 def test_aberth_boundary_cubic():

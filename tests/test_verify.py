@@ -1,6 +1,7 @@
 """Tests for the randomized verification checks and the suite runner."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -182,12 +183,52 @@ def test_run_suite_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_run_suite_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite(names=["derivative_identities"], trials=1, seed=1, jobs=jobs)
+
+
+def test_run_suite_clamps_workers(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Records max_workers and maps in-process: starts no worker."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("szego.verify.ProcessPoolExecutor", RecordingPool)
+    huge = 10**9
+    # clamped by the cell count (cone_exp has 3 cells)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert len(run_suite(names=["cone_exp"], trials=1, seed=1, jobs=huge)) == 3
+    # clamped by the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert len(run_suite(names=["cone_finite"], trials=1, seed=1, jobs=huge)) == 4
+    # an unknown CPU count, or a single cell: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_suite(names=["cone_exp"], trials=1, seed=1, jobs=huge)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_suite(names=["derivative_identities"], trials=1, seed=1, jobs=huge)
+    assert created == [3, 2]
+
+
 def test_reports_payload_and_csv(tmp_path):
     reports = run_suite(names=["derivative_identities", "root_multiplicity"], trials=5, seed=14)
     payload = reports_payload(reports)
     assert set(payload) == {"metadata", "reports"}
     meta = payload["metadata"]
-    assert meta["backend"] in ("compiled", "python")
+    assert meta["backend"] == "python"
     assert set(meta["elapsed_seconds"]) == {r.check_id for r in reports}
     assert [r["check_id"] for r in payload["reports"]] == [r.check_id for r in reports]
 
