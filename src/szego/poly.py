@@ -15,6 +15,7 @@ j! * [x^j](e^x P), i.e. it generates the Taylor numerators of e^x * P.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -258,14 +259,119 @@ def poly_eval(p: Poly, x: Scalar) -> Scalar:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (exact polynomials only)."""
+    """Monic gcd over the rationals (exact polynomials only).
+
+    Runs the integer remainder sequence below; gcd(0, 0) is 0.
+    """
     if not (a.is_exact and b.is_exact):
         raise ValueError("gcd requires exact polynomials")
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    ints = [_integer_primitive(p.coeffs) for p in (a, b) if not p.is_zero]
+    if not ints:
+        return Poly.zero()
+    return _monic_poly(ints[0] if len(ints) == 1 else _remainder_sequence(*ints)[-1])
+
+
+# -- fraction-free remainder sequences ----------------------------------------
+#
+# gcds, Sturm chains and square-free parts run on integer coefficient
+# lists (ascending, no trailing zeros) instead of Fraction Polys:
+# denominators are cleared once, each step takes a pseudo-remainder, which
+# is the Euclidean remainder times a positive integer, and the integer
+# content is divided out after every step (the primitive remainder
+# sequence of Collins 1967 and Brown-Traub 1971).  Every scale factor is
+# positive, so each list has the signs of the Fraction polynomial it
+# stands for, and Sturm sign counts carry over unchanged.
+
+
+def _primitive_part(v: list[int]) -> list[int]:
+    """Nonzero integer list divided by its (positive) content."""
+    g = math.gcd(*v)
+    return [c // g for c in v] if g > 1 else v
+
+
+def _integer_primitive(coeffs: Sequence[Fraction]) -> list[int]:
+    """Nonzero exact coefficients scaled by a positive rational to coprime integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _monic_poly(v: list[int]) -> Poly:
+    lead = v[-1]
+    return Poly([Fraction(c, lead) for c in v])
+
+
+def _derivative(v: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(v)][1:]
+
+
+def _subtract(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """a mod b times a positive rational, as a primitive integer list
+    ([] when b divides a).
+
+    Eliminating the top coefficient c of r replaces r by
+    |lc(b)| * r - c * x^s * b, all in integers, so the remainder comes out
+    times a power of |lc(b)|; a top coefficient that is already zero
+    costs no multiplication.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lb = b[-1]
+    low = b[:-1]
+    db = len(low)
+    r = list(a)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if lb != 1:
+            r = [lb * v for v in r]
+        s = top - db
+        for j, bj in enumerate(low):
+            r[s + j] -= c * bj
+    while r and not r[-1]:
+        r.pop()
+    return _primitive_part(r) if r else r
+
+
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """[a, b, r_2, ..., r_m]: r_{i+1} is minus the primitive pseudo-remainder
+    of r_{i-1} by r_i, and the sequence stops before the first zero.
+
+    With b = a' this is the Sturm chain of a up to positive factors; its
+    last entry is always gcd(a, b) up to a nonzero constant.
+    """
+    seq = [a, b]
+    while True:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append([-c for c in r])
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists where b divides a (b primitive, so the
+    quotient has integer coefficients by Gauss's lemma)."""
+    lb = b[-1]
+    low = b[:-1]
+    db = len(low)
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if c:
+            c //= lb
+            q[top - db] = c
+            s = top - db
+            for j, bj in enumerate(low):
+                r[s + j] -= c * bj
+    return q
 
 
 class ExpPoly:

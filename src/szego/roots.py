@@ -18,12 +18,22 @@ _roots_py.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _roots_py as _kernel
-from .poly import NEG_INF, Poly, poly_gcd
+from .poly import (
+    Poly,
+    _derivative,
+    _exact_quotient,
+    _integer_primitive,
+    _monic_poly,
+    _primitive_part,
+    _remainder_sequence,
+    _subtract,
+)
 
 __all__ = [
     "kernel_backend",
@@ -129,61 +139,101 @@ def cluster_roots(
 
 
 # -- exact real-root counting -------------------------------------------------
+#
+# Counting runs on the integer coefficient lists of poly's fraction-free
+# remainder sequences.  A finite endpoint is a pair (a, b) with b > 0
+# standing for a/b; None stands for -infinity as lo and +infinity as hi.
 
 
-def _primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if p.is_zero:
-        return p
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return Poly([v // g for v in ints])
+def _endpoint(x) -> Optional[tuple[int, int]]:
+    if x is None:
+        return None
+    if not isinstance(x, numbers.Rational):
+        raise ValueError(
+            f"Sturm endpoints must be exact rationals or None, not {type(x).__name__}"
+        )
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [_primitive(p), _primitive(p.derivative())]
-    if chain[1].is_zero:
-        return chain[:1]
-    while True:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero:
-            return chain
-        chain.append(_primitive(-rem))
+def _sign_at(v: list[int], point: tuple[int, int]) -> int:
+    """Sign of v at a/b: the homogeneous Horner sum sum v_i a^i b^(deg-i),
+    which is b^deg > 0 times v(a/b)."""
+    a, b = point
+    acc = 0
+    scale = 1
+    for c in reversed(v):
+        acc = acc * a + c * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(chain: list[Poly], at) -> int:
-    """Sign variations of the chain at a point, +-infinity included.
+def _variations(chain: list[list[int]], point, at_infinity: int) -> int:
+    """Sign variations of the chain at a point, or at at_infinity * infinity
+    when point is None.
 
     Zeros are skipped, which makes the count correct for intervals of
     the form (lo, hi]: a root sitting exactly at an endpoint is counted
     at hi and not at lo.
     """
     signs = []
-    for q in chain:
-        if q.is_zero:
-            continue
-        if at is _NEGINF:
-            s = _sign(q.lead) * (-1) ** (q.degree % 2)
-        elif at is _POSINF:
-            s = _sign(q.lead)
+    for v in chain:
+        if point is None:
+            s = 1 if v[-1] > 0 else -1
+            if at_infinity < 0 and (len(v) - 1) % 2:  # odd degree
+                s = -s
         else:
-            s = _sign(q(at))
+            s = _sign_at(v, point)
         if s != 0:
             signs.append(s)
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-_NEGINF = object()
-_POSINF = object()
+def _sturm_chain(v: list[int]) -> list[list[int]]:
+    return _remainder_sequence(v, _primitive_part(_derivative(v)))
+
+
+def _count_distinct(v: list[int], lo, hi) -> tuple[int, int]:
+    """(distinct real roots of v in (lo, hi], degree of gcd(v, v')) for an
+    integer list v of degree >= 1.
+
+    One remainder sequence serves both: the Sturm chain of v ends in
+    g = gcd(v, v'), and divided by g it is the Sturm chain of the
+    square-free part.  Wherever g does not vanish that division flips
+    every sign or none, so the chain of v counts as well.  Only a multiple
+    root sitting on a finite endpoint needs the chain of v / g.
+    """
+    chain = _sturm_chain(v)
+    g = chain[-1]
+    if len(g) > 1 and any(x is not None and not _sign_at(g, x) for x in (lo, hi)):
+        chain = _sturm_chain(_exact_quotient(v, g))
+    return _variations(chain, lo, -1) - _variations(chain, hi, 1), len(g) - 1
+
+
+def _square_free_factors(v: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on an integer list of degree >= 1: [(f_i, i)] with
+    v = const * prod f_i^i and f_i square-free, pairwise coprime and
+    nonconstant.
+
+    b and d carry one common scale factor throughout, which keeps the
+    linear step d = c - b' exact; every division is exact over Z.
+    """
+    g = _sturm_chain(v)[-1]
+    if len(g) == 1:
+        return [(v, 1)]
+    out = []
+    b = _exact_quotient(v, g)
+    d = _subtract(_exact_quotient(_derivative(v), g), _derivative(b))
+    i = 1
+    while True:
+        a = _remainder_sequence(b, _primitive_part(d))[-1] if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b = _exact_quotient(b, a)
+        if len(b) < 2:
+            return out
+        d = _subtract(_exact_quotient(d, a), _derivative(b))
+        i += 1
 
 
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -193,28 +243,9 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("square-free decomposition requires exact input")
     if p.is_zero:
         raise ValueError("zero polynomial")
-    p = p.monic()
     if p.degree < 1:
         return []
-    g = poly_gcd(p, p.derivative())
-    if g.degree < 1:
-        return [(p, 1)]
-    out = []
-    b = p // g
-    c = p.derivative() // g
-    d = c - b.derivative()
-    i = 1
-    while b.degree >= 1:
-        a = poly_gcd(b, d) if not d.is_zero else b.monic()
-        if a.degree >= 1:
-            out.append((a, i))
-        b = b // a
-        if b.degree < 1:
-            break
-        c = d // a
-        d = c - b.derivative()
-        i += 1
-    return out
+    return [(_monic_poly(f), i) for f, i in _square_free_factors(_integer_primitive(p.coeffs))]
 
 
 def sturm_count(
@@ -226,28 +257,25 @@ def sturm_count(
 ) -> int:
     """Real roots of exact p in the half-open interval (lo, hi].
 
-    None endpoints mean -infinity / +infinity.  By default distinct
-    roots are counted; multiplicity=True weights each by its order,
-    using the square-free decomposition.
+    None endpoints mean -infinity / +infinity; other endpoints must be
+    exact rationals (int or Fraction), because a float stands for its
+    binary value, not the decimal it was written as.  By default
+    distinct roots are counted; multiplicity=True weights each by its
+    order, using the square-free decomposition.
     """
     if not p.is_exact:
         raise ValueError("Sturm counting requires exact coefficients")
     if p.is_zero:
         raise ValueError("zero polynomial has no root count")
+    a, b = _endpoint(lo), _endpoint(hi)
     if p.degree == 0:
         return 0
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
+    v = _integer_primitive(p.coeffs)
     if multiplicity:
-        return sum(
-            mult * sturm_count(f, lo, hi)
-            for f, mult in square_free_decomposition(p)
-        )
-    sf = p // poly_gcd(p, p.derivative()) if p.degree >= 2 else p
-    chain = _sturm_chain(sf)
-    a = _NEGINF if lo is None else Fraction(lo)
-    b = _POSINF if hi is None else Fraction(hi)
-    return _variations(chain, a) - _variations(chain, b)
+        return sum(mult * _count_distinct(f, a, b)[0] for f, mult in _square_free_factors(v))
+    return _count_distinct(v, a, b)[0]
 
 
 @dataclass(frozen=True)
@@ -270,10 +298,8 @@ def is_hyperbolic(p: Poly) -> Hyperbolicity:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return Hyperbolicity(True, True)
-    g = poly_gcd(p, p.derivative())
-    distinct = g.degree == 0
-    sf = p if distinct else p // g
-    return Hyperbolicity(sturm_count(sf) == sf.degree, distinct)
+    real, gcd_degree = _count_distinct(_integer_primitive(p.coeffs), None, None)
+    return Hyperbolicity(real == p.degree - gcd_degree, gcd_degree == 0)
 
 
 # -- sign data ----------------------------------------------------------------

@@ -125,6 +125,43 @@ def test_poly_gcd():
         poly_gcd(Poly([0.5, 1]), b)
 
 
+def _euclid_gcd(a, b):
+    """Reference: monic gcd by Euclid over Fraction coefficient lists."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+            if not a:
+                break
+        a, b = b, a
+    return Poly([c / a[-1] for c in a]) if a else Poly.zero()
+
+
+def test_poly_gcd_against_euclid_reference():
+    rng = random.Random(71)
+    for _ in range(60):
+        common = Poly.from_roots(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))],
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)),
+        )
+        a = common * _rand_poly(rng, rng.randint(0, 8))
+        b = common * _rand_poly(rng, rng.randint(0, 8)) * Fraction(-3, 2)
+        for x, y in ((a, b), (b, a), (a, a.derivative()), (a, Poly.zero())):
+            assert poly_gcd(x, y) == _euclid_gcd(x, y), (x, y)
+        g = poly_gcd(a, b)
+        assert g.lead == 1 and divmod(a, g)[1].is_zero and divmod(b, g)[1].is_zero
+    b = Poly([Fraction(-4, 3), 0, Fraction(-2, 5)])
+    assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+    assert poly_gcd(Poly.zero(), b) == b.monic()
+    assert poly_gcd(b, Poly.zero()) == b.monic()
+    assert poly_gcd(Poly([5]), b) == Poly.one()
+
+
 def test_exp_poly_gamma_values():
     # e^x (x + c): j-th Taylor numerator is c + j
     for c in [Fraction(2), Fraction(-1, 3)]:

@@ -111,6 +111,108 @@ def test_sturm_count_random_against_planted_roots():
         assert sturm_count(p, lo, hi) == expected, roots
 
 
+def test_sturm_count_rejects_float_endpoints():
+    p = Poly([Fraction(-3, 10), 1])  # root at 3/10
+    assert sturm_count(p, Fraction(0), Fraction(3, 10)) == 1
+    assert sturm_count(p, 0, Fraction(3, 10)) == 1
+    # the float 0.3 is slightly below 3/10, so it would silently count 0
+    for bad in (0.3, 0.3 + 0j):
+        with pytest.raises(ValueError):
+            sturm_count(p, Fraction(0), bad)
+        with pytest.raises(ValueError):
+            sturm_count(p, bad, None)
+    with pytest.raises(ValueError):
+        sturm_count(Poly([7]), 0.5, None)
+
+
+def _planted(rng, degree_cap):
+    """(p, {root: multiplicity}) with real rational roots, some repeated,
+    a leading coefficient that may be negative or non-integer, and
+    sometimes a factor without real roots."""
+    complex_pair = degree_cap >= 3 and rng.random() < 0.5
+    target = degree_cap - 2 if complex_pair else degree_cap
+    mults = {}
+    degree = 0
+    while degree < target:
+        r = Fraction(rng.randint(-40, 40), rng.randint(1, 5))
+        m = min(rng.choice([1, 1, 1, 2, 3]), target - degree)
+        mults[r] = mults.get(r, 0) + m
+        degree += m
+    lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    p = Poly.from_roots([r for r, m in mults.items() for _ in range(m)], lead)
+    if complex_pair:  # x^2 + b x + c with b^2 < 4c
+        p = p * Poly([Fraction(rng.randint(1, 9), rng.randint(1, 3)), rng.randint(-1, 1), 1])
+    return p, mults
+
+
+def _planted_count(mults, lo, hi, multiplicity):
+    inside = [m for r, m in mults.items() if (lo is None or lo < r) and (hi is None or r <= hi)]
+    return sum(inside) if multiplicity else len(inside)
+
+
+def test_sturm_count_planted_roots_up_to_degree_24():
+    rng = random.Random(61)
+    saw_negative_lead = saw_fractional_lead = False
+    for _ in range(40):
+        p, mults = _planted(rng, rng.randint(2, 24))
+        saw_negative_lead |= p.lead < 0
+        saw_fractional_lead |= p.lead.denominator != 1
+        roots = sorted(mults)
+        lo_root, hi_root = roots[0], roots[-1]
+        windows = [
+            (None, None),
+            (lo_root, hi_root),  # root on lo is excluded, root on hi included
+            (None, lo_root),
+            (lo_root, None),
+            (hi_root, None),
+            (Fraction(rng.randint(-50, 0), 7), Fraction(rng.randint(1, 50), 3)),
+        ]
+        if len(roots) > 2:
+            mid = roots[len(roots) // 2]
+            windows += [(mid, hi_root), (lo_root, mid)]
+        for lo, hi in windows:
+            if lo is not None and hi is not None and not lo < hi:
+                continue
+            for multiplicity in (False, True):
+                got = sturm_count(p, lo, hi, multiplicity=multiplicity)
+                assert got == _planted_count(mults, lo, hi, multiplicity), (p, lo, hi)
+    assert saw_negative_lead and saw_fractional_lead
+
+
+def test_is_hyperbolic_distinct_flag_on_repeated_roots():
+    rng = random.Random(62)
+    for _ in range(25):
+        p, mults = _planted(rng, rng.randint(2, 20))
+        h = is_hyperbolic(p)
+        assert h.hyperbolic == (p.degree == sum(mults.values()))
+        assert h.distinct == all(m == 1 for m in mults.values())
+    h = is_hyperbolic(Poly.from_roots([2, 2, 2, -1], Fraction(-5, 3)))
+    assert (h.hyperbolic, h.distinct) == (True, False)
+    h = is_hyperbolic(Poly.from_roots([3, 3]) * Poly([1, 0, 1]))
+    assert (h.hyperbolic, h.distinct) == (False, False)
+
+
+def test_root_counting_at_degree_48():
+    # shaped like the ladder benchmark's largest inputs
+    rng = random.Random(63)
+    roots = [0] + rng.sample([r for r in range(-23, 24) if r], 45)
+    p = Poly.from_roots(roots) * Poly([rng.randint(1, 9), 0, 1])
+    assert p.degree == 48
+    assert sturm_count(p) == 46
+    assert sturm_count(p, Fraction(0), None) == sum(r > 0 for r in roots)
+    distinct = rng.sample(range(-23, 24), 36)
+    q = Poly.from_roots(distinct + distinct[:12])
+    assert q.degree == 48
+    h = is_hyperbolic(q)
+    assert (h.hyperbolic, h.distinct) == (True, False)
+    assert sturm_count(q, None, Fraction(0), multiplicity=True) == sum(
+        r <= 0 for r in distinct + distinct[:12]
+    )
+    factors = square_free_decomposition(q)
+    assert [m for _, m in factors] == [1, 2]
+    assert [f.degree for f, _ in factors] == [24, 12]
+
+
 def test_square_free_decomposition():
     p = Poly.from_roots([1, 1, -2])
     assert square_free_decomposition(p) == [(Poly([2, 1]), 1), (Poly([-1, 1]), 2)]
