@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -266,7 +267,11 @@ def _cmd_report(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later
+    call; parsing never changes it, and SZEGO_SEED is read when a command
+    runs, not here."""
     parser = _Parser(prog="szego", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

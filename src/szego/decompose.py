@@ -26,6 +26,7 @@ enrichment via the root finder.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,10 +162,11 @@ def decompose_poly(
 def _finite_sigma_poly(p: Poly, n: int, k: int) -> Poly:
     """Monic Q(t) = prod (t + a_i), interpolated from the coefficients of p."""
     m = n + k
+    mn = m**n
     pts = []
     for s in range(n + 1):
-        beta = p.coeff(s) / binomial(m, s)
-        value = beta * Fraction(m, m - s) ** n
+        c = p.coeff(s)  # value = c / C(m, s) * (m / (m - s))^n
+        value = Fraction(c.numerator * mn, c.denominator * binomial(m, s) * (m - s) ** n)
         pts.append((Fraction(s, m - s), value))
     q = interpolate(pts)
     if q.degree != n or q.lead != 1:
@@ -247,14 +249,25 @@ def recompose(dec: Decomposition):
             raise ValueError("malformed finite decomposition")
         m = n + k
         # homogenized evaluation avoids the node pole at s = n+k:
-        # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j
-        sig = (Fraction(1),) + tuple(dec.sigma)
+        # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j, summed
+        # in integers over the common denominator of the sigma_j; a
+        # float or complex sigma_j demotes the sum to complex, as Poly does
+        if any(isinstance(v, (float, complex)) for v in dec.sigma):
+            nums, den = [1] + [complex(v) for v in dec.sigma], 1
+        else:
+            sig = [Fraction(1)] + [Fraction(v) for v in dec.sigma]
+            den = math.lcm(*[v.denominator for v in sig])
+            nums = [v.numerator * (den // v.denominator) for v in sig]
+        scale = m**n * den
         coeffs = []
         for s in range(m + 1):
-            acc = Fraction(0)
-            for j, sj in enumerate(sig):
-                acc += sj * Fraction(s) ** (n - j) * Fraction(m - s) ** j
-            coeffs.append(binomial(m, s) * acc / Fraction(m) ** n)
+            acc = 0
+            power = 1  # (m - s)^j
+            for nj in nums:
+                acc = acc * s + nj * power
+                power *= m - s
+            acc *= binomial(m, s)
+            coeffs.append(Fraction(acc, scale) if isinstance(acc, int) else acc / scale)
         return Poly(coeffs)
     if dec.mode == "exp":
         if dec.m is None or len(dec.sigma) != dec.m:

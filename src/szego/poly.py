@@ -1,9 +1,16 @@
 """Dense univariate polynomials over exact rationals or complex doubles.
 
-Coefficients are stored ascending (index = power).  A polynomial is
-"exact" when every coefficient is a Fraction; one float or complex
-coefficient demotes the whole polynomial to complex-double scalars.
-The zero polynomial has degree ``NEG_INF`` so degree comparisons behave
+Coefficients are ascending (index = power).  An exact polynomial is
+stored as a tuple of integer numerators over one positive common
+denominator, the layout of FLINT's fmpq_poly, kept canonical: no
+trailing zeros and gcd(den, num_0, ..., num_d) == 1, so every rational
+polynomial has exactly one representation.  Arithmetic runs on the
+integers; ``coeffs`` (the Fractions num_i/den in lowest terms) is built
+on first use and cached.  One float or complex coefficient demotes the
+whole polynomial to a tuple of complex doubles.  The public constructor
+validates and demotes; arithmetic results go through the trusted
+constructor ``_exact``, which only trims and divides out the gcd.  The
+zero polynomial has degree ``NEG_INF`` so degree comparisons behave
 without special-casing.
 
 The falling-factorial transform implemented here substitutes the
@@ -18,9 +25,9 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .exact import falling_factorial_coeffs, format_rational, parse_rational
+from .exact import falling_factorial_coeffs, format_rational, parse_rational, stirling2_row
 
 NEG_INF = float("-inf")
 
@@ -52,10 +59,10 @@ def _coerce(values: Iterable) -> tuple[list[Scalar], bool]:
         if isinstance(v, (float, complex)) and not isinstance(v, numbers.Integral):
             exact = False
             break
-        if not isinstance(v, (Fraction, numbers.Integral)):
+        if not isinstance(v, (Fraction, int, numbers.Integral)):
             raise TypeError(f"unsupported coefficient type {type(v).__name__}")
     if exact:
-        return [Fraction(v) for v in raw], True
+        return [v if type(v) is Fraction else Fraction(v) for v in raw], True
     out: list[Scalar] = []
     for v in raw:
         if isinstance(v, Fraction):
@@ -68,16 +75,28 @@ def _coerce(values: Iterable) -> tuple[list[Scalar], bool]:
 
 
 class Poly:
-    """Immutable dense polynomial, coefficients ascending by power."""
+    """Immutable dense polynomial, coefficients ascending by power.
 
-    __slots__ = ("_coeffs", "_exact")
+    Exact: ``_num`` is a tuple of ints over the positive int ``_den``,
+    canonical as the module docstring says.  Complex: ``_num`` is the
+    tuple of complex coefficients and ``_den`` is None.  ``_coeffs``
+    caches the public coefficient tuple (None until first asked for).
+    """
+
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
         vals, exact = _coerce(coeffs)
         while vals and vals[-1] == 0:
             vals.pop()
         self._coeffs = tuple(vals)
-        self._exact = exact
+        if exact:
+            den = math.lcm(*[c.denominator for c in vals])
+            self._num = tuple([c.numerator * (den // c.denominator) for c in vals])
+            self._den = den
+        else:
+            self._num = self._coeffs
+            self._den = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -110,89 +129,91 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        c = self._coeffs
+        if c is None:
+            den = self._den
+            c = self._coeffs = tuple([Fraction(v, den) for v in self._num])
+        return c
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self._den is not None
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def degree(self):
         """Degree as an int; the zero polynomial reports NEG_INF."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     def coeff(self, i: int) -> Scalar:
-        zero = Fraction(0) if self._exact else 0j
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return zero
+        if 0 <= i < len(self._num):
+            return self.coeffs[i]
+        return Fraction(0) if self._den is not None else 0j
 
     @property
     def lead(self) -> Scalar:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self.coeffs[-1]
 
     @property
     def constant(self) -> Scalar:
         return self.coeff(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        if (self._den is None) == (other._den is None):
+            return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        return f"Poly({list(self.coeffs)!r})"
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return Poly(out)
+        return _add(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
+        return _rebuild([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly.zero()
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-            return Poly(out)
+            if not (self._num and other._num):
+                return _exact([])
+            if self._den is None or other._den is None:
+                return Poly(_convolve(self.to_complex(), other.to_complex()))
+            return _exact(_convolve(self._num, other._num), self._den * other._den)
+        if isinstance(other, (int, Fraction)) and self._den is not None:
+            return _exact(
+                [c * other.numerator for c in self._num], self._den * other.denominator
+            )
         if isinstance(other, (int, float, complex, Fraction)):
-            return Poly([c * other for c in self._coeffs])
+            return Poly([c * other for c in self.coeffs])
         return NotImplemented
 
     def __rmul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)) and self._den is not None:
+            return self * other
         if isinstance(other, (int, float, complex, Fraction)):
-            return Poly([other * c for c in self._coeffs])
+            return Poly([other * c for c in self.coeffs])
         return NotImplemented
 
     def __pow__(self, e: int) -> "Poly":
@@ -210,23 +231,28 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.is_zero:
+        if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        d = len(other._coeffs) - 1
-        lead = other._coeffs[-1]
-        if len(rem) <= d:
+        d = len(other._num) - 1
+        if len(self._num) <= d:
             return Poly.zero(), self
-        quot = [0] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - d] = q
-            for j, oj in enumerate(other._coeffs):
-                rem[i - d + j] = rem[i - d + j] - q * oj
-        return Poly(quot), Poly(rem)
+        if self._den is None or other._den is None:
+            rem = self.to_complex()
+            divisor = other.to_complex()
+            lead = divisor[-1]
+            quot = [0] * (len(rem) - d)
+            for i in range(len(rem) - 1, d - 1, -1):
+                c = rem[i]
+                if c == 0:
+                    continue
+                q = c / lead
+                quot[i - d] = q
+                for j, oj in enumerate(divisor):
+                    rem[i - d + j] = rem[i - d + j] - q * oj
+            return Poly(quot), Poly(rem)
+        quot, rem, scale = _divide(self._num, other._num)
+        den = scale * self._den
+        return _exact([c * other._den for c in quot], den), _exact(rem, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -235,22 +261,139 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _rebuild([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self._num:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self._coeffs[-1]
-        return Poly([c / lead for c in self._coeffs])
+        if self._den is None:
+            lead = self._num[-1]
+            return Poly([c / lead for c in self._num])
+        return _monic_poly(list(self._num))
 
     def __call__(self, x: Scalar) -> Scalar:
-        acc = Fraction(0) if (self._exact and isinstance(x, (int, Fraction))) else 0j
-        for c in reversed(self._coeffs):
+        if self._den is not None and isinstance(x, (int, Fraction)):
+            # homogeneous Horner sum: acc = sum num_i a^i b^(deg-i)
+            num = self._num
+            if not num:
+                return Fraction(0)
+            a, b = x.numerator, x.denominator
+            acc = num[-1]
+            scale = 1
+            for c in num[-2::-1]:
+                scale *= b
+                acc = acc * a + c * scale
+            return Fraction(acc, self._den * scale)
+        acc = 0j
+        for c in reversed(self.to_complex()):
             acc = acc * x + c
         return acc
 
     def to_complex(self) -> list[complex]:
-        return [complex(c) for c in self._coeffs]
+        """Coefficients as complex doubles; num_i / den is int true
+        division, correctly rounded like ``float(Fraction)``."""
+        den = self._den
+        if den is None:
+            return list(self._num)
+        return [complex(c / den) for c in self._num]
+
+
+# -- the exact core -----------------------------------------------------------
+
+_new = object.__new__
+
+
+def _exact(num: list, den: int = 1) -> Poly:
+    """Trusted constructor of the exact Poly num/den.
+
+    num is a list of ints (ascending, consumed) and den a positive int;
+    nothing is validated.  Trailing zeros are trimmed and gcd(den, *num)
+    divided out.
+    """
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    p = _new(Poly)
+    p._num = tuple(num)
+    p._den = den
+    p._coeffs = None
+    return p
+
+
+def _rebuild(vals: list, den: Optional[int]) -> Poly:
+    """vals over den through the trusted constructor, or, for den None,
+    complex values through the public one."""
+    return Poly(vals) if den is None else _exact(vals, den)
+
+
+def _add(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + q for sign 1, p - q for sign -1."""
+    if p._den is None or q._den is None:
+        a, b, den = p.to_complex(), q.to_complex(), None
+    else:
+        a, b, den = p._num, q._num, p._den
+        if den != q._den:
+            g = math.gcd(den, q._den)
+            sa, sb = q._den // g, den // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            den *= sa
+    n = min(len(a), len(b))
+    if sign > 0:
+        out = [x + y for x, y in zip(a, b)]
+        out += a[n:] if len(a) > n else b[n:]
+    else:
+        out = [x - y for x, y in zip(a, b)]
+        out += a[n:] if len(a) > n else [-c for c in b[n:]]
+    return _rebuild(out, den)
+
+
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """Coefficients of the product of two nonzero polynomials (integer
+    numerators or complex values)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with a = (q / s) b + r / s over the rationals, for integer
+    lists with len(a) >= len(b) >= 1; s is a positive integer.
+
+    Eliminating the top coefficient c of r replaces r by
+    (lb/g) r - (c/g) x^k b with lb = lc(b) and g = gcd(c, lb), so only
+    the factor lb/g enters the running scale s (q is kept at that scale).
+    """
+    lb = b[-1]
+    low = b[:-1]
+    db = len(low)
+    r = list(a)
+    quot = [0] * (len(r) - db)
+    scale = 1
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lb)
+        m = lb // g
+        if m != 1:
+            r = [m * v for v in r]
+            quot = [m * v for v in quot]
+            scale *= m
+        c //= g
+        k = top - db
+        for j, bj in enumerate(low):
+            r[k + j] -= c * bj
+        quot[k] = c
+    if scale < 0:
+        return [-c for c in quot], [-c for c in r], -scale
+    return quot, r, scale
 
 
 def poly_eval(p: Poly, x: Scalar) -> Scalar:
@@ -265,7 +408,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """
     if not (a.is_exact and b.is_exact):
         raise ValueError("gcd requires exact polynomials")
-    ints = [_integer_primitive(p.coeffs) for p in (a, b) if not p.is_zero]
+    ints = [_primitive_part(list(p._num)) for p in (a, b) if p._num]
     if not ints:
         return Poly.zero()
     return _monic_poly(ints[0] if len(ints) == 1 else _remainder_sequence(*ints)[-1])
@@ -289,15 +432,12 @@ def _primitive_part(v: list[int]) -> list[int]:
     return [c // g for c in v] if g > 1 else v
 
 
-def _integer_primitive(coeffs: Sequence[Fraction]) -> list[int]:
-    """Nonzero exact coefficients scaled by a positive rational to coprime integers."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
-
-
 def _monic_poly(v: list[int]) -> Poly:
+    """The exact Poly v / lc(v) for a nonzero integer list v."""
     lead = v[-1]
-    return Poly([Fraction(c, lead) for c in v])
+    if lead < 0:
+        return _exact([-c for c in v], -lead)
+    return _exact(v, lead)
 
 
 def _derivative(v: list[int]) -> list[int]:
@@ -397,16 +537,23 @@ class ExpPoly:
         return self._poly.is_exact
 
     def gamma(self, j: int) -> Scalar:
-        """j! * [x^j] (e^x * P), via sum_i P_i * j(j-1)...(j-i+1)."""
+        """j! * [x^j] (e^x * P), via sum_i P_i * j(j-1)...(j-i+1).
+
+        Exact P sums integer numerators and divides by the common
+        denominator once; terms with i > j vanish.
+        """
         if j < 0:
             raise ValueError("negative Taylor index")
-        acc = Fraction(0) if self._poly.is_exact else 0j
+        p = self._poly
+        acc = 0
         ff = 1  # falling product of length i evaluated at j
-        for i, c in enumerate(self._poly.coeffs):
+        for i, c in enumerate(p._num):
             if i > 0:
                 ff *= j - (i - 1)
-            acc = acc + c * ff
-        return acc
+                if not ff:
+                    break
+            acc += c * ff
+        return Fraction(acc, p._den) if p._den is not None else complex(acc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):
@@ -427,7 +574,22 @@ def taylor_gamma(f: ExpPoly, j: int) -> Scalar:
 
 def falling_factorial_poly(d: int) -> Poly:
     """x(x-1)...(x-d+1) as a Poly (exact)."""
-    return Poly(falling_factorial_coeffs(d))
+    return _exact(list(falling_factorial_coeffs(d)))
+
+
+def _stirling_product(p: Poly, row) -> Poly:
+    """The polynomial with coefficients out_k = sum_d p_d row(d)[k]: an
+    integer unitriangular matrix applied to the numerators of exact p (or
+    to the coefficients of complex p).  Its inverse is integer too, so
+    gcd(den, out) = gcd(den, num) = 1 and the denominator is unchanged."""
+    vals = p._num
+    out = [0] * len(vals)
+    for d, c in enumerate(vals):
+        if c:
+            for k, s in enumerate(row(d)):
+                if s:
+                    out[k] += c * s
+    return _rebuild(out, p._den)
 
 
 def falling_factorial_transform(p: Poly) -> Poly:
@@ -436,31 +598,15 @@ def falling_factorial_transform(p: Poly) -> Poly:
     Linear, degree-preserving, and unitriangular on coefficients, hence
     invertible; leading and constant coefficients are unchanged.  The
     image evaluated at integers j >= 0 gives gamma(j) of e^x * p.
+    Applied as rows of signed Stirling numbers of the first kind.
     """
-    out = Poly.zero()
-    for d, c in enumerate(p.coeffs):
-        if c != 0:
-            out = out + falling_factorial_poly(d) * c
-    return out
+    return _stirling_product(p, falling_factorial_coeffs)
 
 
 def inverse_falling_factorial_transform(q: Poly) -> Poly:
-    """Inverse transform, by peeling leading terms (valid over C too)."""
-    out: dict[int, Scalar] = {}
-    work = q
-    while not work.is_zero:
-        d = work.degree
-        c = work.lead
-        out[d] = c
-        work = work - falling_factorial_poly(d) * c
-        if not work.is_zero and work.degree >= d:
-            raise ArithmeticError("degree did not drop; non-polynomial input?")
-    if not out:
-        return Poly.zero()
-    coeffs = [0] * (max(out) + 1)
-    for d, c in out.items():
-        coeffs[d] = c
-    return Poly(coeffs)
+    """Inverse transform: x^k = sum_d S(k, d) x(x-1)...(x-d+1) with S the
+    Stirling numbers of the second kind (valid over C too)."""
+    return _stirling_product(q, stirling2_row)
 
 
 def iterate_falling_factorial_transform(p: Poly, nu: int) -> Poly:
@@ -475,28 +621,68 @@ def iterate_falling_factorial_transform(p: Poly, nu: int) -> Poly:
 def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton divided differences; exact over Fractions, complex otherwise.
-    Nodes must be pairwise distinct.
+    Newton divided differences, expanded in nested Horner order
+    t_0 + (x - x_0)(t_1 + (x - x_1)(...)).  Exact when every node and
+    value is an int or Fraction, complex otherwise.  Nodes must be
+    pairwise distinct.
     """
     if not points:
         return Poly.zero()
+    if all(isinstance(v, (int, Fraction)) for pt in points for v in pt):
+        return _interpolate_exact(points)
     xs = [p[0] for p in points]
     table = [p[1] for p in points]
     n = len(points)
-    # divided-difference coefficients, in place
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             dx = xs[i] - xs[i - level]
             if dx == 0:
                 raise ValueError("interpolation nodes must be distinct")
             table[i] = (table[i] - table[i - 1]) / dx
-    # expand the Newton form
-    poly = Poly.zero()
-    basis = Poly.one()
-    for i in range(n):
-        poly = poly + basis * table[i]
-        basis = basis * Poly((-xs[i], 1))
-    return poly
+    num = [table[-1]]
+    for x, t in zip(xs[-2::-1], table[-2::-1]):
+        num = [u - x * v for u, v in zip([0] + num, num + [0])]
+        num[0] += t
+    return Poly(num)
+
+
+def _interpolate_exact(points: Sequence[tuple]) -> Poly:
+    """interpolate() for rational nodes and values, in integers: every
+    node and divided difference is a reduced numerator/denominator pair,
+    and the Newton form is expanded as numerators over one denominator."""
+    xn = [p[0].numerator for p in points]
+    xd = [p[0].denominator for p in points]
+    tn = [p[1].numerator for p in points]
+    td = [p[1].denominator for p in points]
+    n = len(points)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            j = i - level
+            dx = xn[i] * xd[j] - xn[j] * xd[i]
+            if not dx:
+                raise ValueError("interpolation nodes must be distinct")
+            # (t_i - t_{i-1}) / (x_i - x_j)
+            num = (tn[i] * td[i - 1] - tn[i - 1] * td[i]) * xd[i] * xd[j]
+            den = td[i] * td[i - 1] * dx
+            if den < 0:
+                num, den = -num, -den
+            g = math.gcd(num, den)
+            tn[i], td[i] = num // g, den // g
+    # num / den times (x - a/b) is (b x - a) num / (den b); adding the
+    # next coefficient moves to the common denominator lcm(den b, t_den)
+    num = [tn[-1]]
+    den = td[-1]
+    for i in range(n - 2, -1, -1):
+        a, b = xn[i], xd[i]
+        num = [b * u - a * v for u, v in zip([0] + num, num + [0])]
+        den *= b
+        g = math.gcd(den, td[i])
+        up = td[i] // g
+        if up != 1:
+            num = [up * v for v in num]
+        num[0] += tn[i] * (den // g)
+        den *= up
+    return _exact(num, den)
 
 
 # -- JSON interchange ---------------------------------------------------------

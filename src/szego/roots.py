@@ -17,7 +17,6 @@ _roots_py.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,6 @@ from .poly import (
     Poly,
     _derivative,
     _exact_quotient,
-    _integer_primitive,
     _monic_poly,
     _primitive_part,
     _remainder_sequence,
@@ -245,7 +243,7 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
-    return [(_monic_poly(f), i) for f, i in _square_free_factors(_integer_primitive(p.coeffs))]
+    return [(_monic_poly(f), i) for f, i in _square_free_factors(_primitive_part(list(p._num)))]
 
 
 def sturm_count(
@@ -272,7 +270,7 @@ def sturm_count(
         return 0
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
-    v = _integer_primitive(p.coeffs)
+    v = _primitive_part(list(p._num))
     if multiplicity:
         return sum(mult * _count_distinct(f, a, b)[0] for f, mult in _square_free_factors(v))
     return _count_distinct(v, a, b)[0]
@@ -298,7 +296,7 @@ def is_hyperbolic(p: Poly) -> Hyperbolicity:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return Hyperbolicity(True, True)
-    real, gcd_degree = _count_distinct(_integer_primitive(p.coeffs), None, None)
+    real, gcd_degree = _count_distinct(_primitive_part(list(p._num)), None, None)
     return Hyperbolicity(real == p.degree - gcd_degree, gcd_degree == 0)
 
 
@@ -330,8 +328,7 @@ def taylor_window_bound(p: Poly) -> int:
         raise ValueError("zero polynomial")
     q = p.monic()
     m = q.degree
-    d = sum(abs(c) for c in q.coeffs[:-1])
-    return math.floor(d) + m + 1
+    return sum(abs(c) for c in q._num[:-1]) // q._den + m + 1  # floor(d) + m + 1
 
 
 # -- half-plane membership ----------------------------------------------------

@@ -395,3 +395,28 @@ def test_bad_seed_env_is_reported():
     )
     assert proc.returncode == 1
     assert "SZEGO_SEED" in proc.stderr
+
+
+def test_main_calls_carry_no_state(monkeypatch, capsys):
+    # the parser is built once per process; each call must still start
+    # from the defaults and read SZEGO_SEED when it runs
+    from szego.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    argv = ["decompose", "--mode", "finite", "--c", "1/3,0", "--n", "2", "--k", "1"]
+    assert main(argv + ["--no-roots"]) == 0
+    assert "roots" not in json.loads(capsys.readouterr().out)
+    assert main(["decompose", "--mode", "exp", "--c", "1,2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["convention"] == "normalized" and len(out["roots"]) == 2
+    assert "n" not in out and "k" not in out
+
+    verify = ["verify", "--suite", "derivative_identities", "--trials", "2"]
+    monkeypatch.setenv("SZEGO_SEED", "11")
+    assert main(verify + ["--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == 3
+    assert main(verify) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == 11
+    monkeypatch.setenv("SZEGO_SEED", "12")
+    assert main(verify) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == 12

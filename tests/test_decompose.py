@@ -1,6 +1,7 @@
 """Tests for factor-offset decomposition, reconstruction, the induced
 affine coefficient maps, and the localization windows."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -371,6 +372,28 @@ def test_decomposition_json_round_trip():
         decomposition_from_json({"mode": "finite"})
     with pytest.raises(ValueError):
         decomposition_from_json({"mode": "alien", "sigma": []})
+
+
+def test_recompose_demotes_float_and_complex_sigma():
+    # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j with sigma_0 = 1
+    def reference(sigma, n, k):
+        m = n + k
+        sig = (1,) + tuple(sigma)
+        return [
+            math.comb(m, s) * sum(v * s ** (n - j) * (m - s) ** j for j, v in enumerate(sig)) / m**n
+            for s in range(m + 1)
+        ]
+
+    exact = recompose(Decomposition(mode="finite", sigma=(F(1, 10), F(-3, 4)), n=2, k=1))
+    assert exact.is_exact
+    assert list(exact.coeffs) == reference((F(1, 10), F(-3, 4)), 2, 1)
+    for sigma in ((0.1, F(-3, 4)), (F(1, 10), -0.75 + 0j), (3 + 1j, 2 + 2j, F(-1, 3))):
+        n = len(sigma)
+        p = recompose(Decomposition(mode="finite", sigma=sigma, n=n, k=2))
+        assert not p.is_exact
+        want = reference(sigma, n, 2)
+        assert len(p.coeffs) == len(want)
+        assert all(abs(a - b) <= 1e-12 * (1 + abs(b)) for a, b in zip(p.coeffs, want))
 
 
 def test_recompose_validation():

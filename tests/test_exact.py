@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from szego import binomial, format_rational, parse_rational
-from szego.exact import falling_factorial_coeffs
+from szego import binomial, exact, format_rational, parse_rational
+from szego.exact import falling_factorial_coeffs, stirling2_row
 
 
 def test_parse_rational_accepts_integers_and_fractions():
@@ -74,3 +76,70 @@ def test_falling_factorial_coeffs_evaluate_to_falling_products():
             value = sum(c * j**i for i, c in enumerate(coeffs))
             expected = math.prod(j - i for i in range(d))
             assert value == expected, (d, j)
+
+
+def test_stirling2_rows_small_cases():
+    assert stirling2_row(0) == (1,)
+    assert stirling2_row(1) == (0, 1)
+    # x^3 = x(x-1)(x-2) + 3 x(x-1) + x
+    assert stirling2_row(3) == (0, 1, 3, 1)
+    assert stirling2_row(4) == (0, 1, 7, 6, 1)
+    with pytest.raises(ValueError):
+        stirling2_row(-1)
+
+
+def test_stirling_rows_are_cached():
+    assert falling_factorial_coeffs(12) is falling_factorial_coeffs(12)
+    assert stirling2_row(12) is stirling2_row(12)
+
+
+def test_monomials_expand_in_falling_factorials_up_to_degree_48():
+    # x^d = sum_k S(d, k) x(x-1)...(x-k+1), compared coefficientwise
+    for d in range(49):
+        total = [0] * (d + 1)
+        for k, s in enumerate(stirling2_row(d)):
+            for i, c in enumerate(falling_factorial_coeffs(k)):
+                total[i] += s * c
+        assert total == [0] * d + [1], d
+        # and the rows agree with the closed form of S(d, k)
+        for k, s in enumerate(stirling2_row(d)):
+            closed = sum((-1) ** i * math.comb(k, i) * (k - i) ** d for i in range(k + 1))
+            assert s * math.factorial(k) == closed, (d, k)
+
+
+def test_stirling_matrices_are_inverse_up_to_degree_48():
+    # sum_k s(d, k) S(k, j) = [d == j]
+    for d in range(49):
+        first = falling_factorial_coeffs(d)
+        for j in range(d + 1):
+            total = sum(first[k] * stirling2_row(k)[j] for k in range(j, d + 1))
+            assert total == (d == j), (d, j)
+
+
+def test_stirling_rows_stay_in_place_under_concurrent_extension(monkeypatch):
+    # threads that extend the same fresh tables at once must never leave a
+    # row at the wrong index
+    want1 = [falling_factorial_coeffs(d) for d in range(80)]
+    want2 = [stirling2_row(d) for d in range(80)]
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for d in rng.sample(range(80), 80):
+            if falling_factorial_coeffs(d) != want1[d] or stirling2_row(d) != want2[d]:
+                wrong.append(d)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            monkeypatch.setattr(exact, "_STIRLING_ROWS", {1: [(1,)], 2: [(1,)]})
+            threads = [threading.Thread(target=work, args=(10 * round_ + i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong

@@ -279,3 +279,223 @@ def test_exp_poly_json_round_trip():
     assert exp_poly_from_json(obj) == f
     with pytest.raises(ValueError):
         exp_poly_from_json({"coeffs": ["1"]})
+
+
+# -- the integer core against a Fraction reference ----------------------------
+#
+# The references below work on plain lists of Fractions, independent of
+# the integer representation; every Poly result must match them
+# coefficient for coefficient and be stored canonically.
+
+
+def _ref_trim(v):
+    v = [Fraction(c) for c in v]
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _ref_trim([x + sign * y for x, y in zip(a, b)])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r = _ref_trim(r)
+    return _ref_trim(q), r
+
+
+def _ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_falling(d):
+    out = [Fraction(1)]
+    for i in range(d):
+        out = _ref_mul(out, [Fraction(-i), Fraction(1)])
+    return out
+
+
+def _ref_transform(a):
+    out = []
+    for d, c in enumerate(a):
+        out = _ref_add(out, [c * v for v in _ref_falling(d)])
+    return out
+
+
+def _ref_inverse_transform(a):
+    out = [Fraction(0)] * len(a)
+    work = list(a)
+    while work:
+        d = len(work) - 1
+        out[d] = work[-1]
+        work = _ref_add(work, [work[-1] * v for v in _ref_falling(d)], -1)
+    return _ref_trim(out)
+
+
+def _ref_interpolate(points):
+    out = []
+    for i, (xi, yi) in enumerate(points):
+        term = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = _ref_mul(term, [-xj / (xi - xj), 1 / (xi - xj)])
+        out = _ref_add(out, term)
+    return out
+
+
+def _random_coeffs(rng, kind, degree):
+    if kind == "zero":
+        return [0] * rng.randint(0, 2)
+    if kind == "int":
+        out = [rng.randint(-20, 20) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2, 7])]
+    elif kind == "small":
+        out = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(degree + 1)]
+    else:  # large numerators and denominators, given with negative denominators
+        out = [
+            Fraction(rng.randint(-10**40, 10**40), -rng.randint(1, 10**30))
+            for _ in range(degree + 1)
+        ]
+    return out + [0] * rng.randint(0, 2)  # trailing zeros must be trimmed
+
+
+def _assert_canonical(p, want):
+    assert list(p.coeffs) == want
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert all(c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1 for c in p.coeffs)
+    assert p._den > 0 and math.gcd(p._den, *p._num) == 1
+    assert not p._num or p._num[-1] != 0
+    rebuilt = Poly(want)
+    assert (p._num, p._den) == (rebuilt._num, rebuilt._den)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+def test_integer_core_against_fraction_reference():
+    rng = random.Random(81)
+    kinds = ["zero", "int", "small", "large"]
+    for trial in range(160):
+        ka, kb = kinds[trial % 4], kinds[(trial // 4) % 4]
+        ra = _random_coeffs(rng, ka, rng.randint(0, 12))
+        rb = _random_coeffs(rng, kb, rng.randint(0, 12))
+        a, b = Poly(ra), Poly(rb)
+        fa, fb = _ref_trim(ra), _ref_trim(rb)
+        _assert_canonical(a, fa)
+        _assert_canonical(a + b, _ref_add(fa, fb))
+        _assert_canonical(a - b, _ref_add(fa, fb, -1))
+        _assert_canonical(-a, _ref_add([], fa, -1))
+        _assert_canonical(a * b, _ref_mul(fa, fb))
+        _assert_canonical(a**2, _ref_mul(fa, fa))
+        for s in (0, 3, -2, Fraction(-7, 4), Fraction(10**20, 3**30)):
+            _assert_canonical(a * s, [c * s for c in fa] if s else [])
+            _assert_canonical(s * a, [c * s for c in fa] if s else [])
+        if fb:
+            q, r = divmod(a, b)
+            want_q, want_r = _ref_divmod(fa, fb)
+            _assert_canonical(q, want_q)
+            _assert_canonical(r, want_r)
+        _assert_canonical(a.derivative(), _ref_trim([i * c for i, c in enumerate(fa)][1:]))
+        if fa:
+            _assert_canonical(a.monic(), [c / fa[-1] for c in fa])
+        for x in (0, 1, -3, Fraction(2, 3), Fraction(-5, 7), Fraction(10**12 + 1, 10**9)):
+            value = a(x)
+            assert type(value) is Fraction and value == _ref_eval(fa, x)
+        f = ExpPoly(a)
+        for j in range(15):
+            want = sum((c * math.perm(j, i) for i, c in enumerate(fa)), Fraction(0))
+            assert type(f.gamma(j)) is Fraction and f.gamma(j) == want
+        _assert_canonical(falling_factorial_transform(a), _ref_transform(fa))
+        _assert_canonical(inverse_falling_factorial_transform(a), _ref_inverse_transform(fa))
+        assert a.to_complex() == [complex(c) for c in fa]
+
+
+def test_interpolate_against_lagrange_reference():
+    rng = random.Random(82)
+    for trial in range(60):
+        n = rng.randint(1, 13)
+        nodes = set()
+        while len(nodes) < n:
+            nodes.add(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+        kind = ["int", "small", "large"][trial % 3]
+        values = _random_coeffs(rng, kind, n - 1)[:n]
+        points = [(x, v) for x, v in zip(sorted(nodes, key=lambda _: rng.random()), values)]
+        _assert_canonical(interpolate(points), _ref_interpolate(points))
+    # integer nodes and values interpolate exactly
+    q = interpolate([(0, 1), (1, 3), (2, 7)])
+    assert q.is_exact and q == Poly([1, 1, 1])
+
+
+def test_equality_and_hash_across_construction_routes():
+    p = Poly([Fraction(1, 2), Fraction(-3, 4), 2])
+    routes = [
+        Poly([Fraction(2, 4), Fraction(-6, 8), Fraction(4, 2), 0]),
+        Poly([1, 0, 0]) * p,
+        (p * Fraction(8, 3)) * Fraction(3, 8),
+        p + Poly.zero(),
+        Poly([0, 1]) * p // Poly([0, 1]),
+        inverse_falling_factorial_transform(falling_factorial_transform(p)),
+        interpolate([(x, p(x)) for x in (0, 1, 2)]),
+    ]
+    for q in routes:
+        assert q == p and hash(q) == hash(p)
+    # an exactly representable complex twin is equal and hashes alike
+    twin = Poly([0.5, -0.75, 2.0])
+    assert not twin.is_exact and twin == p and hash(twin) == hash(p)
+    assert Poly([0j]) == Poly.zero() and hash(Poly([0j])) == hash(Poly.zero())
+    assert p != Poly([Fraction(1, 2), Fraction(-3, 4), 2, 1])
+    assert Poly([1, 2]) != Poly([Fraction(1, 2), 1])  # same numerators, other denominator
+
+
+def test_one_inexact_coefficient_demotes_the_polynomial():
+    for inexact in (0.5, 2j, complex(1, -1), float("1e300")):
+        p = Poly([Fraction(1, 3), 2, inexact])
+        assert not p.is_exact
+        assert all(type(c) is complex for c in p.coeffs)
+        assert p.coeffs[0] == complex(Fraction(1, 3))
+    exact = Poly([Fraction(1, 3), 2])
+    for result in (exact * 0.5, 0.5 * exact, exact + Poly([0.0, 1.0]), exact * Poly([1j])):
+        assert not result.is_exact
+    assert (exact * 0.5).coeffs == (complex(Fraction(1, 6)), 1 + 0j)
+    assert exact(0.5) == complex(Fraction(1, 3) + 1)
+
+
+def test_to_complex_is_correctly_rounded():
+    rng = random.Random(83)
+    for _ in range(200):
+        c = Fraction(rng.randint(-10**60, 10**60), rng.randint(1, 10**45))
+        p = Poly([c, Fraction(1, 3), Fraction(rng.randint(1, 10**30), 7)])
+        assert p.to_complex() == [complex(float(v)) for v in p.coeffs]
+
+
+def test_transform_round_trips_up_to_degree_48():
+    rng = random.Random(84)
+    for d in (0, 1, 5, 17, 32, 48):
+        p = _rand_poly(rng, d)
+        assert inverse_falling_factorial_transform(falling_factorial_transform(p)) == p
+        assert falling_factorial_transform(inverse_falling_factorial_transform(p)) == p
+        # the image at integers gives the Taylor numerators
+        image = falling_factorial_transform(p)
+        f = ExpPoly(p)
+        assert all(image(j) == f.gamma(j) for j in range(0, 2 * d + 2, max(1, d // 4)))

@@ -1,5 +1,6 @@
 """Tests for the randomized verification checks and the suite runner."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -170,6 +171,18 @@ def test_run_suite_full_and_filtered():
     by_family = run_suite(names=["cone_exp"], trials=8, seed=12)
     assert all(r.check_id.startswith("cone_exp[") for r in by_family)
     assert len(by_family) == 3
+
+
+# sha256 of json.dumps(payload["reports"], sort_keys=True) for
+# `szego verify --suite all --trials 20 --seed 42`; the same golden value
+# gates the benchmark's suite workload
+GOLDEN_REPORTS_SHA256 = "61ea8e2335992b03997e65d31a98bb057e0cd9c4f90b1e7164d9f0cb24411901"
+
+
+def test_seed_42_reports_match_the_golden_hash():
+    payload = reports_payload(run_suite(None, trials=20, seed=42))
+    text = json.dumps(payload["reports"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
 
 
 def test_run_suite_unknown_name():
