@@ -2,14 +2,22 @@
 and the affine coefficient maps induced by the factor parameters.
 
 Finite mode: P = (x+1)^k (x^n + c_1 x^{n-1} + ... + c_n) is the
-composition of n factors (x+1)^(n+k-1)(x+a_i) at ambient degree n+k.
-The map sends (c_1..c_n) to the elementary symmetric values sigma_j of
-the a_i.  With beta_s = [x^s]P / C(n+k, s) one has
-beta_s = prod_i ((n+k-s) a_i + s) / (n+k), so the monic polynomial
-Q(t) = prod_i (t + a_i) satisfies
-Q(s/(n+k-s)) = beta_s * (n+k)^n / (n+k-s)^n; interpolating Q exactly at
-s = 0..n (nodes strictly increasing, pole at s = n+k avoided) reads off
-sigma_j as the coefficient of t^(n-j).
+composition of n factors (x+1)^(n+k-1)(x+a_i) at ambient degree m = n+k.
+The map Phi_{n,k} sends (c_1..c_n) to the elementary symmetric values
+sigma_j of the a_i, read off as [t^(n-j)] of the monic
+Q(t) = prod_i (t + a_i).  With beta_s = [x^s]P / C(m, s) one has
+beta_s = prod_i ((m-s) a_i + s) / m, i.e. the homogenised identity
+(m-s)^n Q(s/(m-s)) = m^n beta_s at s = 0..n.  Q is linear in the core
+coefficients u_i = [x^i](core), and for the core x^i the right-hand side
+is the degree-n polynomial m^n k!/m! * s(s-1)..(s-i+1) *
+(m-s)(m-s-1)..(m-s-n+i+1) in s.  Substituting s = m t/(1+t) gives the
+closed form of column i:
+
+    Q_i(t) = k!/m! * prod_{a<i} ((m-a) t - a) * prod_{b<n-i} ((m-b) - b t).
+
+So Phi_{n,k} is one integer matrix over one denominator, built once per
+(n, k) without any (x+1)^k polynomial or interpolation, and a call is
+one integer matrix-vector product.
 
 Exp mode: e^x P, P(0) = 1, deg P = m, is the composition of m factors
 e^x(1 + x/a_i).  The Taylor numerators gamma_j of e^x P equal Qt(j)
@@ -26,7 +34,9 @@ enrichment via the root finder.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +46,8 @@ from .exact import binomial, format_rational, parse_rational
 from .poly import (
     ExpPoly,
     Poly,
+    _convolve,
+    _exact,
     falling_factorial_transform,
     interpolate,
     inverse_falling_factorial_transform,
@@ -143,37 +155,58 @@ def decompose_poly(
 ) -> Decomposition:
     """Factor-offset data for (x+1)^k (x^n + c_1 x^{n-1} + ... + c_n).
 
-    sigma_j are exact; the map c -> sigma is total and affine.  The
-    interpolant for Q is asserted monic, a free end-to-end consistency
-    check (its failure would signal an implementation bug, not bad
-    input).
+    sigma_j are exact; the map c -> sigma is total and affine.  Q is
+    checked to be monic, a free end-to-end consistency check (its
+    failure would signal an implementation bug, not bad input).
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    p = padded_core(c, n, k)
-    q = _finite_sigma_poly(p, n, k)
-    sigma = tuple(q.coeff(n - j) for j in range(1, n + 1))
+    if len(c) != n:
+        raise ValueError(f"expected {n} coefficients, got {len(c)}")
+    core = [Fraction(x) for x in reversed(c)]
+    lcm = math.lcm(*[v.denominator for v in core])
+    u = [v.numerator * (lcm // v.denominator) for v in core] + [lcm]
+    rows, den = _phi_matrix(n, k)
+    q = [sum(map(operator.mul, row, u)) for row in rows]
+    scale = den * lcm
+    if q[n] != scale:
+        raise InternalInconsistencyError("factor-offset polynomial Q is not monic")
+    sigma = tuple(Fraction(q[n - j], scale) for j in range(1, n + 1))
     roots = None
     if want_roots:
-        roots = tuple(-z for z in aberth_roots(q)) if n >= 1 else ()
+        roots = tuple(-z for z in aberth_roots(_exact(q, scale)))
     return Decomposition(mode="finite", sigma=sigma, n=n, k=k, roots=roots)
 
 
-def _finite_sigma_poly(p: Poly, n: int, k: int) -> Poly:
-    """Monic Q(t) = prod (t + a_i), interpolated from the coefficients of p."""
+_PHI_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PHI_CACHE_SIZE)
+def _phi_matrix(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Phi_{n,k} as integer rows over one positive denominator.
+
+    Entry [j][i] is [t^j] Q_i(t) of the module docstring's closed form,
+    so Q = sum_i u_i Q_i for the ascending core coefficients u.  Column
+    i+1 follows from column i by one multiplication by (m-i) t - i and
+    one exact division by (k+i+1) - (n-i-1) t, O(n) each.
+    """
     m = n + k
-    mn = m**n
-    pts = []
-    for s in range(n + 1):
-        c = p.coeff(s)  # value = c / C(m, s) * (m / (m - s))^n
-        value = Fraction(c.numerator * mn, c.denominator * binomial(m, s) * (m - s) ** n)
-        pts.append((Fraction(s, m - s), value))
-    q = interpolate(pts)
-    if q.degree != n or q.lead != 1:
-        raise InternalInconsistencyError(
-            "factor-offset interpolant is not monic of the right degree"
-        )
-    return q
+    col = [1]
+    for b in range(n):
+        col = _convolve(col, [m - b, -b])
+    cols = [col]
+    for i in range(n):
+        col = _convolve(col, [-i, m - i])[: n + 1]  # the product has degree n
+        # exact division by c0 + c1 t, from the constant term up (c0 > 0)
+        c0, c1 = k + i + 1, -(n - i - 1)
+        prev = 0
+        for j in range(n + 1):
+            prev = col[j] = (col[j] - c1 * prev) // c0
+        cols.append(col)
+    den = math.perm(m, n)  # m!/k!
+    g = math.gcd(den, *[v for col in cols for v in col])
+    rows = tuple(tuple(col[j] // g for col in cols) for j in range(n + 1))
+    return rows, den // g
 
 
 def _exp_gamma_poly(p: Poly, m: int) -> Poly:

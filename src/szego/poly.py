@@ -37,8 +37,6 @@ __all__ = [
     "NEG_INF",
     "Poly",
     "ExpPoly",
-    "poly_eval",
-    "taylor_gamma",
     "falling_factorial_poly",
     "falling_factorial_transform",
     "inverse_falling_factorial_transform",
@@ -396,11 +394,6 @@ def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], i
     return quot, r, scale
 
 
-def poly_eval(p: Poly, x: Scalar) -> Scalar:
-    """Horner evaluation; exact when both polynomial and point are exact."""
-    return p(x)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the rationals (exact polynomials only).
 
@@ -565,11 +558,6 @@ class ExpPoly:
 
     def __repr__(self) -> str:
         return f"ExpPoly({self._poly!r})"
-
-
-def taylor_gamma(f: ExpPoly, j: int) -> Scalar:
-    """j! * [x^j] f for f = e^x * P; exact for exact P."""
-    return f.gamma(j)
 
 
 def falling_factorial_poly(d: int) -> Poly:

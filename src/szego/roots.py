@@ -17,6 +17,7 @@ _roots_py.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -363,28 +364,36 @@ def hurwitz_determinants(p: Poly) -> list[Fraction]:
 
 
 def _det(mat: list[list[Fraction]]) -> Fraction:
-    """Fraction Gaussian elimination with partial pivot by nonzero."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Each row is cleared to integers over its own denominator; every
+    Bareiss step then divides exactly by the previous pivot, so the
+    entries stay integer minors of the cleared matrix.
+    """
+    rows = []
+    scale = 1
+    for row in mat:
+        row = [Fraction(v) for v in row]
+        den = math.lcm(*[v.denominator for v in row])
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
+    sign = prev = 1
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top = rows[col]
+        lead = top[col]
+        for r in range(col + 1, len(rows)):
+            a = rows[r][col]
+            rows[r] = [0] * (col + 1) + [
+                (lead * x - a * y) // prev for x, y in zip(rows[r][col + 1:], top[col + 1:])
+            ]
+        prev = lead
+    return Fraction(sign * prev, scale)
 
 
 INSIDE = "inside"

@@ -403,3 +403,98 @@ def test_recompose_validation():
         recompose(Decomposition(mode="exp", sigma=(F(1),), m=2, convention=NORMALIZED))
     with pytest.raises(ValueError):
         recompose(Decomposition(mode="alien", sigma=()))
+
+
+# -- Phi_{n,k}: the cached integer matrix -------------------------------------
+
+
+def _reference_sigma(c, n, k):
+    """sigma by the definition: pad the core with (x+1)^k, then Newton-
+    interpolate Q(s/(m-s)) = [x^s]P * m^n / (C(m,s) (m-s)^n) at s = 0..n."""
+    m = n + k
+    core = [F(v) for v in reversed(c)] + [F(1)]
+    p = [
+        sum(math.comb(k, s - i) * core[i] for i in range(max(0, s - k), min(n, s) + 1))
+        for s in range(n + 1)
+    ]
+    xs = [F(s, m - s) for s in range(n + 1)]
+    table = [p[s] * m**n / (math.comb(m, s) * (m - s) ** n) for s in range(n + 1)]
+    newton = [table[0]]
+    for d in range(1, n + 1):
+        table = [(table[i + 1] - table[i]) / (xs[i + d] - xs[i]) for i in range(len(table) - 1)]
+        newton.append(table[0])
+    q = [F(0)] * (n + 1)  # ascending coefficients of Q, Horner on the Newton form
+    for d in range(n, -1, -1):
+        q = [newton[d] + (q[0] * -xs[d] if d < n else 0)] + [
+            q[j - 1] + q[j] * -xs[d] for j in range(1, n + 1)
+        ]
+    assert q[n] == 1
+    return tuple(q[n - j] for j in range(1, n + 1))
+
+
+def test_phi_matches_the_padded_interpolation_reference():
+    rng = random.Random(48)
+    for n in range(1, 13):
+        for k in (1, 2, 3, 7):
+            ints = [rng.randint(-9, 9) for _ in range(n)]
+            fracs = _rand_vec(rng, n, 40)
+            floats = [rng.uniform(-4, 4) for _ in range(n)]
+            for c in (ints, fracs, floats):
+                got = decompose_poly(c, n, k, want_roots=False).sigma
+                assert got == _reference_sigma(c, n, k), (n, k, c)
+                assert all(type(v) is F for v in got)
+
+
+def test_phi_last_row_is_e_n_with_zero_offset():
+    for n, k in [(1, 1), (2, 5), (4, 3), (7, 2), (9, 40)]:
+        amap = decomposition_map("finite", n=n, k=k)
+        assert amap.matrix[-1] == tuple(F(int(i == n - 1)) for i in range(n))
+        assert amap.offset[-1] == 0
+
+
+def test_phi_tends_to_the_identity_like_one_over_k():
+    # seen in probes for n <= 6, not a statement from the paper
+    for n in range(1, 7):
+        for k in (10, 100, 1000):
+            amap = decomposition_map("finite", n=n, k=k)
+            bound = F(math.comb(n, 2), k)
+            for i, row in enumerate(amap.matrix):
+                assert all(abs(v - (i == j)) <= bound for j, v in enumerate(row)), (n, k)
+            assert all(abs(v) <= bound for v in amap.offset), (n, k)
+
+
+def test_phi_is_cheap_for_large_k_and_large_n():
+    import time
+
+    from szego import decompose
+
+    t0 = time.perf_counter()
+    amap = decomposition_map("finite", n=4, k=10**4)
+    assert time.perf_counter() - t0 < 2.0
+    assert amap.invertible
+    decompose._phi_matrix.cache_clear()
+    rng = random.Random(49)
+    c = _rand_vec(rng, 128)
+    t0 = time.perf_counter()
+    dec = decompose_poly(c, 128, 2, want_roots=False)
+    assert time.perf_counter() - t0 < 2.0
+    assert recompose(dec) == padded_core(c, 128, 2)
+
+
+def test_corrupted_phi_matrix_is_an_internal_inconsistency(monkeypatch):
+    from szego import InternalInconsistencyError, decompose
+
+    rows, den = decompose._phi_matrix(3, 2)
+    bad = rows[:-1] + (rows[-1][:-1] + (rows[-1][-1] + 1,),)
+    monkeypatch.setattr(decompose, "_phi_matrix", lambda n, k: (bad, den))
+    with pytest.raises(InternalInconsistencyError):
+        decompose_poly([F(1), F(2), F(3)], 3, 2)
+
+
+def test_phi_cache_tells_k_apart():
+    c = [F(1, 2), F(-3), F(2, 7)]
+    one = decompose_poly(c, 3, 1, want_roots=False).sigma
+    two = decompose_poly(c, 3, 2, want_roots=False).sigma
+    assert one != two
+    assert one == _reference_sigma(c, 3, 1) and two == _reference_sigma(c, 3, 2)
+    assert decomposition_map("finite", n=3, k=1) != decomposition_map("finite", n=3, k=2)

@@ -355,6 +355,74 @@ def test_hurwitz_determinants_worked():
         hurwitz_determinants(Poly.zero())
 
 
+def _gauss_det(mat):
+    """Fraction Gaussian elimination, pivoting on the first nonzero entry."""
+    m = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def test_bareiss_det_against_gaussian_reference():
+    from szego.roots import _det
+
+    rng = random.Random(62)
+
+    def entry():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    cases = [[], [[Fraction(0)]], [[Fraction(-3, 7)]]]
+    for n in range(1, 9):
+        for _ in range(6):
+            cases.append([[entry() for _ in range(n)] for _ in range(n)])
+        # singular: one row a rational combination of two others
+        mat = [[entry() for _ in range(n)] for _ in range(n)]
+        if n >= 3:
+            a, b = entry(), entry()
+            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+        else:
+            mat[-1] = list(mat[0])
+        cases.append(mat)
+        # zero leading pivots: the first rows start with zeros
+        mat = [[entry() for _ in range(n)] for _ in range(n)]
+        for r in range(n - 1):
+            mat[r][0] = Fraction(0)
+        cases.append(mat)
+        cases.append([[Fraction(int(i == n - 1 - j)) for j in range(n)] for i in range(n)])
+    for mat in cases:
+        want = _gauss_det(mat)
+        got = _det(mat)
+        assert type(got) is Fraction and got == want, mat
+    assert _det([[1, 2], [3, 4]]) == -2
+
+
+def test_hurwitz_minors_against_gaussian_reference():
+    rng = random.Random(63)
+    for deg in range(1, 13):
+        p = _rand_poly(rng, deg)
+        desc = list(reversed(p.coeffs))
+        want = []
+        for k in range(1, deg + 1):
+            mat = [
+                [desc[2 * j - i] if 0 <= 2 * j - i <= deg else 0 for j in range(1, k + 1)]
+                for i in range(1, k + 1)
+            ]
+            want.append(_gauss_det(mat))
+        assert hurwitz_determinants(p) == want, p
+    # x^4 + 1 (roots off both axes) has a vanishing second minor
+    assert hurwitz_determinants(Poly([1, 0, 0, 0, 1]))[1] == 0
+
+
 def test_region_membership_strict_interior():
     # (x-1)(x-2)(x-3): all roots strictly right, alternating signs
     v = region_membership([Fraction(-6), Fraction(11), Fraction(-6)])
