@@ -3,6 +3,7 @@ affine coefficient maps, and the localization windows."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from szego import (
     Decomposition,
     DegreeDeficientError,
     ExpPoly,
+    InternalInconsistencyError,
     Poly,
     SscContext,
     cluster_roots,
@@ -31,6 +33,7 @@ from szego import (
     padded_core,
     recompose,
 )
+import szego.decompose as decompose_module
 from szego.decompose import MONIC, NORMALIZED
 
 F = Fraction
@@ -423,11 +426,9 @@ def _reference_sigma(c, n, k):
     for d in range(1, n + 1):
         table = [(table[i + 1] - table[i]) / (xs[i + d] - xs[i]) for i in range(len(table) - 1)]
         newton.append(table[0])
-    q = [F(0)] * (n + 1)  # ascending coefficients of Q, Horner on the Newton form
+    q = [F(0)] * (n + 1)  # ascending; Q <- newton[d] + (t - xs[d]) Q for d = n..0
     for d in range(n, -1, -1):
-        q = [newton[d] + (q[0] * -xs[d] if d < n else 0)] + [
-            q[j - 1] + q[j] * -xs[d] for j in range(1, n + 1)
-        ]
+        q = [newton[d] - xs[d] * q[0]] + [q[j - 1] - xs[d] * q[j] for j in range(1, n + 1)]
     assert q[n] == 1
     return tuple(q[n - j] for j in range(1, n + 1))
 
@@ -464,15 +465,11 @@ def test_phi_tends_to_the_identity_like_one_over_k():
 
 
 def test_phi_is_cheap_for_large_k_and_large_n():
-    import time
-
-    from szego import decompose
-
     t0 = time.perf_counter()
     amap = decomposition_map("finite", n=4, k=10**4)
     assert time.perf_counter() - t0 < 2.0
     assert amap.invertible
-    decompose._phi_matrix.cache_clear()
+    decompose_module._phi_matrix.cache_clear()
     rng = random.Random(49)
     c = _rand_vec(rng, 128)
     t0 = time.perf_counter()
@@ -482,11 +479,9 @@ def test_phi_is_cheap_for_large_k_and_large_n():
 
 
 def test_corrupted_phi_matrix_is_an_internal_inconsistency(monkeypatch):
-    from szego import InternalInconsistencyError, decompose
-
-    rows, den = decompose._phi_matrix(3, 2)
+    rows, den = decompose_module._phi_matrix(3, 2)
     bad = rows[:-1] + (rows[-1][:-1] + (rows[-1][-1] + 1,),)
-    monkeypatch.setattr(decompose, "_phi_matrix", lambda n, k: (bad, den))
+    monkeypatch.setattr(decompose_module, "_phi_matrix", lambda n, k: (bad, den))
     with pytest.raises(InternalInconsistencyError):
         decompose_poly([F(1), F(2), F(3)], 3, 2)
 
