@@ -21,12 +21,15 @@ one integer matrix-vector product.
 
 Exp mode: e^x P, P(0) = 1, deg P = m, is the composition of m factors
 e^x(1 + x/a_i).  The Taylor numerators gamma_j of e^x P equal Qt(j)
-where Qt(t) = prod_i (1 + t/a_i); interpolation at t = 0..m gives the
-reciprocal-side symmetric values sigma~_k = [t^k]Qt, and the -a_i are
-the roots of the falling-factorial transform of P (the module asserts
-that equality as an internal cross-check).  A second, monic convention
-(factors written e^x(x + a_i), input monic) is provided along with an
-explicit converter; both describe the same factor multiset.
+where Qt(t) = prod_i (1 + t/a_i).  The falling-factorial transform T
+generates the same numerators, T(P)(j) = gamma_j, so Qt = T(P): the
+reciprocal-side symmetric values are sigma~_k = [t^k] T(P), the -a_i
+are the roots of T(P), and the map c -> sigma~ is the matrix of signed
+Stirling numbers of the first kind that T applies.  Each call checks
+T(P) against the gamma sums at t = 0..m as an internal cross-check.  A
+second, monic convention (factors written e^x(x + a_i), input monic) is
+provided along with an explicit converter; both describe the same
+factor multiset.
 
 sigma values are exact; the a_i themselves are an optional numerical
 enrichment via the root finder.
@@ -42,14 +45,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import binomial, format_rational, parse_rational
+from .exact import binomial, falling_factorial_coeffs, format_rational, parse_rational
 from .poly import (
     ExpPoly,
     Poly,
     _convolve,
     _exact,
     falling_factorial_transform,
-    interpolate,
     inverse_falling_factorial_transform,
 )
 from .roots import aberth_roots
@@ -116,13 +118,29 @@ class AffineMap:
         return len(self.offset)
 
     def apply(self, c: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """M c + offset, each entry summed in integers over one
+        denominator and reduced once."""
         if len(c) != self.dimension:
             raise ValueError("dimension mismatch")
         vec = [Fraction(x) for x in c]
+        lcm = math.lcm(*[v.denominator for v in vec])
+        u = [v.numerator * (lcm // v.denominator) for v in vec]
         return tuple(
-            sum((row[j] * vec[j] for j in range(len(vec))), start=off)
-            for row, off in zip(self.matrix, self.offset)
+            Fraction(sum(map(operator.mul, row, u)) + off * lcm, den * lcm)
+            for row, off, den in self._integer_rows
         )
+
+    @functools.cached_property
+    def _integer_rows(self) -> tuple[tuple[list[int], int, int], ...]:
+        """(row numerators, offset numerator, positive denominator) for
+        each row of the matrix together with its offset entry."""
+        out = []
+        for row, off in zip(self.matrix, self.offset):
+            vals = [Fraction(v) for v in row] + [Fraction(off)]
+            den = math.lcm(*[v.denominator for v in vals])
+            nums = [v.numerator * (den // v.denominator) for v in vals]
+            out.append((nums[:-1], nums[-1], den))
+        return tuple(out)
 
     def determinant(self) -> Fraction:
         from .roots import _det
@@ -210,15 +228,33 @@ def _phi_matrix(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def _exp_gamma_poly(p: Poly, m: int) -> Poly:
-    """Interpolates the polynomial G with G(j) = gamma_j(e^x p), j = 0..m,
-    and cross-checks it against the falling-factorial transform."""
-    f = ExpPoly(p)
-    g = interpolate([(Fraction(j), f.gamma(j)) for j in range(m + 1)])
-    if g != falling_factorial_transform(p):
+    """The polynomial G with G(j) = gamma_j(e^x p) for all j >= 0, which
+    is the falling-factorial transform of p (deg p <= m).
+
+    Cross-checked against the gamma sums at j = 0..m, in integers: T
+    keeps the denominator of p, and a polynomial of degree <= m is fixed
+    by its values at m+1 nodes, so the check is as strong as comparing
+    G with the interpolant of the gammas.
+    """
+    g = falling_factorial_transform(p)
+    gammas = ExpPoly(p).gamma_numerators(m)
+    if (
+        g._den != p._den
+        or len(g._num) > m + 1
+        or any(_int_eval(g._num, j) != v for j, v in enumerate(gammas))
+    ):
         raise InternalInconsistencyError(
-            "gamma interpolant disagrees with the falling-factorial transform"
+            "falling-factorial transform disagrees with the gamma values"
         )
     return g
+
+
+def _int_eval(num: Sequence[int], x: int) -> int:
+    """Horner evaluation of an integer coefficient list at an integer."""
+    acc = 0
+    for c in reversed(num):
+        acc = acc * x + c
+    return acc
 
 
 def decompose_exp(
@@ -354,15 +390,26 @@ def decomposition_map(
 ) -> AffineMap:
     """The exact affine map c -> sigma for the requested decomposition.
 
-    Probed from unit vectors (offset = image of 0, columns = images of
-    e_i minus offset) and verified exact at 20 pseudorandom rational
+    Read off the exact matrices: Phi_{n,k} from ``_phi_matrix`` in
+    finite mode, and in exp mode the signed Stirling numbers of the first
+    kind s(d, j) that the falling-factorial transform applies.  The map
+    is then verified against the decomposers at 20 pseudorandom rational
     points; a verification failure raises InternalInconsistencyError
-    since it would contradict affinity of the underlying map.
+    since it would contradict the decomposition logic.
     """
+    # entry(j, l) is the coefficient of c_l in sigma_j, where c_0 = 1
+    # stands for the fixed coefficient of the input, so l = 0 is the offset
     if mode == "finite":
         if n is None or k is None:
             raise ValueError("finite mode needs n and k")
+        if n < 1 or k < 1:
+            raise ValueError("need n >= 1 and k >= 1")
         dim = n
+        rows, den = _phi_matrix(n, k)
+
+        def entry(j: int, l: int) -> Fraction:
+            # sigma_j = q_(n-j) / den; c_l is the core coefficient u_(n-l)
+            return Fraction(rows[n - j][n - l], den)
 
         def image(vec):
             return decompose_poly(vec, n, k, want_roots=False).sigma
@@ -372,6 +419,23 @@ def decomposition_map(
             raise ValueError("exp mode needs m")
         dim = m
 
+        def stirling1(d: int, j: int) -> Fraction:
+            row = falling_factorial_coeffs(d)
+            return Fraction(row[j] if j < len(row) else 0)
+
+        if convention == NORMALIZED:
+            # sigma~_j = [t^j] T(sum_l c_l x^l) = sum_l s(l, j) c_l
+            def entry(j: int, l: int) -> Fraction:
+                return stirling1(l, j)
+
+        elif convention == MONIC:
+            # sigma_j = [t^(m-j)] T(sum_l c_l x^(m-l))
+            def entry(j: int, l: int) -> Fraction:
+                return stirling1(m - l, m - j)
+
+        else:
+            raise ValueError(f"unknown convention {convention!r}")
+
         def image(vec):
             return decompose_exp(
                 vec, convention, want_roots=False, _require_full_degree=False
@@ -380,18 +444,11 @@ def decomposition_map(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    zero = [Fraction(0)] * dim
-    offset = image(zero)
-    cols = []
-    for i in range(dim):
-        e = list(zero)
-        e[i] = Fraction(1)
-        img = image(e)
-        cols.append([img[j] - offset[j] for j in range(dim)])
-    matrix = tuple(
-        tuple(cols[j][i] for j in range(dim)) for i in range(dim)
+    span = range(1, dim + 1)
+    amap = AffineMap(
+        matrix=tuple(tuple(entry(j, l) for l in span) for j in span),
+        offset=tuple(entry(j, 0) for j in span),
     )
-    amap = AffineMap(matrix=matrix, offset=tuple(offset))
 
     rng = random.Random(_PROBE_SEED)
     for _ in range(20):

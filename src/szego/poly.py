@@ -507,6 +507,19 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _gamma_sum(num: Sequence, j: int):
+    """sum_i num_i * j(j-1)...(j-i+1); terms with i > j vanish."""
+    acc = 0
+    ff = 1  # falling product of length i evaluated at j
+    for i, c in enumerate(num):
+        if i > 0:
+            ff *= j - (i - 1)
+            if not ff:
+                break
+        acc += c * ff
+    return acc
+
+
 class ExpPoly:
     """The entire function e^x * P for a polynomial P.
 
@@ -538,15 +551,17 @@ class ExpPoly:
         if j < 0:
             raise ValueError("negative Taylor index")
         p = self._poly
-        acc = 0
-        ff = 1  # falling product of length i evaluated at j
-        for i, c in enumerate(p._num):
-            if i > 0:
-                ff *= j - (i - 1)
-                if not ff:
-                    break
-            acc += c * ff
+        acc = _gamma_sum(p._num, j)
         return Fraction(acc, p._den) if p._den is not None else complex(acc)
+
+    def gamma_numerators(self, N: int) -> list:
+        """[gamma(0), ..., gamma(N)] times the positive denominator of
+        exact P: integer sums, with the signs of the gammas.  Complex P
+        gives the complex gammas themselves."""
+        if N < 0:
+            raise ValueError("negative Taylor index")
+        num = self._poly._num
+        return [_gamma_sum(num, j) for j in range(N + 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):

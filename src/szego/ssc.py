@@ -9,10 +9,11 @@ therefore pass an explicit SscContext carrying N, and composition
 requires at least one operand to actually have degree N.
 
 For entire functions f = sum gamma_j x^j / j! of the shape e^x * P the
-composition multiplies the gamma sequences.  The result is again of the
-shape e^x * R with deg R = deg P + deg Q, and R is recovered exactly
-from finitely many gamma products by interpolation plus the inverse
-falling-factorial transform; no truncated series arithmetic is used.
+composition multiplies the gamma sequences.  The falling-factorial
+transform T generates them, T(P)(j) = gamma_j(e^x * P), so the result
+is e^x * R with T(R) = T(P) * T(Q): one polynomial product between the
+transform and its inverse, exact, with no interpolation and no
+truncated series arithmetic.
 
 Exact rational operands compose exactly; float/complex operands compose
 in complex doubles (used by the perturbation experiments).
@@ -28,7 +29,6 @@ from .poly import (
     ExpPoly,
     Poly,
     falling_factorial_transform,
-    interpolate,
     inverse_falling_factorial_transform,
 )
 
@@ -105,17 +105,15 @@ def composition_factor(n: int, k: int, a) -> Poly:
 def exp_compose(f: ExpPoly, g: ExpPoly) -> ExpPoly:
     """SSC of e^x*P and e^x*Q: multiplies Taylor numerator sequences.
 
-    gamma_j(result) = gamma_j(f) * gamma_j(g) for every j; the finite
-    polynomial part has degree deg P + deg Q and is recovered exactly
-    from the first deg P + deg Q + 1 products.
+    gamma_j(result) = gamma_j(f) * gamma_j(g) for every j.  With T the
+    falling-factorial transform, T(P)(j) = gamma_j(e^x * P), so the
+    result is e^x * R where T(R) and T(P) * T(Q) agree at every integer
+    j >= 0, hence T(R) = T(P) * T(Q).  Exact for rational P and Q,
+    complex doubles otherwise.
     """
-    pf, pg = f.poly, g.poly
-    if pf.is_zero or pg.is_zero:
-        return ExpPoly(Poly.zero())
-    d = pf.degree + pg.degree
-    points = [(j, f.gamma(j) * g.gamma(j)) for j in range(d + 1)]
-    transformed = interpolate(points)
-    return ExpPoly(inverse_falling_factorial_transform(transformed))
+    tf = falling_factorial_transform(f.poly)
+    tg = falling_factorial_transform(g.poly)
+    return ExpPoly(inverse_falling_factorial_transform(tf * tg))
 
 
 def exp_composition_factor(a) -> ExpPoly:

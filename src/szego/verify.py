@@ -355,8 +355,8 @@ def check_taylor_sign_rule(m: int, trials: int = 500, seed: int = 42) -> CheckRe
             p = _planted_hyperbolic(rng, m)
         kpos = sturm_count(p, Fraction(0), None, multiplicity=True)
         bound = taylor_window_bound(p)
-        f = ExpPoly(p)
-        gam = [f.gamma(j) for j in range(bound + 11)]
+        # gamma numerators over the positive denominator of p: same signs
+        gam = ExpPoly(p).gamma_numerators(bound + 10)
         observed = sign_changes(gam[: bound + 1])
         tail_positive = gam[bound] > 0
         window_stable = sign_changes(gam) == observed
@@ -393,8 +393,7 @@ def check_integer_intervals(
         else:
             p = _planted_hyperbolic(rng, m)
         bound = taylor_window_bound(p)
-        f = ExpPoly(p)
-        kchanges = sign_changes([f.gamma(j) for j in range(bound + 1)])
+        kchanges = sign_changes(ExpPoly(p).gamma_numerators(bound))
         c = tuple(reversed(p.coeffs[:-1]))
         roots = decompose_exp(c, MONIC, want_roots=True).roots
         scale = max(1.0, max(abs(z) for z in roots)) if roots else 1.0

@@ -1,6 +1,7 @@
 """Tests for factor-offset decomposition, reconstruction, the induced
 affine coefficient maps, and the localization windows."""
 
+import dataclasses
 import math
 import random
 import time
@@ -35,6 +36,7 @@ from szego import (
 )
 import szego.decompose as decompose_module
 from szego.decompose import MONIC, NORMALIZED
+from szego.poly import falling_factorial_poly
 
 F = Fraction
 
@@ -493,3 +495,147 @@ def test_phi_cache_tells_k_apart():
     assert one != two
     assert one == _reference_sigma(c, 3, 1) and two == _reference_sigma(c, 3, 2)
     assert decomposition_map("finite", n=3, k=1) != decomposition_map("finite", n=3, k=2)
+
+
+# -- exp mode on the falling-factorial transform, maps read off the matrices --
+
+
+@pytest.mark.parametrize("convention", [NORMALIZED, MONIC])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda g: g + Poly.monomial(1, F(1, 3)),  # one coefficient shifted
+        lambda g: g + falling_factorial_poly(3),  # wrong only from j = m on
+        lambda g: g + falling_factorial_poly(4),  # right at j = 0..m, degree m+1
+        lambda g: g * 2,  # same numerators over half the (even) denominator
+    ],
+    ids=["shifted_coefficient", "last_node", "above_degree", "denominator"],
+)
+def test_corrupted_transform_is_an_internal_inconsistency(monkeypatch, convention, corrupt):
+    c = [F(1, 2), F(-3), F(2, 7)]  # P has denominator 14 in both conventions
+    decompose_exp(c, convention, want_roots=False)
+    real = decompose_module.falling_factorial_transform
+    monkeypatch.setattr(
+        decompose_module, "falling_factorial_transform", lambda p: corrupt(real(p))
+    )
+    with pytest.raises(InternalInconsistencyError):
+        decompose_exp(c, convention, want_roots=False)
+    with pytest.raises(InternalInconsistencyError):  # the check itself, not a later one
+        decompose_module._exp_gamma_poly(Poly([F(1)] + c), 3)
+
+
+def _stirling1_reference(m):
+    """s[i][j] = s(i, j) for 0 <= i, j <= m, from s(i+1, j) = s(i, j-1) - i s(i, j)."""
+    s = [[0] * (m + 1) for _ in range(m + 1)]
+    s[0][0] = 1
+    for i in range(m):
+        for j in range(1, i + 2):
+            s[i + 1][j] = s[i][j - 1] - i * s[i][j]
+    return s
+
+
+def test_exp_maps_are_signed_stirling_numbers_of_the_first_kind():
+    for m in range(1, 9):
+        s = _stirling1_reference(m)
+        span = range(1, m + 1)
+        normalized = decomposition_map("exp", m=m, convention=NORMALIZED)
+        assert normalized.offset == (F(0),) * m
+        # row j, column i holds s(i, j): upper triangular with unit diagonal
+        assert normalized.matrix == tuple(tuple(F(s[i][j]) for i in span) for j in span)
+        monic = decomposition_map("exp", m=m, convention=MONIC)
+        assert monic.offset == tuple(F(s[m][m - j]) for j in span)
+        assert monic.matrix == tuple(tuple(F(s[m - l][m - j]) for l in span) for j in span)
+
+
+def _probed_map(image, dim):
+    """The map probed from unit vectors: offset = image of 0, column l =
+    image of e_l minus the offset."""
+    offset = image([F(0)] * dim)
+    cols = []
+    for l in range(dim):
+        e = [F(0)] * dim
+        e[l] = F(1)
+        cols.append([a - b for a, b in zip(image(e), offset)])
+    return tuple(tuple(col[j] for col in cols) for j in range(dim)), offset
+
+
+def test_maps_equal_the_probed_maps_and_the_phi_matrix():
+    for n, k in [(1, 1), (2, 1), (3, 2), (5, 3), (8, 1), (6, 40)]:
+        amap = decomposition_map("finite", n=n, k=k)
+        image = lambda v: decompose_poly(v, n, k, want_roots=False).sigma
+        assert (amap.matrix, amap.offset) == _probed_map(image, n)
+        rows, den = decompose_module._phi_matrix(n, k)
+        span = range(1, n + 1)
+        assert amap.offset == tuple(F(rows[n - j][n], den) for j in span)
+        assert amap.matrix == tuple(tuple(F(rows[n - j][n - l], den) for l in span) for j in span)
+    for m in range(1, 7):
+        for convention in (NORMALIZED, MONIC):
+            amap = decomposition_map("exp", m=m, convention=convention)
+            image = lambda v: decompose_exp(
+                v, convention, want_roots=False, _require_full_degree=False
+            ).sigma
+            assert (amap.matrix, amap.offset) == _probed_map(image, m)
+
+
+def test_decomposition_map_still_checks_the_decomposers(monkeypatch):
+    real_poly, real_exp = decompose_module.decompose_poly, decompose_module.decompose_exp
+
+    def shifted(dec):
+        return dataclasses.replace(dec, sigma=(dec.sigma[0] + 1,) + dec.sigma[1:])
+
+    monkeypatch.setattr(
+        decompose_module, "decompose_poly", lambda *a, **kw: shifted(real_poly(*a, **kw))
+    )
+    monkeypatch.setattr(
+        decompose_module, "decompose_exp", lambda *a, **kw: shifted(real_exp(*a, **kw))
+    )
+    with pytest.raises(InternalInconsistencyError):
+        decomposition_map("finite", n=3, k=2)
+    for convention in (NORMALIZED, MONIC):
+        with pytest.raises(InternalInconsistencyError):
+            decomposition_map("exp", m=3, convention=convention)
+
+
+def test_decomposition_map_rejects_bad_parameters():
+    for n, k in [(0, 2), (2, 0), (-1, 3)]:
+        with pytest.raises(ValueError):
+            decomposition_map("finite", n=n, k=k)
+    with pytest.raises(ValueError):
+        decomposition_map("exp", m=0)
+    with pytest.raises(ValueError):
+        decomposition_map("exp", m=2, convention="nope")
+
+
+def _reference_apply(amap, c):
+    """AffineMap.apply as a Fraction sum, row by row."""
+    vec = [F(x) for x in c]
+    return tuple(
+        sum((row[j] * vec[j] for j in range(len(vec))), start=off)
+        for row, off in zip(amap.matrix, amap.offset)
+    )
+
+
+def test_affine_map_apply_matches_the_fraction_sum_reference():
+    rng = random.Random(83)
+
+    def entry():
+        return rng.choice([0, rng.randint(-9, 9), F(rng.randint(-99, 99), rng.randint(1, 40))])
+
+    for _ in range(40):
+        dim = rng.randint(1, 6)
+        amap = AffineMap(
+            matrix=tuple(tuple(F(entry()) for _ in range(dim)) for _ in range(dim)),
+            offset=tuple(F(entry()) for _ in range(dim)),
+        )
+        for _ in range(5):
+            c = [entry() for _ in range(dim)]
+            got = amap.apply(c)
+            assert got == _reference_apply(amap, c)
+            assert all(type(v) is F for v in got)
+    for amap in [
+        decomposition_map("finite", n=4, k=3),
+        decomposition_map("exp", m=5, convention=MONIC),
+    ]:
+        for _ in range(10):
+            c = _rand_vec(rng, amap.dimension, 50)
+            assert amap.apply(c) == _reference_apply(amap, c)

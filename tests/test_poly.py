@@ -20,6 +20,7 @@ from szego import (
     poly_to_json,
 )
 from szego.poly import NEG_INF, falling_factorial_poly, poly_gcd
+from szego.roots import sign_changes
 
 
 def _rand_poly(rng, deg, bound=9):
@@ -187,6 +188,24 @@ def test_gamma_against_factorial_series():
                 for i in range(min(j, p.degree) + 1)
             )
             assert f.gamma(j) == direct, (p, j)
+
+
+def test_gamma_numerators_are_the_gammas_over_the_denominator():
+    rng = random.Random(15)
+    for _ in range(30):
+        p = _rand_poly(rng, rng.randint(0, 8))
+        f = ExpPoly(p)
+        den = math.lcm(*[c.denominator for c in p.coeffs])
+        nums = f.gamma_numerators(14)
+        assert all(type(v) is int for v in nums)
+        gammas = [f.gamma(j) for j in range(15)]
+        assert [Fraction(v, den) for v in nums] == gammas
+        assert sign_changes(nums) == sign_changes(gammas)
+    assert ExpPoly(Poly.zero()).gamma_numerators(3) == [0, 0, 0, 0]
+    z = ExpPoly(Poly([1j, 2.0, -0.5]))
+    assert z.gamma_numerators(4) == [z.gamma(j) for j in range(5)]
+    with pytest.raises(ValueError):
+        z.gamma_numerators(-1)
 
 
 def test_falling_factorial_transform_worked():

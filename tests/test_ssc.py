@@ -17,6 +17,7 @@ from szego import (
     exp_compose,
     exp_composition_factor,
     exp_factor_step,
+    inverse_falling_factorial_transform,
 )
 from szego.exact import binomial
 
@@ -150,6 +151,44 @@ def test_exp_compose_zero_absorbs():
     z = ExpPoly(Poly.zero())
     f = ExpPoly(Poly([1, 1]))
     assert exp_compose(z, f) == z
+
+
+def _newton_through_integer_nodes(values):
+    """Ascending coefficients of the polynomial through (j, values[j]),
+    j = 0..len(values)-1, by Newton divided differences."""
+    table = list(values)
+    n = len(table)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / level  # nodes i and i-level
+    coeffs = [table[-1]]
+    for i in range(n - 2, -1, -1):
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]  # times (x - i)
+        coeffs[0] += table[i]
+    return coeffs
+
+
+def _reference_exp_compose(f, g):
+    """Interpolate the gamma products at j = 0..deg P + deg Q, then undo
+    the falling-factorial transform."""
+    d = f.poly.degree + g.poly.degree
+    values = [f.gamma(j) * g.gamma(j) for j in range(d + 1)]
+    transformed = Poly(_newton_through_integer_nodes(values))
+    return ExpPoly(inverse_falling_factorial_transform(transformed))
+
+
+def test_exp_compose_against_the_interpolation_reference():
+    rng = random.Random(27)
+    for _ in range(30):
+        f = ExpPoly(_rand_poly(rng, rng.randint(0, 12)))
+        g = ExpPoly(_rand_poly(rng, rng.randint(0, 12)))
+        assert exp_compose(f, g) == _reference_exp_compose(f, g)
+    f = ExpPoly(Poly([complex(1.0, 0.5), -0.25, complex(0.0, 2.0)]))
+    g = ExpPoly(Poly([0.5, complex(1.5, -1.0), 1.0, 0.75]))
+    got = exp_compose(f, g).poly
+    want = _reference_exp_compose(f, g).poly
+    assert not got.is_exact and got.degree == want.degree == 5
+    assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) < 1e-12
 
 
 def test_exp_factor_and_incremental_step_agree():
