@@ -45,7 +45,6 @@ from .verify import (
 )
 
 DEFAULT_TRIALS = 500
-DEFAULT_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,12 +162,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _map_to_json(amap: AffineMap, header: dict) -> dict:
+    det = amap.determinant()
     return {
         **header,
         "matrix": [[format_rational(v) for v in row] for row in amap.matrix],
         "offset": [format_rational(v) for v in amap.offset],
-        "determinant": format_rational(amap.determinant()),
-        "invertible": amap.invertible,
+        "determinant": format_rational(det),
+        "invertible": det != 0,
     }
 
 
@@ -232,9 +232,7 @@ def _cmd_verify(args) -> int:
     names = None
     if args.suite and args.suite != "all":
         names = _split_suite_names(args.suite)
-    reports = run_suite(
-        names, trials=args.trials, seed=seed, jobs=args.jobs, tol=args.tol
-    )
+    reports = run_suite(names, trials=args.trials, seed=seed, jobs=args.jobs)
     if args.out:
         write_reports_json(reports, args.out)
     else:
@@ -319,7 +317,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--suite", default="all", help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, help="RNG seed (default: SZEGO_SEED or 42)")
     v.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    v.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root placement tolerance")
     v.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     v.add_argument("--out", help="write the JSON report here")
     v.add_argument("--csv", help="also write a CSV summary here")

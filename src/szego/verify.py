@@ -3,11 +3,15 @@ consequences: sign-cone invariance, root localization, Taylor-sign
 counting, iterated-transform asymptotics, half-plane non-invariance,
 and the perturbation experiments.
 
-Every check returns a CheckReport.  Failures carry exact inputs (as
-rational strings) so a reported counterexample can be replayed; a
+A randomized check is one per-trial function trial(rng, t) that
+returns None when trial t holds and a failure record (a dict) when it
+does not.  One driver, _run_trials, runs it on the random stream
+seed:check:trial, tags each record with its trial and times the whole
+into a CheckReport, so reports are reproducible and independent of
+execution order.  Failure records carry exact inputs (as rational
+strings) so a reported counterexample can be replayed; a
 numerical-tolerance artifact is then distinguishable from a genuine
-one.  Per-trial random streams are derived as seed:check:trial, so
-reports are reproducible and independent of execution order.
+one.  The suite is the fixed list of cells in _cell_specs.
 """
 
 from __future__ import annotations
@@ -112,6 +116,27 @@ def _rng(seed: int, salt: str) -> random.Random:
     return random.Random(f"{seed}:{salt}")
 
 
+def _run_trials(
+    check_id: str,
+    trials: int,
+    seed: int,
+    trial: Callable[[random.Random, int], Optional[dict]],
+    notes: Optional[list] = None,
+) -> CheckReport:
+    """Run trial(rng, t) for t < trials, each on the stream
+    seed:check_id:t.  A non-None return is a failure record and is
+    tagged with its trial; notes is the list the trials append to."""
+    t0 = time.perf_counter()
+    failures: list = []
+    for t in range(trials):
+        record = trial(_rng(seed, f"{check_id}:{t}"), t)
+        if record is not None:
+            failures.append({"trial": t, **record})
+    return CheckReport(
+        check_id, trials, failures, seed, time.perf_counter() - t0, notes or []
+    )
+
+
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -179,71 +204,60 @@ def _max_matching(edges: list[list[int]], n_right: int) -> int:
 # -- sign-cone invariance -----------------------------------------------------
 
 
-def check_cone_finite(n: int, k: int, trials: int = 500, seed: int = 42) -> CheckReport:
-    """The factor-offset image of a cone point stays in the cone, with
-    equality on the boundary exactly when the constant term vanishes."""
-    t0 = time.perf_counter()
-    check_id = f"cone_finite[n={n},k={k}]"
-    failures: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+def _check_cone(
+    check_id: str,
+    n: int,
+    sigma_of: Callable[[list], Sequence[Fraction]],
+    trials: int,
+    seed: int,
+) -> CheckReport:
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         c = list(_cone_point(rng, n))
         kind = t % 3
         if kind == 1:
             c[n - 1] = Fraction(0)  # constant-term hyperplane
         elif kind == 2 and n >= 2:
             c[rng.randrange(n - 1)] = Fraction(0)  # cone face, constant free
-        sigma = decompose_poly(c, n, k, want_roots=False).sigma
+        sigma = sigma_of(c)
         in_cone = all((-1) ** j * sigma[j - 1] >= 0 for j in range(1, n + 1))
         const_ok = sigma[-1] == c[-1]
         strict_ok = c[-1] == 0 or all(
             (-1) ** j * sigma[j - 1] > 0 for j in range(1, n + 1)
         )
         if not (in_cone and const_ok and strict_ok):
-            failures.append(
-                {
-                    "trial": t,
-                    "c": _fmt(c),
-                    "sigma": _fmt(sigma),
-                    "in_cone": in_cone,
-                    "constant_preserved": const_ok,
-                    "strictly_interior_when_constant_nonzero": strict_ok,
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, time.perf_counter() - t0)
+            return {
+                "c": _fmt(c),
+                "sigma": _fmt(sigma),
+                "in_cone": in_cone,
+                "constant_preserved": const_ok,
+                "strictly_interior_when_constant_nonzero": strict_ok,
+            }
+        return None
+
+    return _run_trials(check_id, trials, seed, trial)
+
+
+def check_cone_finite(n: int, k: int, trials: int = 500, seed: int = 42) -> CheckReport:
+    """The factor-offset image of a cone point stays in the cone, with
+    equality on the boundary exactly when the constant term vanishes."""
+    return _check_cone(
+        f"cone_finite[n={n},k={k}]",
+        n,
+        lambda c: decompose_poly(c, n, k, want_roots=False).sigma,
+        trials,
+        seed,
+    )
 
 
 def check_cone_exp(m: int, trials: int = 500, seed: int = 42) -> CheckReport:
     """Exp-mode analog of check_cone_finite, monic convention."""
-    t0 = time.perf_counter()
-    check_id = f"cone_exp[m={m}]"
-    failures: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
-        c = list(_cone_point(rng, m))
-        kind = t % 3
-        if kind == 1:
-            c[m - 1] = Fraction(0)
-        elif kind == 2 and m >= 2:
-            c[rng.randrange(m - 1)] = Fraction(0)
-        sigma = decompose_exp(c, MONIC, want_roots=False).sigma
-        in_cone = all((-1) ** j * sigma[j - 1] >= 0 for j in range(1, m + 1))
-        const_ok = sigma[-1] == c[-1]
-        strict_ok = c[-1] == 0 or all(
-            (-1) ** j * sigma[j - 1] > 0 for j in range(1, m + 1)
-        )
-        if not (in_cone and const_ok and strict_ok):
-            failures.append(
-                {
-                    "trial": t,
-                    "c": _fmt(c),
-                    "sigma": _fmt(sigma),
-                    "in_cone": in_cone,
-                    "constant_preserved": const_ok,
-                    "strictly_interior_when_constant_nonzero": strict_ok,
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, time.perf_counter() - t0)
+    return _check_cone(
+        f"cone_exp[m={m}]",
+        m,
+        lambda c: decompose_exp(c, MONIC, want_roots=False).sigma,
+        trials,
+        seed,
+    )
 
 
 # -- root localization --------------------------------------------------------
@@ -259,14 +273,11 @@ def check_interval_localization(
 ) -> CheckReport:
     """Planting nu positive roots forces at least nu factor offsets to be
     negative and to occupy pairwise distinct localization windows."""
-    t0 = time.perf_counter()
-    check_id = f"interval_localization[n={n},k={k}]"
     intervals = localization_intervals(n, k)
     last = len(intervals) - 1  # the unbounded-below window
-    failures: list = []
     notes: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         nu = rng.randint(nu_min, n)
         pos: list[Fraction] = []
         while len(pos) < nu:
@@ -285,47 +296,41 @@ def check_interval_localization(
                 rest -= 1
         audited = sturm_count(core, Fraction(0), None)
         if audited != nu:
-            failures.append(
-                {
-                    "trial": t,
-                    "stage": "construction audit",
-                    "core": _fmt(core.coeffs),
-                    "expected_positive_roots": nu,
-                    "observed": audited,
-                }
-            )
-            continue
+            return {
+                "stage": "construction audit",
+                "core": _fmt(core.coeffs),
+                "expected_positive_roots": nu,
+                "observed": audited,
+            }
         c = tuple(reversed(core.coeffs[:-1]))
         roots = decompose_poly(c, n, k, want_roots=True).roots
         scale = max(1.0, max(abs(z) for z in roots))
         neg = [z.real for z in roots if abs(z.imag) <= tol * scale and z.real < 0]
-        edges = []
-        for a in neg:
-            edges.append(
-                [
-                    s
-                    for s, (lo, hi) in enumerate(intervals)
-                    if (lo is None or a >= float(lo) - tol) and a <= float(hi) + tol
-                ]
-            )
+        edges = [
+            [
+                s
+                for s, (lo, hi) in enumerate(intervals)
+                if (lo is None or a >= float(lo) - tol) and a <= float(hi) + tol
+            ]
+            for a in neg
+        ]
         matched = _max_matching(edges, len(intervals))
         if matched < nu:
-            failures.append(
-                {
-                    "trial": t,
-                    "core": _fmt(core.coeffs),
-                    "planted_positive_roots": _fmt(pos),
-                    "offsets": [[z.real, z.imag] for z in roots],
-                    "expected_distinct_windows": nu,
-                    "matched": matched,
-                }
-            )
-        elif nu > 0:
+            return {
+                "core": _fmt(core.coeffs),
+                "planted_positive_roots": _fmt(pos),
+                "offsets": [[z.real, z.imag] for z in roots],
+                "expected_distinct_windows": nu,
+                "matched": matched,
+            }
+        if nu > 0:
             bounded_only = [[s for s in row if s != last] for row in edges]
             if _max_matching(bounded_only, len(intervals)) < nu:
                 notes.append({"trial": t, "note": "unbounded window required"})
-    return CheckReport(
-        check_id, trials, failures, seed, time.perf_counter() - t0, notes
+        return None
+
+    return _run_trials(
+        f"interval_localization[n={n},k={k}]", trials, seed, trial, notes
     )
 
 
@@ -344,15 +349,9 @@ def _planted_hyperbolic(rng: random.Random, m: int, bound: int = 2) -> Poly:
 def check_taylor_sign_rule(m: int, trials: int = 500, seed: int = 42) -> CheckReport:
     """Taylor numerators of e^x * P show at least as many sign changes as
     P has positive roots (with multiplicity); the window bound is final."""
-    t0 = time.perf_counter()
-    check_id = f"taylor_sign_rule[m={m}]"
-    failures: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
-        if t % 2 == 0:
-            p = _rand_monic(rng, m)
-        else:
-            p = _planted_hyperbolic(rng, m)
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
+        p = _rand_monic(rng, m) if t % 2 == 0 else _planted_hyperbolic(rng, m)
         kpos = sturm_count(p, Fraction(0), None, multiplicity=True)
         bound = taylor_window_bound(p)
         # gamma numerators over the positive denominator of p: same signs
@@ -361,18 +360,17 @@ def check_taylor_sign_rule(m: int, trials: int = 500, seed: int = 42) -> CheckRe
         tail_positive = gam[bound] > 0
         window_stable = sign_changes(gam) == observed
         if not (observed >= kpos and tail_positive and window_stable):
-            failures.append(
-                {
-                    "trial": t,
-                    "p": _fmt(p.coeffs),
-                    "positive_roots": kpos,
-                    "sign_changes": observed,
-                    "window": bound,
-                    "tail_positive": tail_positive,
-                    "window_stable": window_stable,
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, time.perf_counter() - t0)
+            return {
+                "p": _fmt(p.coeffs),
+                "positive_roots": kpos,
+                "sign_changes": observed,
+                "window": bound,
+                "tail_positive": tail_positive,
+                "window_stable": window_stable,
+            }
+        return None
+
+    return _run_trials(f"taylor_sign_rule[m={m}]", trials, seed, trial)
 
 
 def check_integer_intervals(
@@ -380,12 +378,9 @@ def check_integer_intervals(
 ) -> CheckReport:
     """Sign changes of the Taylor numerators force that many factor
     offsets into pairwise distinct unit windows [-l-1, -l]."""
-    t0 = time.perf_counter()
-    check_id = f"integer_intervals[m={m}]"
-    failures: list = []
     notes: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         if t % 2 == 0:
             p = _rand_monic(rng, m)
             while p.constant == 0:
@@ -405,29 +400,25 @@ def check_integer_intervals(
         ]
         matched = _max_matching(edges, nmax + 1)
         if matched < kchanges:
-            failures.append(
-                {
-                    "trial": t,
-                    "p": _fmt(p.coeffs),
-                    "sign_changes": kchanges,
-                    "offsets": [[z.real, z.imag] for z in roots],
-                    "matched": matched,
-                }
-            )
-        else:
-            for center, count in cluster_roots([complex(a, 0.0) for a in neg]):
-                if count > 1:
-                    notes.append(
-                        {
-                            "trial": t,
-                            "note": "repeated offset at a window endpoint",
-                            "value": center.real,
-                            "count": count,
-                        }
-                    )
-    return CheckReport(
-        check_id, trials, failures, seed, time.perf_counter() - t0, notes
-    )
+            return {
+                "p": _fmt(p.coeffs),
+                "sign_changes": kchanges,
+                "offsets": [[z.real, z.imag] for z in roots],
+                "matched": matched,
+            }
+        for center, count in cluster_roots([complex(a, 0.0) for a in neg]):
+            if count > 1:
+                notes.append(
+                    {
+                        "trial": t,
+                        "note": "repeated offset at a window endpoint",
+                        "value": center.real,
+                        "count": count,
+                    }
+                )
+        return None
+
+    return _run_trials(f"integer_intervals[m={m}]", trials, seed, trial, notes)
 
 
 # -- falling-factorial transform ----------------------------------------------
@@ -438,11 +429,8 @@ def check_transform_positivity(
 ) -> CheckReport:
     """All-positive-roots input (repeats allowed) transforms to a
     polynomial with all roots real, positive, and distinct."""
-    t0 = time.perf_counter()
-    check_id = "transform_positivity"
-    failures: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         deg = rng.randint(1, degree_max)
         roots: list[Fraction] = []
         for _ in range(deg):
@@ -455,17 +443,16 @@ def check_transform_positivity(
         hyp = is_hyperbolic(q)
         positive = sturm_count(q, Fraction(0), None) == q.degree
         if not (hyp.hyperbolic and hyp.distinct and positive):
-            failures.append(
-                {
-                    "trial": t,
-                    "roots": _fmt(roots),
-                    "image": _fmt(q.coeffs),
-                    "hyperbolic": hyp.hyperbolic,
-                    "distinct": hyp.distinct,
-                    "all_positive": positive,
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, time.perf_counter() - t0)
+            return {
+                "roots": _fmt(roots),
+                "image": _fmt(q.coeffs),
+                "hyperbolic": hyp.hyperbolic,
+                "distinct": hyp.distinct,
+                "all_positive": positive,
+            }
+        return None
+
+    return _run_trials("transform_positivity", trials, seed, trial)
 
 
 def check_alternation_iteration(p: Poly, max_nu: int = 10000) -> CheckReport:
@@ -604,53 +591,68 @@ def check_eventual_hyperbolicity(p: Poly, max_nu: int = 10000) -> CheckReport:
     return CheckReport(check_id, 1, failures, 0, time.perf_counter() - t0, notes)
 
 
-def _merge_cases(
+def _run_cases(
     check_id: str,
-    reports: Sequence[CheckReport],
+    fixed: Sequence[Poly],
+    draw: Callable[[random.Random, int], Poly],
+    check: Callable[[Poly], CheckReport],
+    trials: int,
     seed: int,
-    t0: float,
 ) -> CheckReport:
+    """check(p) on the fixed cases, then on draw(rng, t) for t < trials,
+    each drawn from the stream seed:check_id:case:t.  Failures and notes
+    are tagged with their case index."""
+    t0 = time.perf_counter()
+    drawn = (draw(_rng(seed, f"{check_id}:case:{t}"), t) for t in range(trials))
+    cases = [*fixed, *drawn]
     failures: list = []
     notes: list = []
-    for i, rep in enumerate(reports):
-        for f in rep.failures:
-            failures.append({"case": i, **f})
-        for nt in rep.notes:
-            notes.append({"case": i, **nt})
+    for i, p in enumerate(cases):
+        report = check(p)
+        failures += [{"case": i, **f} for f in report.failures]
+        notes += [{"case": i, **nt} for nt in report.notes]
     return CheckReport(
-        check_id, len(reports), failures, seed, time.perf_counter() - t0, notes
+        check_id, len(cases), failures, seed, time.perf_counter() - t0, notes
     )
+
+
+def _draw_monic(rng: random.Random, t: int) -> Poly:
+    return _rand_monic(rng, rng.randint(2, 4), 5)
+
+
+def _draw_monic_or_zero_root(rng: random.Random, t: int) -> Poly:
+    p = _draw_monic(rng, t)
+    if t % 5 == 4:
+        p = Poly([Fraction(0)] + list(p.coeffs))  # plant a zero root
+    return p
 
 
 def suite_alternation_iteration(
     trials: int = 20, seed: int = 42, max_nu: int = 10000
 ) -> CheckReport:
     """Fixed interesting inputs plus random monic polynomials."""
-    t0 = time.perf_counter()
-    check_id = "alternation_iteration"
-    cases = [Poly([1, 3, 1]), Poly([1, 1, 0, 1]), Poly([-2, 0, 1, 1])]
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:case:{t}")
-        cases.append(_rand_monic(rng, rng.randint(2, 4), 5))
-    reports = [check_alternation_iteration(p, max_nu) for p in cases]
-    return _merge_cases(check_id, reports, seed, t0)
+    return _run_cases(
+        "alternation_iteration",
+        [Poly([1, 3, 1]), Poly([1, 1, 0, 1]), Poly([-2, 0, 1, 1])],
+        _draw_monic,
+        lambda p: check_alternation_iteration(p, max_nu),
+        trials,
+        seed,
+    )
 
 
 def suite_eventual_hyperbolicity(
     trials: int = 20, seed: int = 42, max_nu: int = 10000
 ) -> CheckReport:
     """Fixed inputs (including a persistent zero root) plus random ones."""
-    t0 = time.perf_counter()
-    check_id = "eventual_hyperbolicity"
-    cases = [Poly([1, -1, 1]), Poly([1, 1, 0, 1]), Poly([0, -2, 0, 1])]
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:case:{t}")
-        p = _rand_monic(rng, rng.randint(2, 4), 5)
-        if t % 5 == 4:
-            p = Poly([Fraction(0)] + list(p.coeffs))  # plant a zero root
-        cases.append(p)
-    reports = [check_eventual_hyperbolicity(p, max_nu) for p in cases]
-    return _merge_cases(check_id, reports, seed, t0)
+    return _run_cases(
+        "eventual_hyperbolicity",
+        [Poly([1, -1, 1]), Poly([1, 1, 0, 1]), Poly([0, -2, 0, 1])],
+        _draw_monic_or_zero_root,
+        lambda p: check_eventual_hyperbolicity(p, max_nu),
+        trials,
+        seed,
+    )
 
 
 # -- half-plane non-invariance ------------------------------------------------
@@ -659,34 +661,31 @@ def suite_eventual_hyperbolicity(
 def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckReport:
     """The exp factor map does not preserve the right-half-plane region:
     near the witness coefficient point both verdicts occur."""
-    t0 = time.perf_counter()
-    check_id = "halfplane_not_invariant"
-    failures: list = []
 
     # (i) exact image of cubics with one real and one imaginary root pair
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         d = _rand_fraction(rng, 8)
         lam = _rand_fraction(rng, 8)
         c = (-d, lam, -d * lam)
         sigma = decompose_exp(c, MONIC, want_roots=False).sigma
         expected = (-d - 3, lam + d + 2, -d * lam)
         if sigma != expected:
-            failures.append(
-                {
-                    "trial": t,
-                    "d": format_rational(d),
-                    "lambda": format_rational(lam),
-                    "sigma": _fmt(sigma),
-                    "expected": _fmt(expected),
-                }
-            )
+            return {
+                "d": format_rational(d),
+                "lambda": format_rational(lam),
+                "sigma": _fmt(sigma),
+                "expected": _fmt(expected),
+            }
+        return None
+
+    report = _run_trials("halfplane_not_invariant", trials, seed, trial)
+    t0 = time.perf_counter()
 
     # (ii) the witness lies on the source and image surfaces
     a, b = Fraction(-2), Fraction(1, 3)
     w3 = a * b
     if w3 != Fraction(-2, 3) or w3 != (a + 3) * (b + a + 1):
-        failures.append(
+        report.failures.append(
             {
                 "stage": "witness surfaces",
                 "ab": format_rational(a * b),
@@ -707,7 +706,7 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
         else:
             uncertain += 1
     if not (inside > 0 and outside > 0):
-        failures.append(
+        report.failures.append(
             {
                 "stage": "scan",
                 "inside": inside,
@@ -715,10 +714,11 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
                 "uncertain": uncertain,
             }
         )
-    notes = [{"scan_inside": inside, "scan_outside": outside, "scan_uncertain": uncertain}]
-    return CheckReport(
-        check_id, trials, failures, seed, time.perf_counter() - t0, notes
+    report.notes.append(
+        {"scan_inside": inside, "scan_outside": outside, "scan_uncertain": uncertain}
     )
+    report.elapsed += time.perf_counter() - t0
+    return report
 
 
 # -- perturbation experiments -------------------------------------------------
@@ -939,35 +939,24 @@ def check_hyperbolization(
 def check_derivative_identities(trials: int = 500, seed: int = 42) -> CheckReport:
     """Both exact differentiation identities of the composition hold on
     random operands."""
-    t0 = time.perf_counter()
-    check_id = "derivative_identities"
-    failures: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         n = rng.randint(2, 6)
         a = _rand_poly(rng, n)
         bdeg = n if rng.random() < 0.7 else rng.randint(1, n)
         b = _rand_poly(rng, bdeg)
         if not derivative_identities_hold(a, b, SscContext(n)):
-            failures.append(
-                {
-                    "trial": t,
-                    "ambient": n,
-                    "a": _fmt(a.coeffs),
-                    "b": _fmt(b.coeffs),
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, time.perf_counter() - t0)
+            return {"ambient": n, "a": _fmt(a.coeffs), "b": _fmt(b.coeffs)}
+        return None
+
+    return _run_trials("derivative_identities", trials, seed, trial)
 
 
 def check_root_multiplicity(trials: int = 500, seed: int = 42) -> CheckReport:
     """Roots of the operands multiply: orders m_a + m_b - N survive in
     the composition, certified by exact division."""
-    t0 = time.perf_counter()
-    check_id = "root_multiplicity"
-    failures: list = []
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         n = rng.randint(3, 6)
         ma = rng.randint(1, n)
         mb = rng.randint(max(1, n + 1 - ma), n)
@@ -979,82 +968,68 @@ def check_root_multiplicity(trials: int = 500, seed: int = 42) -> CheckReport:
         composed = compose(a, b, SscContext(n))
         rem = composed % Poly([xa * xb, 1]) ** mu
         if not rem.is_zero:
-            failures.append(
-                {
-                    "trial": t,
-                    "ambient": n,
-                    "orders": [ma, mb],
-                    "a": _fmt(a.coeffs),
-                    "b": _fmt(b.coeffs),
-                    "expected_root": format_rational(-xa * xb),
-                    "remainder": _fmt(rem.coeffs),
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, time.perf_counter() - t0)
+            return {
+                "ambient": n,
+                "orders": [ma, mb],
+                "a": _fmt(a.coeffs),
+                "b": _fmt(b.coeffs),
+                "expected_root": format_rational(-xa * xb),
+                "remainder": _fmt(rem.coeffs),
+            }
+        return None
+
+    return _run_trials("root_multiplicity", trials, seed, trial)
 
 
 # -- suite runner -------------------------------------------------------------
 
 
-_REGISTRY: dict[str, Callable[..., CheckReport]] = {
-    "cone_finite": check_cone_finite,
-    "cone_exp": check_cone_exp,
-    "interval_localization": check_interval_localization,
-    "taylor_sign_rule": check_taylor_sign_rule,
-    "integer_intervals": check_integer_intervals,
-    "transform_positivity": check_transform_positivity,
-    "alternation_iteration": suite_alternation_iteration,
-    "eventual_hyperbolicity": suite_eventual_hyperbolicity,
-    "halfplane_not_invariant": check_halfplane_not_invariant,
-    "sign_experiments": check_sign_experiments,
-    "hyperbolization": check_hyperbolization,
-    "derivative_identities": check_derivative_identities,
-    "root_multiplicity": check_root_multiplicity,
-}
-
-
-def available_checks() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def _cell_specs(trials: int, seed: int, tol: float = 1e-8) -> list[tuple[str, str, tuple]]:
+def _cell_specs(trials: int, seed: int) -> list[tuple[str, Callable[..., CheckReport], tuple]]:
+    """The suite: (cell id, check, arguments) in report order.  Each
+    check names its report with the cell id."""
     # iteration-heavy checks get a reduced trial count; each of their
     # trials runs hundreds of transform steps
     iter_trials = max(4, trials // 25)
     explore_trials = max(5, trials // 10)
     return [
-        ("cone_finite[n=1,k=2]", "cone_finite", (1, 2, trials, seed)),
-        ("cone_finite[n=2,k=1]", "cone_finite", (2, 1, trials, seed)),
-        ("cone_finite[n=3,k=2]", "cone_finite", (3, 2, trials, seed)),
-        ("cone_finite[n=4,k=3]", "cone_finite", (4, 3, trials, seed)),
-        ("cone_exp[m=1]", "cone_exp", (1, trials, seed)),
-        ("cone_exp[m=2]", "cone_exp", (2, trials, seed)),
-        ("cone_exp[m=4]", "cone_exp", (4, trials, seed)),
-        ("interval_localization[n=2,k=1]", "interval_localization", (2, 1, trials, seed, tol)),
-        ("interval_localization[n=3,k=2]", "interval_localization", (3, 2, trials, seed, tol)),
-        ("interval_localization[n=2,k=3]", "interval_localization", (2, 3, trials, seed, tol)),
-        ("taylor_sign_rule[m=2]", "taylor_sign_rule", (2, trials, seed)),
-        ("taylor_sign_rule[m=3]", "taylor_sign_rule", (3, trials, seed)),
-        ("taylor_sign_rule[m=5]", "taylor_sign_rule", (5, trials, seed)),
-        ("integer_intervals[m=2]", "integer_intervals", (2, trials, seed, tol)),
-        ("integer_intervals[m=3]", "integer_intervals", (3, trials, seed, tol)),
-        ("integer_intervals[m=4]", "integer_intervals", (4, trials, seed, tol)),
-        ("transform_positivity", "transform_positivity", (trials, seed, 5)),
-        ("alternation_iteration", "alternation_iteration", (iter_trials, seed)),
-        ("eventual_hyperbolicity", "eventual_hyperbolicity", (iter_trials, seed)),
-        ("halfplane_not_invariant", "halfplane_not_invariant", (min(trials, 100), seed)),
-        ("sign_experiments", "sign_experiments", ((1, 2, 3, 4, 5, 6), Fraction(1, 100), seed)),
-        ("hyperbolization[n=2,k=1]", "hyperbolization", (2, 1, 400, explore_trials, seed)),
-        ("derivative_identities", "derivative_identities", (trials, seed)),
-        ("root_multiplicity", "root_multiplicity", (trials, seed)),
+        ("cone_finite[n=1,k=2]", check_cone_finite, (1, 2, trials, seed)),
+        ("cone_finite[n=2,k=1]", check_cone_finite, (2, 1, trials, seed)),
+        ("cone_finite[n=3,k=2]", check_cone_finite, (3, 2, trials, seed)),
+        ("cone_finite[n=4,k=3]", check_cone_finite, (4, 3, trials, seed)),
+        ("cone_exp[m=1]", check_cone_exp, (1, trials, seed)),
+        ("cone_exp[m=2]", check_cone_exp, (2, trials, seed)),
+        ("cone_exp[m=4]", check_cone_exp, (4, trials, seed)),
+        ("interval_localization[n=2,k=1]", check_interval_localization, (2, 1, trials, seed)),
+        ("interval_localization[n=3,k=2]", check_interval_localization, (3, 2, trials, seed)),
+        ("interval_localization[n=2,k=3]", check_interval_localization, (2, 3, trials, seed)),
+        ("taylor_sign_rule[m=2]", check_taylor_sign_rule, (2, trials, seed)),
+        ("taylor_sign_rule[m=3]", check_taylor_sign_rule, (3, trials, seed)),
+        ("taylor_sign_rule[m=5]", check_taylor_sign_rule, (5, trials, seed)),
+        ("integer_intervals[m=2]", check_integer_intervals, (2, trials, seed)),
+        ("integer_intervals[m=3]", check_integer_intervals, (3, trials, seed)),
+        ("integer_intervals[m=4]", check_integer_intervals, (4, trials, seed)),
+        ("transform_positivity", check_transform_positivity, (trials, seed, 5)),
+        ("alternation_iteration", suite_alternation_iteration, (iter_trials, seed)),
+        ("eventual_hyperbolicity", suite_eventual_hyperbolicity, (iter_trials, seed)),
+        ("halfplane_not_invariant", check_halfplane_not_invariant, (min(trials, 100), seed)),
+        ("sign_experiments", check_sign_experiments, ((1, 2, 3, 4, 5, 6), Fraction(1, 100), seed)),
+        ("hyperbolization[n=2,k=1]", check_hyperbolization, (2, 1, 400, explore_trials, seed)),
+        ("derivative_identities", check_derivative_identities, (trials, seed)),
+        ("root_multiplicity", check_root_multiplicity, (trials, seed)),
     ]
 
 
-def _run_cell(spec: tuple[str, str, tuple]) -> CheckReport:
-    cell_id, name, args = spec
-    report = _REGISTRY[name](*args)
-    report.check_id = cell_id
-    return report
+def _family(cell_id: str) -> str:
+    return cell_id.split("[")[0]
+
+
+def available_checks() -> list[str]:
+    return sorted({_family(cell_id) for cell_id, _, _ in _cell_specs(0, 0)})
+
+
+def _run_cell(spec: tuple[str, Callable[..., CheckReport], tuple]) -> CheckReport:
+    _, check, args = spec
+    return check(*args)
 
 
 def run_suite(
@@ -1062,31 +1037,26 @@ def run_suite(
     trials: int = 500,
     seed: int = 42,
     jobs: int = 1,
-    tol: float = 1e-8,
 ) -> list[CheckReport]:
-    """Run the registered cells (all, or those matching the given base
-    names / cell ids) in deterministic registry order.
+    """Run the cells (all, or those matching the given families / cell
+    ids) in deterministic cell order.
 
     At most min(jobs, cells, CPUs) worker processes run; jobs < 1 is an
     error."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    specs = _cell_specs(trials, seed, tol)
+    specs = _cell_specs(trials, seed)
     if names:
-        wanted = {n for n in names}
+        wanted = set(names)
         if "all" not in wanted:
-            all_ids = {s[0] for s in specs}
-            specs = [
-                s
-                for s in specs
-                if s[0] in wanted or s[1] in wanted or s[0].split("[")[0] in wanted
-            ]
-            unknown = wanted - all_ids - set(_REGISTRY)
+            known = {s[0] for s in specs} | {_family(s[0]) for s in specs}
+            unknown = wanted - known
             if unknown:
                 raise ValueError(
                     f"unknown checks: {sorted(unknown)}; "
                     f"available: {', '.join(available_checks())}"
                 )
+            specs = [s for s in specs if s[0] in wanted or _family(s[0]) in wanted]
     workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import szego.roots
 from szego import CheckReport
 from szego.cli import main
 
@@ -167,6 +168,22 @@ def test_phi_exp(capsys):
     assert out["offset"] == ["0", "0"]
 
 
+def test_phi_computes_the_determinant_once(monkeypatch, capsys):
+    real = szego.roots._det
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(szego.roots, "_det", counting)
+    rc = main(["phi", "--mode", "finite", "--n", "32", "--k", "2"])
+    assert rc == 0
+    assert calls == [32]
+    out = json.loads(capsys.readouterr().out)
+    assert out["invertible"] is (out["determinant"] != "0")
+
+
 def test_xi_iterate_worked(capsys):
     rc = main(["xi-iterate", "--poly", "1,3,1", "--nu", "1"])
     assert rc == 0
@@ -233,7 +250,7 @@ def test_verify_rejects_zero_jobs(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    def fake(names, trials=500, seed=42, jobs=1, tol=1e-8):
+    def fake(names, trials=500, seed=42, jobs=1):
         return [CheckReport("fake_check", trials, [{"trial": 0}], seed, 0.0)]
 
     monkeypatch.setattr("szego.cli.run_suite", fake)

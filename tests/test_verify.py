@@ -1,5 +1,6 @@
 """Tests for the randomized verification checks and the suite runner."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import szego.verify
 from szego import CheckReport, Poly, available_checks, run_suite
 from szego.verify import (
+    _cell_specs,
     check_alternation_iteration,
     check_cone_exp,
     check_cone_finite,
@@ -159,6 +162,9 @@ def test_run_suite_full_and_filtered():
     reports = run_suite(trials=8, seed=12)
     ids = [r.check_id for r in reports]
     assert len(ids) == len(set(ids))
+    cell_ids = [spec[0] for spec in _cell_specs(8, 12)]
+    assert ids == cell_ids
+    assert available_checks() == sorted({i.split("[")[0] for i in cell_ids})
     assert any(i.startswith("cone_finite[") for i in ids)
     assert all(r.passed for r in reports), [
         (r.check_id, r.failures[:1]) for r in reports if not r.passed
@@ -174,15 +180,154 @@ def test_run_suite_full_and_filtered():
 
 
 # sha256 of json.dumps(payload["reports"], sort_keys=True) for
-# `szego verify --suite all --trials 20 --seed 42`; the same golden value
-# gates the benchmark's suite workload
-GOLDEN_REPORTS_SHA256 = "61ea8e2335992b03997e65d31a98bb057e0cd9c4f90b1e7164d9f0cb24411901"
+# `szego verify --suite all --trials T --seed 42`, keyed by T; the 20-trial
+# value also gates the benchmark's suite workload
+GOLDEN_REPORTS_SHA256 = {
+    20: "61ea8e2335992b03997e65d31a98bb057e0cd9c4f90b1e7164d9f0cb24411901",
+    500: "466549c424845546c3df94b05aaf3f2fe90ffd251f438c577ea5ed072d9112ff",
+}
 
 
-def test_seed_42_reports_match_the_golden_hash():
-    payload = reports_payload(run_suite(None, trials=20, seed=42))
+@pytest.mark.parametrize("trials", sorted(GOLDEN_REPORTS_SHA256))
+def test_seed_42_reports_match_the_golden_hash(trials):
+    payload = reports_payload(run_suite(None, trials=trials, seed=42))
     text = json.dumps(payload["reports"], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256[trials]
+
+
+# -- failure and note records -------------------------------------------------
+#
+# The seed-42 goldens hold no failures, so they cannot catch a changed
+# failure record.  Each case below breaks the layer one check decides
+# with and pins the sha256 of the whole report payload.
+
+
+def _shifted_sigma(real):
+    def fake(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        return dataclasses.replace(dec, sigma=(*dec.sigma[:-1], dec.sigma[-1] + 1))
+
+    return fake
+
+
+def _negated_roots(real):
+    def fake(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        return dataclasses.replace(dec, roots=tuple(-z for z in dec.roots))
+
+    return fake
+
+
+def _off_by(delta):
+    def wrap(real):
+        return lambda *args, **kwargs: real(*args, **kwargs) + delta
+
+    return wrap
+
+
+def _plus_constant(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + Poly([1])
+
+
+def _all_doubled(real):
+    return lambda points: [(z, 2) for z in points]
+
+
+def _never(real):
+    return lambda *args, **kwargs: False
+
+
+# id -> (binding in szego.verify, wrapper of the real binding or None,
+#        the check run, sha256 of json.dumps(report.to_payload(), sort_keys=True))
+FAILURE_RECORD_CASES = {
+    "cone_finite": (
+        "decompose_poly", _shifted_sigma,
+        lambda: check_cone_finite(3, 2, trials=6, seed=42),
+        "f3e5dff1c549879dee2fcf84b0f457a03fa1ece595d56afda6e5749f2668e283",
+    ),
+    "cone_exp": (
+        "decompose_exp", _shifted_sigma,
+        lambda: check_cone_exp(2, trials=6, seed=42),
+        "686d16788e69282b9620f0dac2580af8409423812a7b485eb601bd1c2864fce8",
+    ),
+    "interval_localization_audit": (
+        "sturm_count", _off_by(1),
+        lambda: check_interval_localization(2, 1, trials=4, seed=42),
+        "9d10f76e489ade1d03e4f8ecae6047d74fdad8ec3341742c209153953650e7df",
+    ),
+    "interval_localization_windows": (
+        "decompose_poly", _negated_roots,
+        lambda: check_interval_localization(3, 2, trials=4, seed=42, nu_min=1),
+        "776a987ab5249823744aae10413e41cfc50d27cd8e52341f3755f9649d44bc9d",
+    ),
+    "interval_localization_notes": (
+        None, None,
+        lambda: check_interval_localization(2, 3, trials=10, seed=42, nu_min=1),
+        "0a058e556e53b3d36979285468fdc6a3d4edafd9a81f6581b660d52d53ef341c",
+    ),
+    "taylor_sign_rule": (
+        "sturm_count", _off_by(1),
+        lambda: check_taylor_sign_rule(3, trials=6, seed=42),
+        "e1d713265484ddc3c026b4c1f457e091125c38e1f2e8190a18addc7f6430a826",
+    ),
+    "integer_intervals": (
+        "sign_changes", _off_by(1),
+        lambda: check_integer_intervals(3, trials=6, seed=42),
+        "c67b1dd696c3a9e6883e75245a7ac7d6ed47fba873580bb0676a6d357a1053d2",
+    ),
+    "integer_intervals_notes": (
+        "cluster_roots", _all_doubled,
+        lambda: check_integer_intervals(4, trials=6, seed=42),
+        "4ac11aad2ecf2f78ee615da082aba7e5b5d3f34ae97c3252d738531847a64dc8",
+    ),
+    "transform_positivity": (
+        "sturm_count", _off_by(-1),
+        lambda: check_transform_positivity(trials=6, seed=42),
+        "74f02d02a82cdc1e2100daa1ea654d6bf429a3cc50d9b24f3c3e0d6dac1a1c95",
+    ),
+    "alternation_iteration": (
+        "falling_factorial_transform", _plus_constant,
+        lambda: suite_alternation_iteration(trials=2, seed=42),
+        "0a608aa8a2ed600435d7c89428d222e36bbc5e774d8405f1ad4442c7239971ff",
+    ),
+    "alternation_iteration_cap": (
+        None, None,
+        lambda: suite_alternation_iteration(trials=2, seed=42, max_nu=3),
+        "3030e5ffd5d190bb003460987c147eac4bb37d0564538b604ff70493d464bf87",
+    ),
+    "eventual_hyperbolicity": (
+        None, None,
+        lambda: suite_eventual_hyperbolicity(trials=5, seed=42, max_nu=1),
+        "7a18cd0ad4852f420fcfa2ef49361fe1506d029cfa7a678acee2eaab0b4cab7a",
+    ),
+    "halfplane_not_invariant": (
+        "decompose_exp", _shifted_sigma,
+        lambda: check_halfplane_not_invariant(trials=4, seed=42),
+        "771dcba11d805acf876758c7e7ee21b01550e404a6677a2dedb99b39810bd09d",
+    ),
+    "derivative_identities": (
+        "derivative_identities_hold", _never,
+        lambda: check_derivative_identities(trials=4, seed=42),
+        "ff394fcb196010f0ba550d636efd1ae183eab1ea17e1f29ac922c3f5cdff362b",
+    ),
+    "root_multiplicity": (
+        "compose", _plus_constant,
+        lambda: check_root_multiplicity(trials=4, seed=42),
+        "d1133c6bc67a40f4bed680960ee3afd0499de9c0509adbd2b4e224bd2fec390b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_RECORD_CASES))
+def test_failure_and_note_records_are_pinned(case, monkeypatch):
+    binding, wrap, run, digest = FAILURE_RECORD_CASES[case]
+    if binding is not None:
+        real = getattr(szego.verify, binding)
+        monkeypatch.setattr(szego.verify, binding, wrap(real))
+    payload = run().to_payload()
+    assert payload["failures"] or payload["notes"]
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:400]
 
 
 def test_run_suite_unknown_name():
