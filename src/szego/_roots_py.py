@@ -1,18 +1,54 @@
 """Pure-Python simultaneous root iteration (Aberth-Ehrlich).
 
-Initialization is deterministic: all starts lie on the circle whose
-radius is the Cauchy bound 1 + max|c_i|/|c_n|, at equally spaced angles
-with a fixed 0.4 rad phase offset to avoid real-axis symmetry traps.
-A root counts as converged when |p(z)| <= tol * ||p||_inf * max(1,|z|)^n,
-a scale-aware residual criterion reachable in double precision.
+Initialization is Bini's (Numer. Algorithms 13, 1996), as in MPSolve:
+the starts come from the upper convex hull (the Newton polygon) of the
+points (i, log|c_i|).  A hull edge from i0 to i1 accounts for i1 - i0
+roots of modulus about (|c_i0|/|c_i1|)^(1/(i1-i0)), so it gets that many
+starts equally spaced on the circle of that radius, rotated by
+2*pi*i0/n plus a fixed 0.4 rad offset to avoid real-axis symmetry traps.
+The starts depend only on the coefficients, so the iteration is
+deterministic.
+
+A root counts as converged when |p(z)| <= tol * sum |c_i| |z|^i: z is
+then an exact root of a polynomial whose coefficients differ from p's by
+a relative amount of at most tol each (the componentwise backward
+error).  The bound is a real Horner pass over |c_i|, with no power of
+|z|, and a non-finite bound never counts as converged.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 __all__ = ["solve"]
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _starts(moduli: list[float]) -> list[complex]:
+    """Starting points on the Newton polygon of the coefficient moduli."""
+    n = len(moduli) - 1
+    hull: list[tuple[int, float]] = []
+    for i, m in enumerate(moduli):
+        if m == 0:
+            continue
+        y = math.log(m)
+        # drop the last vertex while it lies on or below the chord to (i, y)
+        while len(hull) >= 2:
+            (a, ya), (b, yb) = hull[-2], hull[-1]
+            if (b - a) * (y - ya) < (yb - ya) * (i - a):
+                break
+            hull.pop()
+        hull.append((i, y))
+    z = []
+    for (i0, y0), (i1, y1) in zip(hull, hull[1:]):
+        k = i1 - i0
+        radius = math.exp(min((y0 - y1) / k, _LOG_MAX))
+        phase = 2.0 * math.pi * i0 / n + 0.4
+        z.extend(cmath.rect(radius, 2.0 * math.pi * j / k + phase) for j in range(k))
+    return z
 
 
 def solve(
@@ -20,19 +56,19 @@ def solve(
 ) -> tuple[list[complex], list[float], int, bool]:
     """All complex roots of sum coeffs[i] x^i (ascending, lead nonzero).
 
-    Returns (roots, normalized residuals, iterations used, converged).
-    Degree must be >= 1.  Gauss-Seidel style in-place updates in fixed
-    index order keep the iteration deterministic.
+    Returns (roots, residuals, iterations used, converged), where each
+    residual is |p(z)| / sum |c_i| |z|^i, so every residual is <= tol on
+    convergence.  Degree must be >= 1 and the constant term nonzero
+    (split exact zero roots off first).  Gauss-Seidel style in-place
+    updates in fixed index order keep the iteration deterministic.
     """
     n = len(coeffs) - 1
-    if n < 1 or coeffs[n] == 0:
-        raise ValueError("kernel needs degree >= 1 and nonzero leading coefficient")
-    pnorm = max(abs(c) for c in coeffs)
-    radius = 1.0 + max(abs(c) for c in coeffs[:n]) / abs(coeffs[n])
-
-    z = [
-        radius * cmath.exp(1j * (2.0 * math.pi * i / n + 0.4)) for i in range(n)
-    ]
+    if n < 1 or coeffs[n] == 0 or coeffs[0] == 0:
+        raise ValueError(
+            "kernel needs degree >= 1 and nonzero leading and constant coefficients"
+        )
+    moduli = [abs(c) for c in coeffs]
+    z = _starts(moduli)
 
     iterations = 0
     converged = False
@@ -41,19 +77,21 @@ def solve(
         all_done = True
         for i in range(n):
             zi = z[i]
-            # Horner for p(zi) and p'(zi)
+            r = abs(zi)
+            # Horner for p(zi), p'(zi) and sum |c_j| |zi|^j
             p = coeffs[n]
             dp = 0j
+            bound = moduli[n]
             for j in range(n - 1, -1, -1):
                 dp = dp * zi + p
                 p = p * zi + coeffs[j]
-            bound = tol * pnorm * max(1.0, abs(zi)) ** n
-            if abs(p) <= bound:
+                bound = bound * r + moduli[j]
+            if abs(p) <= tol * bound < math.inf:
                 continue
             all_done = False
             if dp == 0:
                 # flat spot: nudge deterministically and retry next sweep
-                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + abs(zi))
+                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
                 continue
             ratio = p / dp
             acc = 0j
@@ -67,7 +105,7 @@ def solve(
                     break
                 acc += 1.0 / diff
             if collision:
-                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + abs(zi))
+                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
                 continue
             denom = 1.0 - ratio * acc
             if denom == 0:
@@ -79,10 +117,12 @@ def solve(
             break
 
     residuals = []
-    for i in range(n):
-        zi = z[i]
+    for zi in z:
+        r = abs(zi)
         p = coeffs[n]
+        bound = moduli[n]
         for j in range(n - 1, -1, -1):
             p = p * zi + coeffs[j]
-        residuals.append(abs(p) / (pnorm * max(1.0, abs(zi)) ** n))
+            bound = bound * r + moduli[j]
+        residuals.append(abs(p) / bound if bound < math.inf else math.inf)
     return z, residuals, iterations, converged

@@ -72,8 +72,12 @@ def aberth_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> tuple[comp
     """All complex roots of p (degree >= 1), deterministically ordered.
 
     Exact zero roots are split off first (they are visible as leading
-    zero coefficients), which keeps clusters at the origin exact.  The
-    returned tuple is sorted by (real, imaginary).
+    zero coefficients), which keeps clusters at the origin exact.  Every
+    other root z is returned with |p(z)| <= tol * sum |c_i| |z|^i: it is
+    an exact root of p with each coefficient perturbed by a relative
+    amount of at most tol.  RootFindingError is raised when that is not
+    reached in max_iter sweeps.  The returned tuple is sorted by (real,
+    imaginary).
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")

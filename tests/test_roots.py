@@ -12,6 +12,7 @@ from szego import (
     INSIDE,
     OUTSIDE,
     Poly,
+    RootFindingError,
     aberth_roots,
     cluster_roots,
     hurwitz_determinants,
@@ -58,6 +59,55 @@ def test_kernel_reports_nonconvergence_honestly():
     assert not ok
     assert iters <= 1
     assert len(roots) == 9 and len(residuals) == 9
+
+
+def test_kernel_needs_a_nonzero_constant_term():
+    with pytest.raises(ValueError):
+        _roots_py.solve([0j, 1 + 0j, 1 + 0j], 1e-12, 400)
+
+
+def test_kernel_residual_is_the_componentwise_backward_error():
+    coeffs = Poly.from_roots([-j for j in range(1, 9)]).to_complex()
+    roots, residuals, _, ok = _roots_py.solve(list(coeffs), 1e-12, 400)
+    assert ok
+    for z, res in zip(roots, residuals):
+        p = sum(c * z**i for i, c in enumerate(coeffs))
+        bound = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+        assert res == pytest.approx(abs(p) / bound, rel=1e-6, abs=1e-15)
+        assert res <= 1e-12
+
+
+def test_kernel_starts_on_the_newton_polygon():
+    # roots of size 1..12 inside a Cauchy circle of radius about 1.3e9
+    wilkinson = Poly.from_roots([-j for j in range(1, 13)]).to_complex()
+    # 24 roots of modulus 1.78 inside a Cauchy circle of radius 1e6 + 1
+    binomial = [1e6 + 0j] + [0j] * 23 + [1 + 0j]
+    for coeffs in (wilkinson, binomial):
+        _, _, iterations, ok = _roots_py.solve(list(coeffs), 1e-12, 400)
+        assert ok
+        assert iterations <= 30
+
+
+def test_aberth_locates_the_roots_of_wilkinson_type_products():
+    roots = aberth_roots(Poly.from_roots([-j for j in range(1, 13)]))
+    for z, j in zip(roots, range(12, 0, -1)):
+        assert abs(z + j) <= 1e-3 * j
+    for m in (16, 20):
+        roots = aberth_roots(Poly.from_roots([-j for j in range(1, m + 1)]))
+        assert len(roots) == m
+        assert max(abs(z) for z in roots) <= 2 * m
+
+
+def test_aberth_handles_coefficients_far_from_one():
+    roots = aberth_roots(Poly([10**200] + [0] * 39 + [1]))  # x^40 + 1e200
+    assert len(roots) == 40
+    assert all(abs(abs(z) - 1e5) <= 1e-9 * 1e5 for z in roots)
+    roots = aberth_roots(Poly.from_roots([-(2**k) for k in range(20)]))
+    for z, k in zip(roots, range(19, -1, -1)):
+        assert abs(z + 2**k) <= 1e-6 * 2**k
+    # roots of modulus about 1e310 are beyond the float range
+    with pytest.raises(RootFindingError):
+        aberth_roots(Poly([10**300, Fraction(1, 10**10), Fraction(1, 10**320)]))
 
 
 def test_sturm_count_worked():
