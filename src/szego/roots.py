@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _roots_py as _kernel
 from .poly import (
@@ -40,6 +40,7 @@ __all__ = [
     "aberth_roots",
     "cluster_roots",
     "sturm_count",
+    "place_positive_roots",
     "square_free_decomposition",
     "is_hyperbolic",
     "Hyperbolicity",
@@ -279,6 +280,56 @@ def sturm_count(
     if multiplicity:
         return sum(mult * _count_distinct(f, a, b)[0] for f, mult in _square_free_factors(v))
     return _count_distinct(v, a, b)[0]
+
+
+_END = object()
+
+
+def place_positive_roots(p: Poly, breaks: Iterable) -> list[tuple[int, int]]:
+    """The windows of the positive roots of exact p, counted with
+    multiplicity, in increasing order.
+
+    breaks are increasing exact rationals b_0 = 0 < b_1 < ... that end
+    in None (+infinity) or never end; window s is [b_s, b_{s+1}].  A
+    root strictly inside window s is placed as (s, s), a root on the
+    shared break b_{s+1} as (s, s+1); a root at 0 is not placed.  One
+    Sturm chain per square-free factor is read at each break, and the
+    breaks are read only until every root is placed.
+    """
+    if not p.is_exact or p.is_zero:
+        raise ValueError("root placement requires a nonzero exact polynomial")
+    it = iter(breaks)
+    if next(it, None) != 0:
+        raise ValueError("the first break must be 0")
+    ends: list = [(0, 1)]  # breaks read so far, as endpoints
+    out: list[tuple[int, int]] = []
+    if p.degree < 1:
+        return out
+    for f, mult in _square_free_factors(_primitive_part(list(p._num))):
+        chain = _sturm_chain(f)
+        below = _variations(chain, ends[0], 1)
+        left = below - _variations(chain, None, 1)  # roots in (0, oo)
+        s = 0
+        while left:
+            if s + 1 == len(ends):
+                b = next(it, _END)
+                if b is _END:
+                    raise ValueError("breaks end before every positive root is placed")
+                ends.append(_endpoint(b))
+                if b is not None and not b > Fraction(*ends[s]):
+                    raise ValueError("breaks must increase")
+            end = ends[s + 1]
+            if end is None:
+                out += [(s, s)] * (left * mult)
+                break
+            above = _variations(chain, end, 1)
+            inside = below - above  # roots in (b_s, b_{s+1}]
+            on = 1 if inside and not _sign_at(f, end) else 0
+            out += [(s, s)] * ((inside - on) * mult) + [(s, s + 1)] * (on * mult)
+            left -= inside
+            below = above
+            s += 1
+    return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,26 @@ does not.  One driver, _run_trials, runs it on the random stream
 seed:check:trial, tags each record with its trial and times the whole
 into a CheckReport, so reports are reproducible and independent of
 execution order.  Failure records carry exact inputs (as rational
-strings) so a reported counterexample can be replayed; a
-numerical-tolerance artifact is then distinguishable from a genuine
-one.  The suite is the fixed list of cells in _cell_specs.
+strings) so a reported counterexample can be replayed.  Verdicts are
+exact: identities in rational arithmetic, root counts and root windows
+from Sturm chains, half-planes from Hurwitz minors.  Floats enter only
+the complex cross-checks of sign_experiments and region_membership's
+fallback when a Hurwitz minor vanishes.  The suite is the fixed list
+of cells in _cell_specs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-import math
 import os
 import platform
 import random
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -44,10 +48,10 @@ from .poly import ExpPoly, Poly, falling_factorial_transform
 from .roots import (
     INSIDE,
     OUTSIDE,
-    aberth_roots,
-    cluster_roots,
+    hurwitz_determinants,
     is_hyperbolic,
     kernel_backend,
+    place_positive_roots,
     region_membership,
     sign_changes,
     sturm_count,
@@ -181,24 +185,24 @@ def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[Fraction, 
     return tuple((-1) ** i * _rand_nonneg(rng, bound) for i in range(1, n + 1))
 
 
-def _max_matching(edges: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size (Kuhn augmenting paths)."""
-    match_right = [-1] * n_right
+def _offset_poly(sigma: Sequence[Fraction]) -> Poly:
+    """Q(t) = t^n + sigma_1 t^(n-1) + ... + sigma_n = prod (t + a_j): its
+    positive roots are the negated negative factor offsets."""
+    return Poly(list(reversed(sigma)) + [Fraction(1)])
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in edges[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
 
-    size = 0
-    for i in range(len(edges)):
-        if augment(i, [False] * n_right):
-            size += 1
-    return size
+def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
+    """The most roots that sit in pairwise distinct windows, each root in
+    one of its windows: (s, s) is window s, (s, s+1) either neighbour.
+
+    Taken by right end, each root gets its lowest free window; for roots
+    whose windows form intervals this greedy matching is maximum."""
+    used: set[int] = set()
+    for lo, hi in sorted(places, key=lambda w: w[1]):
+        free = next((s for s in (lo, hi) if s not in used), None)
+        if free is not None:
+            used.add(free)
+    return len(used)
 
 
 # -- sign-cone invariance -----------------------------------------------------
@@ -268,12 +272,16 @@ def check_interval_localization(
     k: int,
     trials: int = 500,
     seed: int = 42,
-    tol: float = 1e-8,
     nu_min: int = 0,
 ) -> CheckReport:
     """Planting nu positive roots forces at least nu factor offsets to be
-    negative and to occupy pairwise distinct localization windows."""
+    negative and to occupy pairwise distinct localization windows.
+
+    The offsets are never computed: window s = [lo, hi] of an offset a
+    is window s = [-hi, -lo] of the root -a of Q, and Sturm chains of
+    the exact Q place its positive roots at the breaks -hi."""
     intervals = localization_intervals(n, k)
+    breaks = [-hi for _, hi in intervals] + [None]
     last = len(intervals) - 1  # the unbounded-below window
     notes: list = []
 
@@ -303,30 +311,20 @@ def check_interval_localization(
                 "observed": audited,
             }
         c = tuple(reversed(core.coeffs[:-1]))
-        roots = decompose_poly(c, n, k, want_roots=True).roots
-        scale = max(1.0, max(abs(z) for z in roots))
-        neg = [z.real for z in roots if abs(z.imag) <= tol * scale and z.real < 0]
-        edges = [
-            [
-                s
-                for s, (lo, hi) in enumerate(intervals)
-                if (lo is None or a >= float(lo) - tol) and a <= float(hi) + tol
-            ]
-            for a in neg
-        ]
-        matched = _max_matching(edges, len(intervals))
+        sigma = decompose_poly(c, n, k, want_roots=False).sigma
+        places = place_positive_roots(_offset_poly(sigma), breaks)
+        matched = _distinct_windows(places)
         if matched < nu:
             return {
                 "core": _fmt(core.coeffs),
                 "planted_positive_roots": _fmt(pos),
-                "offsets": [[z.real, z.imag] for z in roots],
+                "sigma": _fmt(sigma),
                 "expected_distinct_windows": nu,
                 "matched": matched,
             }
-        if nu > 0:
-            bounded_only = [[s for s in row if s != last] for row in edges]
-            if _max_matching(bounded_only, len(intervals)) < nu:
-                notes.append({"trial": t, "note": "unbounded window required"})
+        bounded = [(lo, min(hi, last - 1)) for lo, hi in places if lo < last]
+        if nu > 0 and _distinct_windows(bounded) < nu:
+            notes.append({"trial": t, "note": "unbounded window required"})
         return None
 
     return _run_trials(
@@ -373,11 +371,11 @@ def check_taylor_sign_rule(m: int, trials: int = 500, seed: int = 42) -> CheckRe
     return _run_trials(f"taylor_sign_rule[m={m}]", trials, seed, trial)
 
 
-def check_integer_intervals(
-    m: int, trials: int = 500, seed: int = 42, tol: float = 1e-8
-) -> CheckReport:
+def check_integer_intervals(m: int, trials: int = 500, seed: int = 42) -> CheckReport:
     """Sign changes of the Taylor numerators force that many factor
-    offsets into pairwise distinct unit windows [-l-1, -l]."""
+    offsets into pairwise distinct unit windows [-l-1, -l].  Q is read
+    at the breaks 0, 1, 2, ... as in check_interval_localization; a
+    repeated offset on a break is noted with its exact value."""
     notes: list = []
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -390,29 +388,23 @@ def check_integer_intervals(
         bound = taylor_window_bound(p)
         kchanges = sign_changes(ExpPoly(p).gamma_numerators(bound))
         c = tuple(reversed(p.coeffs[:-1]))
-        roots = decompose_exp(c, MONIC, want_roots=True).roots
-        scale = max(1.0, max(abs(z) for z in roots)) if roots else 1.0
-        neg = [z.real for z in roots if abs(z.imag) <= tol * scale and z.real < 0]
-        nmax = max((int(math.ceil(-a)) for a in neg), default=0)
-        edges = [
-            [l for l in range(nmax + 1) if -l - 1 - tol <= a <= -l + tol]
-            for a in neg
-        ]
-        matched = _max_matching(edges, nmax + 1)
+        sigma = decompose_exp(c, MONIC, want_roots=False).sigma
+        places = place_positive_roots(_offset_poly(sigma), itertools.count())
+        matched = _distinct_windows(places)
         if matched < kchanges:
             return {
                 "p": _fmt(p.coeffs),
                 "sign_changes": kchanges,
-                "offsets": [[z.real, z.imag] for z in roots],
+                "sigma": _fmt(sigma),
                 "matched": matched,
             }
-        for center, count in cluster_roots([complex(a, 0.0) for a in neg]):
-            if count > 1:
+        for (lo, hi), count in Counter(places).items():
+            if hi > lo and count > 1:  # a multiple root of Q on the break hi
                 notes.append(
                     {
                         "trial": t,
                         "note": "repeated offset at a window endpoint",
-                        "value": center.real,
+                        "value": format_rational(-hi),
                         "count": count,
                     }
                 )
@@ -787,12 +779,8 @@ def check_sign_experiments(
             and sturm_count(quot, None, Fraction(0)) == 2
         ):
             fail(k, "perturbed quadratic roots", quadratic=_fmt(quot.coeffs))
-        if any(z.real >= 0 for z in aberth_roots(pert)):
-            fail(
-                k,
-                "perturbed numeric half-plane",
-                roots=[[z.real, z.imag] for z in aberth_roots(pert)],
-            )
+        if not all(d > 0 for d in hurwitz_determinants(pert)):
+            fail(k, "perturbed half-plane", perturbed=_fmt(pert.coeffs))
 
     # exp analog: e^x(x+1) composed with itself, then the conjugate pair
     f1 = Poly([1, 1])

@@ -136,9 +136,7 @@ def test_criterion_4_interval_localization(capsys):
         bad = []
         for n in range(2, 5):
             for k in range(1, 4):
-                rep = check_interval_localization(
-                    n, k, trials=200, seed=42, tol=1e-8, nu_min=1
-                )
+                rep = check_interval_localization(n, k, trials=200, seed=42, nu_min=1)
                 if not rep.passed:
                     bad.append((rep.check_id, rep.failures[:2]))
         return bad
@@ -153,7 +151,7 @@ def test_criterion_5_taylor_sign_rule(capsys):
             rep = check_taylor_sign_rule(m, trials=100, seed=42)
             if not rep.passed:
                 bad.append((rep.check_id, rep.failures[:2]))
-            rep = check_integer_intervals(m, trials=100, seed=42, tol=1e-8)
+            rep = check_integer_intervals(m, trials=100, seed=42)
             if not rep.passed:
                 bad.append((rep.check_id, rep.failures[:2]))
         return bad

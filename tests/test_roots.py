@@ -25,6 +25,7 @@ from szego import (
     taylor_window_bound,
 )
 from szego import _roots_py
+from szego.roots import place_positive_roots
 
 
 def _rand_poly(rng, deg, bound=6):
@@ -261,6 +262,75 @@ def test_root_counting_at_degree_48():
     factors = square_free_decomposition(q)
     assert [m for _, m in factors] == [1, 2]
     assert [f.degree for f, _ in factors] == [24, 12]
+
+
+def _windows_of(roots, breaks):
+    """The placement read off known roots; breaks is a list ending in None."""
+    out = []
+    for r in roots:
+        if r > 0:
+            s = max(i for i, b in enumerate(breaks[:-1]) if b < r)
+            out.append((s, s + 1) if breaks[s + 1] == r else (s, s))
+    return sorted(out)
+
+
+def test_place_positive_roots_worked():
+    F = Fraction
+    roots = [0, F(1, 3), F(1, 2), F(1, 2), 2, 5, -1, F(-7, 3)]
+    breaks = [0, F(1, 2), 2, 3, None]
+    # inside window 0; double on the break 1/2; on the break 2; in the
+    # unbounded last window; the zero and negative roots are not placed
+    want = [(0, 0), (0, 1), (0, 1), (1, 2), (3, 3)]
+    assert place_positive_roots(Poly.from_roots(roots), breaks) == want
+    assert _windows_of(roots, breaks) == want
+
+
+def test_place_positive_roots_against_planted_roots():
+    rng = random.Random("place_positive_roots")
+    for _ in range(150):
+        breaks = [Fraction(0)]
+        for _ in range(rng.randint(1, 5)):
+            breaks.append(breaks[-1] + Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+        pool = breaks + [Fraction(rng.randint(-12, 30), rng.randint(1, 4)) for _ in range(4)]
+        roots = []
+        for _ in range(rng.randint(1, 7)):
+            roots.append(rng.choice(roots) if roots and rng.random() < 0.3 else rng.choice(pool))
+        # times a quadratic with no real root
+        p = Poly.from_roots(roots) * Poly([rng.randint(2, 5), rng.randint(-2, 2), 1])
+        breaks.append(None)
+        assert place_positive_roots(p, breaks) == _windows_of(roots, breaks), (roots, breaks)
+
+
+def test_place_positive_roots_reads_an_endless_iterator_only_as_needed():
+    read = []
+
+    def integers():
+        while True:
+            read.append(len(read))
+            yield read[-1]
+
+    p = Poly.from_roots([Fraction(1, 2), 3, 3, Fraction(7, 2)])
+    assert place_positive_roots(p, integers()) == [(0, 0), (2, 3), (2, 3), (3, 3)]
+    assert read == [0, 1, 2, 3, 4]  # 7/2 < 4 closes the last window needed
+    read.clear()
+    assert place_positive_roots(Poly([1, 0, 1]), integers()) == []
+    assert read == [0]
+
+
+def test_place_positive_roots_validation():
+    p = Poly.from_roots([1, 2])
+    with pytest.raises(ValueError, match="first break"):
+        place_positive_roots(p, [1, 2, None])
+    with pytest.raises(ValueError, match="increase"):
+        place_positive_roots(Poly.from_roots([1, 5]), [0, 3, 3, None])
+    with pytest.raises(ValueError, match="end before"):
+        place_positive_roots(p, [0, 1])
+    with pytest.raises(ValueError, match="exact rationals"):
+        place_positive_roots(p, [0, 1.5, None])
+    with pytest.raises(ValueError):
+        place_positive_roots(Poly([0.5, 1.0]), [0, None])
+    with pytest.raises(ValueError):
+        place_positive_roots(Poly([0]), [0, None])
 
 
 def test_square_free_decomposition():

@@ -2,16 +2,33 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 import szego.verify
-from szego import CheckReport, Poly, available_checks, run_suite
+from szego import (
+    CheckReport,
+    Poly,
+    SscContext,
+    available_checks,
+    compose,
+    composition_factor,
+    decompose_poly,
+    extract_core,
+    localization_intervals,
+    run_suite,
+    sturm_count,
+)
+from szego.roots import place_positive_roots
 from szego.verify import (
     _cell_specs,
+    _distinct_windows,
+    _offset_poly,
     check_alternation_iteration,
     check_cone_exp,
     check_cone_finite,
@@ -80,6 +97,70 @@ def test_taylor_and_integer_interval_checks_pass():
         assert check_taylor_sign_rule(m, trials=25, seed=4).passed
     for m in [2, 3]:
         assert check_integer_intervals(m, trials=25, seed=5).passed
+
+
+def _exhaustive_distinct_windows(places):
+    # every assignment of each root to one of its windows, or to none
+    best = 0
+    for choice in itertools.product(*[(lo, hi, None) for lo, hi in places]):
+        taken = [s for s in choice if s is not None]
+        if len(taken) == len(set(taken)):
+            best = max(best, len(taken))
+    return best
+
+
+def test_greedy_window_matching_is_maximum():
+    rng = random.Random("distinct_windows")
+    for _ in range(400):
+        places = []
+        for _ in range(rng.randint(0, 6)):
+            s = rng.randint(0, 3)
+            places.append((s, s + rng.randint(0, 1)))
+        rng.shuffle(places)
+        assert _distinct_windows(places) == _exhaustive_distinct_windows(places), places
+    # (0, 1) must leave window 1 to the root that has no other
+    assert _distinct_windows([(0, 1), (0, 0), (1, 1)]) == 2
+    assert _distinct_windows([(0, 1), (1, 1), (0, 0)]) == 2
+    assert _distinct_windows([(0, 1), (0, 1), (1, 2)]) == 3
+
+
+def test_offsets_on_a_localization_break_take_either_window():
+    # composition_factor(3, 2, a) loses its x^s coefficient exactly at the
+    # break a = -s/(n+k-s); plant a double offset there at s = 2
+    n, k = 3, 2
+    assert composition_factor(n, k, Fraction(-2, 3)).coeff(2) == 0
+    offsets = [Fraction(-2, 3), Fraction(-2, 3), Fraction(-3)]
+    p = composition_factor(n, k, offsets[0])
+    for a in offsets[1:]:
+        p = compose(p, composition_factor(n, k, a), SscContext(n + k))
+    c = extract_core(p, n, k)
+    nu = sturm_count(Poly(list(reversed(c)) + [1]), Fraction(0), None)
+    assert nu == 1
+    # the check's own steps: exact sigma, Q, placement at the breaks -hi
+    sigma = decompose_poly(c, n, k, want_roots=False).sigma
+    assert _offset_poly(sigma) == Poly.from_roots([-a for a in offsets])
+    breaks = [-hi for _, hi in localization_intervals(n, k)] + [None]
+    places = place_positive_roots(_offset_poly(sigma), breaks)
+    assert places == [(1, 2), (1, 2), (3, 3)]
+    assert _distinct_windows(places) == 3 >= nu
+
+
+def test_integer_intervals_notes_a_double_offset_on_a_break(monkeypatch):
+    # T(x^2 - x + 1) = (t - 1)^2: a double offset at exactly -1
+    monkeypatch.setattr(szego.verify, "_rand_monic", lambda rng, m: Poly([1, -1, 1]))
+    rep = check_integer_intervals(2, trials=1, seed=0)
+    assert rep.passed, rep.failures
+    assert rep.notes == [
+        {"trial": 0, "note": "repeated offset at a window endpoint", "value": "-1", "count": 2}
+    ]
+
+
+def test_localization_cells_pass_over_seeds():
+    # the traffic of the benchmark's suite workload: 20 trials per seed
+    for seed in range(50):
+        reports = run_suite(["interval_localization", "integer_intervals"], trials=20, seed=seed)
+        assert len(reports) == 6
+        assert all(r.passed for r in reports), [(seed, r.check_id, r.failures[:1]) for r in reports]
 
 
 def test_transform_positivity_passes():
@@ -210,10 +291,12 @@ def _shifted_sigma(real):
     return fake
 
 
-def _negated_roots(real):
+def _negated_offsets(real):
+    # sigma_j -> (-1)^j sigma_j sends every offset a to -a
     def fake(*args, **kwargs):
         dec = real(*args, **kwargs)
-        return dataclasses.replace(dec, roots=tuple(-z for z in dec.roots))
+        sigma = tuple((-1) ** j * v for j, v in enumerate(dec.sigma, 1))
+        return dataclasses.replace(dec, sigma=sigma)
 
     return fake
 
@@ -229,8 +312,8 @@ def _plus_constant(real):
     return lambda *args, **kwargs: real(*args, **kwargs) + Poly([1])
 
 
-def _all_doubled(real):
-    return lambda points: [(z, 2) for z in points]
+def _negated(real):
+    return lambda *args, **kwargs: [-v for v in real(*args, **kwargs)]
 
 
 def _never(real):
@@ -239,8 +322,7 @@ def _never(real):
 
 # id -> (binding in szego.verify, wrapper of the real binding or None,
 #        the check run, sha256 of json.dumps(report.to_payload(), sort_keys=True))
-# integer_intervals, integer_intervals_notes and interval_localization_windows
-# print float Aberth offsets, so their hashes also pin the kernel's iterates.
+# No record prints a float root: every value in them is exact.
 FAILURE_RECORD_CASES = {
     "cone_finite": (
         "decompose_poly", _shifted_sigma,
@@ -258,9 +340,9 @@ FAILURE_RECORD_CASES = {
         "9d10f76e489ade1d03e4f8ecae6047d74fdad8ec3341742c209153953650e7df",
     ),
     "interval_localization_windows": (
-        "decompose_poly", _negated_roots,
+        "decompose_poly", _negated_offsets,
         lambda: check_interval_localization(3, 2, trials=4, seed=42, nu_min=1),
-        "9b1b01011245e81f6f4b09a272c5aa6ab2ac161fd375bbc0c562fa436e402fb7",
+        "48287d48045dd487d48dd2de2da2fe8006eb0f80f1d62efab208457aca2dfef3",
     ),
     "interval_localization_notes": (
         None, None,
@@ -275,12 +357,12 @@ FAILURE_RECORD_CASES = {
     "integer_intervals": (
         "sign_changes", _off_by(1),
         lambda: check_integer_intervals(3, trials=6, seed=42),
-        "7dca7d0db8f27e122e533f7c251816a2eef715016631c63069436b87a04b1874",
+        "7d894944cbafa1f0b0f65e55cf0d8d40d5f0466787dd2febfb1b4e7a0a1282c9",
     ),
     "integer_intervals_notes": (
-        "cluster_roots", _all_doubled,
-        lambda: check_integer_intervals(4, trials=6, seed=42),
-        "e172743971bd30580eb3268e6f5c372b7bbb08a8db66b44a6b4cb171c1ad70a9",
+        None, None,
+        lambda: check_integer_intervals(2, trials=5, seed=27),
+        "b8990e06ee0435a07a46302a434c0b07febb65a66559896b0f9fd62149aaef1d",
     ),
     "transform_positivity": (
         "sturm_count", _off_by(-1),
@@ -306,6 +388,11 @@ FAILURE_RECORD_CASES = {
         "decompose_exp", _shifted_sigma,
         lambda: check_halfplane_not_invariant(trials=4, seed=42),
         "771dcba11d805acf876758c7e7ee21b01550e404a6677a2dedb99b39810bd09d",
+    ),
+    "sign_experiments": (
+        "hurwitz_determinants", _negated,
+        lambda: check_sign_experiments(k_values=(1, 2), seed=42),
+        "7b1947a9f2db54b53b8f0baa19f7f691586796866ef5da083f67d1550a75a4f4",
     ),
     "derivative_identities": (
         "derivative_identities_hold", _never,
