@@ -91,7 +91,7 @@ def _parse_vector(text: str) -> list[Fraction]:
     parts = [tok.strip() for tok in text.split(",")]
     if not any(parts):
         raise ValueError("empty coefficient list")
-    return [parse_rational(tok) for tok in parts if tok]
+    return [parse_rational(tok) for tok in parts]
 
 
 def _parse_poly(text: str) -> Poly:
@@ -152,10 +152,6 @@ def _cmd_decompose(args) -> int:
             raise ValueError("finite mode needs --n and --k")
         dec = decompose_poly(cvec, args.n, args.k, want_roots=want_roots)
     else:
-        if args.m is not None and args.m != len(cvec):
-            raise ValueError(
-                f"--m {args.m} disagrees with {len(cvec)} coefficients"
-            )
         dec = decompose_exp(cvec, args.convention, want_roots=want_roots)
     _emit(decomposition_to_json(dec), args.out)
     return 0
@@ -282,12 +278,14 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", help="write JSON here instead of stdout")
     c.set_defaults(func=_cmd_compose)
 
-    d = sub.add_parser("decompose", help="extract factor-offset data from coefficients")
+    # no abbreviations here: the retired --m would be read as --mode
+    d = sub.add_parser(
+        "decompose", help="extract factor-offset data from coefficients", allow_abbrev=False
+    )
     d.add_argument("--mode", choices=["finite", "exp"], required=True)
     d.add_argument("--c", required=True, help="coefficients c_1..c_n (descending tail)")
     d.add_argument("--n", type=int, help="core degree (finite mode)")
     d.add_argument("--k", type=int, help="shell exponent (finite mode)")
-    d.add_argument("--m", type=int, help="degree (exp mode; inferred from --c)")
     d.add_argument(
         "--convention",
         choices=["normalized", "monic"],
@@ -335,10 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RootFindingError as exc:
-        print(f"szego: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (RootFindingError, ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"szego: error: {exc}", file=sys.stderr)
         return 1
 

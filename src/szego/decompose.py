@@ -49,8 +49,11 @@ from .exact import binomial, falling_factorial_coeffs, format_rational, parse_ra
 from .poly import (
     ExpPoly,
     Poly,
+    _clear,
     _convolve,
     _exact,
+    _horner,
+    _monic_tail,
     falling_factorial_transform,
     inverse_falling_factorial_transform,
 )
@@ -122,9 +125,7 @@ class AffineMap:
         denominator and reduced once."""
         if len(c) != self.dimension:
             raise ValueError("dimension mismatch")
-        vec = [Fraction(x) for x in c]
-        lcm = math.lcm(*[v.denominator for v in vec])
-        u = [v.numerator * (lcm // v.denominator) for v in vec]
+        u, lcm = _clear([Fraction(x) for x in c])
         return tuple(
             Fraction(sum(map(operator.mul, row, u)) + off * lcm, den * lcm)
             for row, off, den in self._integer_rows
@@ -136,16 +137,16 @@ class AffineMap:
         each row of the matrix together with its offset entry."""
         out = []
         for row, off in zip(self.matrix, self.offset):
-            vals = [Fraction(v) for v in row] + [Fraction(off)]
-            den = math.lcm(*[v.denominator for v in vals])
-            nums = [v.numerator * (den // v.denominator) for v in vals]
+            nums, den = _clear([Fraction(v) for v in row] + [Fraction(off)])
             out.append((nums[:-1], nums[-1], den))
         return tuple(out)
 
     def determinant(self) -> Fraction:
         from .roots import _det
 
-        return _det([list(row) for row in self.matrix])
+        rows = self._integer_rows
+        den = math.prod(d for _, _, d in rows)
+        return Fraction(_det([nums for nums, _, _ in rows]), den)
 
     @property
     def invertible(self) -> bool:
@@ -156,8 +157,7 @@ def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
     """(x+1)^k (x^n + c_1 x^{n-1} + ... + c_n) as an exact Poly."""
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    core = Poly([Fraction(x) for x in reversed(c)] + [Fraction(1)])
-    return Poly([1, 1]) ** k * core
+    return Poly([1, 1]) ** k * _monic_tail([Fraction(x) for x in c])
 
 
 def extract_core(p: Poly, n: int, k: int) -> tuple[Fraction, ...]:
@@ -181,9 +181,8 @@ def decompose_poly(
         raise ValueError("need n >= 1 and k >= 1")
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    core = [Fraction(x) for x in reversed(c)]
-    lcm = math.lcm(*[v.denominator for v in core])
-    u = [v.numerator * (lcm // v.denominator) for v in core] + [lcm]
+    u, lcm = _clear([Fraction(x) for x in reversed(c)])
+    u.append(lcm)
     rows, den = _phi_matrix(n, k)
     q = [sum(map(operator.mul, row, u)) for row in rows]
     scale = den * lcm
@@ -241,20 +240,12 @@ def _exp_gamma_poly(p: Poly, m: int) -> Poly:
     if (
         g._den != p._den
         or len(g._num) > m + 1
-        or any(_int_eval(g._num, j) != v for j, v in enumerate(gammas))
+        or any(_horner(g._num, j) != v for j, v in enumerate(gammas))
     ):
         raise InternalInconsistencyError(
             "falling-factorial transform disagrees with the gamma values"
         )
     return g
-
-
-def _int_eval(num: Sequence[int], x: int) -> int:
-    """Horner evaluation of an integer coefficient list at an integer."""
-    acc = 0
-    for c in reversed(num):
-        acc = acc * x + c
-    return acc
 
 
 def decompose_exp(
@@ -295,7 +286,7 @@ def decompose_exp(
     else:
         if convention != MONIC:
             raise ValueError(f"unknown convention {convention!r}")
-        p = Poly(list(reversed(cvec)) + [Fraction(1)])
+        p = _monic_tail(cvec)
         g = _exp_gamma_poly(p, m)
         if g.degree != m or g.lead != 1:
             raise InternalInconsistencyError("transform of a monic input must be monic")
@@ -322,20 +313,13 @@ def recompose(dec: Decomposition):
         # in integers over the common denominator of the sigma_j; a
         # float or complex sigma_j demotes the sum to complex, as Poly does
         if any(isinstance(v, (float, complex)) for v in dec.sigma):
-            nums, den = [1] + [complex(v) for v in dec.sigma], 1
+            nums, den = [complex(v) for v in reversed(dec.sigma)] + [1], 1
         else:
-            sig = [Fraction(1)] + [Fraction(v) for v in dec.sigma]
-            den = math.lcm(*[v.denominator for v in sig])
-            nums = [v.numerator * (den // v.denominator) for v in sig]
+            nums, den = _clear([Fraction(v) for v in reversed(dec.sigma)] + [1])
         scale = m**n * den
         coeffs = []
         for s in range(m + 1):
-            acc = 0
-            power = 1  # (m - s)^j
-            for nj in nums:
-                acc = acc * s + nj * power
-                power *= m - s
-            acc *= binomial(m, s)
+            acc = _horner(nums, s, m - s) * binomial(m, s)
             coeffs.append(Fraction(acc, scale) if isinstance(acc, int) else acc / scale)
         return Poly(coeffs)
     if dec.mode == "exp":

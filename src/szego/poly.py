@@ -54,22 +54,13 @@ def _coerce(values: Iterable) -> tuple[list[Scalar], bool]:
     raw = list(values)
     exact = True
     for v in raw:
-        if isinstance(v, (float, complex)) and not isinstance(v, numbers.Integral):
+        if isinstance(v, (float, complex)):
             exact = False
-            break
-        if not isinstance(v, (Fraction, int, numbers.Integral)):
+        elif not isinstance(v, (Fraction, int, numbers.Integral)):
             raise TypeError(f"unsupported coefficient type {type(v).__name__}")
     if exact:
         return [v if type(v) is Fraction else Fraction(v) for v in raw], True
-    out: list[Scalar] = []
-    for v in raw:
-        if isinstance(v, Fraction):
-            out.append(complex(v))
-        elif isinstance(v, (int, float, complex)):
-            out.append(complex(v))
-        else:
-            raise TypeError(f"unsupported coefficient type {type(v).__name__}")
-    return out, False
+    return [complex(v) for v in raw], False
 
 
 class Poly:
@@ -89,9 +80,8 @@ class Poly:
             vals.pop()
         self._coeffs = tuple(vals)
         if exact:
-            den = math.lcm(*[c.denominator for c in vals])
-            self._num = tuple([c.numerator * (den // c.denominator) for c in vals])
-            self._den = den
+            num, self._den = _clear(vals)
+            self._num = tuple(num)
         else:
             self._num = self._coeffs
             self._den = None
@@ -271,17 +261,11 @@ class Poly:
 
     def __call__(self, x: Scalar) -> Scalar:
         if self._den is not None and isinstance(x, (int, Fraction)):
-            # homogeneous Horner sum: acc = sum num_i a^i b^(deg-i)
             num = self._num
             if not num:
                 return Fraction(0)
-            a, b = x.numerator, x.denominator
-            acc = num[-1]
-            scale = 1
-            for c in num[-2::-1]:
-                scale *= b
-                acc = acc * a + c * scale
-            return Fraction(acc, self._den * scale)
+            b = x.denominator
+            return Fraction(_horner(num, x.numerator, b), self._den * b ** (len(num) - 1))
         acc = 0j
         for c in reversed(self.to_complex()):
             acc = acc * x + c
@@ -319,6 +303,30 @@ def _exact(num: list, den: int = 1) -> Poly:
     p._den = den
     p._coeffs = None
     return p
+
+
+def _clear(values: Sequence) -> tuple[list[int], int]:
+    """(nums, den): the rationals values (ints or Fractions) as integer
+    numerators over their least common denominator."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _horner(num: Sequence, a, b=1):
+    """sum_i num_i a^i b^(deg-i), which is b^deg times the polynomial with
+    ascending coefficients num evaluated at a/b (0 for empty num)."""
+    acc = 0
+    scale = 1
+    for c in reversed(num):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+def _monic_tail(c: Sequence) -> Poly:
+    """x^n + c_1 x^(n-1) + ... + c_n for rationals c = (c_1..c_n)."""
+    num, den = _clear(c)
+    return _exact(num[::-1] + [den], den)
 
 
 def _rebuild(vals: list, den: Optional[int]) -> Poly:

@@ -17,7 +17,6 @@ _roots_py.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +26,11 @@ from . import _roots_py as _kernel
 from .poly import (
     Poly,
     _derivative,
+    _exact,
     _exact_quotient,
+    _horner,
     _monic_poly,
+    _monic_tail,
     _primitive_part,
     _remainder_sequence,
     _subtract,
@@ -160,37 +162,20 @@ def _endpoint(x) -> Optional[tuple[int, int]]:
     return x.numerator, x.denominator
 
 
-def _sign_at(v: list[int], point: tuple[int, int]) -> int:
-    """Sign of v at a/b: the homogeneous Horner sum sum v_i a^i b^(deg-i),
-    which is b^deg > 0 times v(a/b)."""
-    a, b = point
-    acc = 0
-    scale = 1
-    for c in reversed(v):
-        acc = acc * a + c * scale
-        scale *= b
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(chain: list[list[int]], point, at_infinity: int) -> int:
     """Sign variations of the chain at a point, or at at_infinity * infinity
     when point is None.
 
     Zeros are skipped, which makes the count correct for intervals of
     the form (lo, hi]: a root sitting exactly at an endpoint is counted
-    at hi and not at lo.
+    at hi and not at lo.  At a/b each entry v is read through the
+    homogeneous Horner sum, b^deg > 0 times v(a/b).
     """
-    signs = []
-    for v in chain:
-        if point is None:
-            s = 1 if v[-1] > 0 else -1
-            if at_infinity < 0 and (len(v) - 1) % 2:  # odd degree
-                s = -s
-        else:
-            s = _sign_at(v, point)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+    if point is not None:
+        return sign_changes([_horner(v, *point) for v in chain])
+    # the leading sign, flipped at -infinity for odd degree (even length)
+    flip = at_infinity < 0
+    return sign_changes([-v[-1] if flip and not len(v) % 2 else v[-1] for v in chain])
 
 
 def _sturm_chain(v: list[int]) -> list[list[int]]:
@@ -209,7 +194,7 @@ def _count_distinct(v: list[int], lo, hi) -> tuple[int, int]:
     """
     chain = _sturm_chain(v)
     g = chain[-1]
-    if len(g) > 1 and any(x is not None and not _sign_at(g, x) for x in (lo, hi)):
+    if len(g) > 1 and any(x is not None and not _horner(g, *x) for x in (lo, hi)):
         chain = _sturm_chain(_exact_quotient(v, g))
     return _variations(chain, lo, -1) - _variations(chain, hi, 1), len(g) - 1
 
@@ -324,7 +309,7 @@ def place_positive_roots(p: Poly, breaks: Iterable) -> list[tuple[int, int]]:
                 break
             above = _variations(chain, end, 1)
             inside = below - above  # roots in (b_s, b_{s+1}]
-            on = 1 if inside and not _sign_at(f, end) else 0
+            on = 1 if inside and not _horner(f, *end) else 0
             out += [(s, s)] * ((inside - on) * mult) + [(s, s + 1)] * (on * mult)
             left -= inside
             below = above
@@ -396,47 +381,35 @@ def hurwitz_determinants(p: Poly) -> list[Fraction]:
     p = a_0 x^n + a_1 x^{n-1} + ... + a_n with a_0 > 0 required; all
     minors positive is equivalent to every root having negative real
     part, and (all nonzero, some negative) implies a root with positive
-    real part.
+    real part.  The minors are taken on the integer numerators of p, so
+    the k-th is an integer over den^k.
     """
     if not p.is_exact or p.is_zero:
         raise ValueError("need a nonzero exact polynomial")
-    desc = list(reversed(p.coeffs))  # a_0 .. a_n
+    desc = p._num[::-1]  # numerators of a_0 .. a_n
     if desc[0] <= 0:
         raise ValueError("leading coefficient must be positive")
     n = len(desc) - 1
-
-    def entry(i: int, j: int) -> Fraction:  # 1-based Hurwitz indexing
-        idx = 2 * j - i
-        if 0 <= idx <= n:
-            return desc[idx]
-        return Fraction(0)
-
-    minors = []
-    for k in range(1, n + 1):
-        mat = [[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-        minors.append(_det(mat))
-    return minors
+    # entry (i, j) is a_(2j - i) in 1-based Hurwitz indexing
+    hurwitz = [
+        [desc[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    return [
+        Fraction(_det([row[:k] for row in hurwitz[:k]]), p._den**k) for k in range(1, n + 1)
+    ]
 
 
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Each row is cleared to integers over its own denominator; every
-    Bareiss step then divides exactly by the previous pivot, so the
-    entries stay integer minors of the cleared matrix.
-    """
-    rows = []
-    scale = 1
-    for row in mat:
-        row = [Fraction(v) for v in row]
-        den = math.lcm(*[v.denominator for v in row])
-        rows.append([v.numerator * (den // v.denominator) for v in row])
-        scale *= den
+def _det(mat: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: every step divides exactly by the previous pivot, so
+    the entries stay integer minors of the matrix."""
+    rows = list(mat)
     sign = prev = 1
     for col in range(len(rows)):
         pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
@@ -448,7 +421,7 @@ def _det(mat: list[list[Fraction]]) -> Fraction:
                 (lead * x - a * y) // prev for x, y in zip(rows[r][col + 1:], top[col + 1:])
             ]
         prev = lead
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 INSIDE = "inside"
@@ -477,7 +450,7 @@ def region_membership(c: Sequence[Fraction], refine_tol: float = 1e-9) -> Region
     """Classify the monic polynomial x^n + c_1 x^{n-1} + ... + c_n."""
     cvec = [Fraction(x) for x in c]
     n = len(cvec)
-    p = Poly(list(reversed(cvec)) + [Fraction(1)])
+    p = _monic_tail(cvec)
 
     cone = all((-1) ** (i + 1) * ci >= 0 for i, ci in enumerate(cvec))
     hyp = is_hyperbolic(p).hyperbolic if n >= 1 else True
@@ -487,12 +460,11 @@ def region_membership(c: Sequence[Fraction], refine_tol: float = 1e-9) -> Region
 
     # reflect: q(x) = +-p(-x) with positive leading coefficient; roots of
     # p lie strictly in the right half-plane iff q is Hurwitz-stable
-    refl = [(-1) ** i * coeff for i, coeff in enumerate(p.coeffs)]
+    refl = [-v if i % 2 else v for i, v in enumerate(p._num)]
     if refl[-1] < 0:
         refl = [-v for v in refl]
-    q = Poly(refl)
 
-    minors = hurwitz_determinants(q)
+    minors = hurwitz_determinants(_exact(refl, p._den))
     witnesses = None
     if all(d > 0 for d in minors):
         verdict = INSIDE

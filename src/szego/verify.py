@@ -44,7 +44,7 @@ from .decompose import (
     localization_intervals,
 )
 from .exact import binomial, format_rational
-from .poly import ExpPoly, Poly, falling_factorial_transform
+from .poly import ExpPoly, Poly, _monic_tail, falling_factorial_transform
 from .roots import (
     INSIDE,
     OUTSIDE,
@@ -188,7 +188,7 @@ def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[Fraction, 
 def _offset_poly(sigma: Sequence[Fraction]) -> Poly:
     """Q(t) = t^n + sigma_1 t^(n-1) + ... + sigma_n = prod (t + a_j): its
     positive roots are the negated negative factor offsets."""
-    return Poly(list(reversed(sigma)) + [Fraction(1)])
+    return _monic_tail(sigma)
 
 
 def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
@@ -856,8 +856,7 @@ def check_hyperbolization(
         vec = _cone_point(rng, n, 6)
         found = None
         for nu in range(nu_max + 1):
-            core = Poly(list(reversed(vec)) + [Fraction(1)])
-            if is_hyperbolic(core).hyperbolic:
+            if is_hyperbolic(_monic_tail(vec)).hyperbolic:
                 found = nu
                 break
             vec = amap.apply(vec)
@@ -1029,8 +1028,10 @@ def run_suite(
     """Run the cells (all, or those matching the given families / cell
     ids) in deterministic cell order.
 
-    At most min(jobs, cells, CPUs) worker processes run; jobs < 1 is an
-    error."""
+    At most min(jobs, cells, CPUs) worker processes run; trials < 1 and
+    jobs < 1 are errors."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = _cell_specs(trials, seed)

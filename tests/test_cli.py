@@ -81,8 +81,20 @@ def test_decompose_missing_nk_is_an_error(capsys):
 
 
 def test_decompose_m_mismatch(capsys):
-    rc = main(["decompose", "--mode", "exp", "--c", "1,2", "--m", "3"])
-    assert rc == 1
+    # the exp degree is len(--c); decompose has no --m, and does not read
+    # it as an abbreviation of --mode either
+    for m in ("3", "finite"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--mode", "exp", "--c", "1,2", "--m", m])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: --m {m}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vec", [",1,2", "1,,2", "1,2,", "1, ,2"])
+def test_empty_list_entries_are_rejected(vec, capsys):
+    assert main(["decompose", "--mode", "finite", "--n", "2", "--k", "1", "--c", vec]) == 1
+    assert main(["xi-iterate", "--poly", vec, "--nu", "1"]) == 1
+    assert capsys.readouterr().err.count("empty rational literal") == 2
 
 
 def test_compose_finite_worked(capsys):
@@ -343,6 +355,15 @@ def test_report_rejects_non_reports(tmp_path):
     bad.write_text(json.dumps({"hello": 1}))
     rc = main(["report", "--input", str(bad)])
     assert rc == 1
+
+
+def test_verify_rejects_trials_below_one(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for trials in ("0", "-3"):
+        argv = ["verify", "--suite", "derivative_identities", "--trials", trials]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_one():

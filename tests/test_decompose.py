@@ -30,6 +30,7 @@ from szego import (
     exp_monic_to_normalized,
     exp_normalized_to_monic,
     extract_core,
+    interpolate,
     localization_intervals,
     padded_core,
     recompose,
@@ -464,6 +465,34 @@ def test_phi_tends_to_the_identity_like_one_over_k():
             for i, row in enumerate(amap.matrix):
                 assert all(abs(v - (i == j)) <= bound for j, v in enumerate(row)), (n, k)
             assert all(abs(v) <= bound for v in amap.offset), (n, k)
+
+
+def _map_entries(amap):
+    """{(j, l): coefficient of c_l in sigma_j}, with l = 0 the offset."""
+    n = amap.dimension
+    return {
+        (j, l): amap.offset[j - 1] if l == 0 else amap.matrix[j - 1][l - 1]
+        for j in range(1, n + 1)
+        for l in range(n + 1)
+    }
+
+
+def test_phi_tends_to_the_monic_exp_map():
+    # With m = n + k, feed c_l / m^l and read sigma_j m^j: entry (j, l)
+    # becomes phi_jl m^(j-l).  Times (m!/k!) m^n it is a polynomial in m of
+    # degree <= 2n, fixed here by 3n+2 values of k, whose m^(2n)
+    # coefficient is entry (j, l) of the monic exp map
+    for n in range(1, 9):
+        want = _map_entries(decomposition_map("exp", m=n, convention=MONIC))
+        points = {key: [] for key in want}
+        for k in range(1, 3 * n + 3):
+            m = n + k
+            weight = math.perm(m, n) * m**n
+            for (j, l), v in _map_entries(decomposition_map("finite", n=n, k=k)).items():
+                points[j, l].append((m, v * F(m) ** (j - l) * weight))
+        for key, pts in points.items():
+            q = interpolate(pts)
+            assert q.degree <= 2 * n and q.coeff(2 * n) == want[key], (n, key)
 
 
 def test_phi_is_cheap_for_large_k_and_large_n():

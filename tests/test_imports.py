@@ -1,0 +1,49 @@
+"""Every import in the package source is used.
+
+A stand-in for pyflakes' unused-import warning, written with ``ast`` so
+it needs nothing beyond the standard library.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "szego").glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names that import statements bind and the module never reads.
+
+    Names listed in ``__all__`` (re-exports) and ``__future__`` imports
+    are exempt.
+    """
+    tree = ast.parse(source)
+    bound = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_planted_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nfrom fractions import Fraction as F\n"
+        "from .poly import Poly\n__all__ = ['Poly']\n"
+        "def f():\n    from .roots import _det\n    return os.path.sep\n"
+    )
+    assert _unused_imports(source) == ["math", "F", "_det"]

@@ -436,6 +436,12 @@ def test_run_suite_rejects_jobs_below_one():
             run_suite(names=["derivative_identities"], trials=1, seed=1, jobs=jobs)
 
 
+def test_run_suite_rejects_trials_below_one():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            run_suite(names=["derivative_identities"], trials=trials, seed=1)
+
+
 def test_run_suite_clamps_workers(monkeypatch):
     created = []
 
