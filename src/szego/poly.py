@@ -405,26 +405,36 @@ def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], i
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the rationals (exact polynomials only).
 
-    Runs the integer remainder sequence below; gcd(0, 0) is 0.
+    Takes the heuristic integer gcd ``_gcd`` of the primitive parts,
+    which falls back to the integer remainder sequence below; gcd(0, 0)
+    is 0.
     """
     if not (a.is_exact and b.is_exact):
         raise ValueError("gcd requires exact polynomials")
     ints = [_primitive_part(list(p._num)) for p in (a, b) if p._num]
     if not ints:
         return Poly.zero()
-    return _monic_poly(ints[0] if len(ints) == 1 else _remainder_sequence(*ints)[-1])
+    return _monic_poly(ints[0] if len(ints) == 1 else _gcd(*ints)[0])
 
 
-# -- fraction-free remainder sequences ----------------------------------------
+# -- integer gcds and fraction-free remainder sequences -----------------------
 #
 # gcds, Sturm chains and square-free parts run on integer coefficient
-# lists (ascending, no trailing zeros) instead of Fraction Polys:
-# denominators are cleared once, each step takes a pseudo-remainder, which
-# is the Euclidean remainder times a positive integer, and the integer
-# content is divided out after every step (the primitive remainder
+# lists (ascending, no trailing zeros) instead of Fraction Polys, with
+# denominators cleared once.
+#
+# Sturm chains are remainder sequences: each step takes a pseudo-remainder,
+# which is the Euclidean remainder times a positive integer, and the
+# integer content is divided out after every step (the primitive remainder
 # sequence of Collins 1967 and Brown-Traub 1971).  Every scale factor is
 # positive, so each list has the signs of the Fraction polynomial it
 # stands for, and Sturm sign counts carry over unchanged.
+#
+# gcds go through _gcd: the heuristic _heu_gcd (GCDHEU) reads the gcd off
+# one big-integer gcd and returns the cofactors with it, and the remainder
+# sequence is its fallback.  poly_gcd, the square-free factors and
+# is_hyperbolic use _gcd; sturm_count of distinct roots stays chain-first,
+# because the chain of v it needs anyway ends in gcd(v, v').
 
 
 def _primitive_part(v: list[int]) -> list[int]:
@@ -496,9 +506,10 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
         seq.append([-c for c in r])
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer lists where b divides a (b primitive, so the
-    quotient has integer coefficients by Gauss's lemma)."""
+def _exact_quotient(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b for nonzero integer lists, or None when the quotient is not an
+    integer list with remainder 0.  For primitive b that is exactly when b
+    divides a over the rationals (Gauss's lemma)."""
     lb = b[-1]
     low = b[:-1]
     db = len(low)
@@ -507,12 +518,72 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     for top in range(len(r) - 1, db - 1, -1):
         c = r[top]
         if c:
-            c //= lb
-            q[top - db] = c
+            c, m = divmod(c, lb)
+            if m:
+                return None
             s = top - db
+            q[s] = c
             for j, bj in enumerate(low):
                 r[s + j] -= c * bj
-    return q
+    return None if any(r[:db]) else q
+
+
+# GCDHEU tries this many evaluation points before _gcd falls back to the
+# remainder sequence.
+_HEU_POINTS = 6
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """(g, a/g, b/g) with g = +-gcd(a, b) for nonzero primitive integer
+    lists, by GCDHEU (Char, Geddes and Gonnet 1989), or None after _HEU_POINTS
+    evaluation points.
+
+    The candidate is the primitive part of gamma = gcd(a(xi), b(xi)) read
+    as balanced base-xi digits.  With xi >= 2 min(|a|_oo, |b|_oo) + 2 a
+    candidate that divides both a and b is the gcd (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, Thm. 7.7); those exact
+    divisions yield the cofactors.  Each next xi is about 2.73 xi^(5/4),
+    because the spurious integer content of gamma grows with the degree:
+    on square-free degree-48 products of small integer roots it exceeds
+    the first xi by up to 30 bits, and growth by 2.73 alone does not
+    catch up in six points.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_POINTS):
+        gamma = math.gcd(_horner(a, xi), _horner(b, xi))
+        half = xi // 2
+        g = []
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > half:
+                d -= xi
+                gamma += 1
+            g.append(d)
+        g = _primitive_part(g)
+        if len(g) == 1:  # the candidate 1 divides everything
+            return [1], a, b
+        qa = _exact_quotient(a, g)
+        if qa is not None:
+            qb = _exact_quotient(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for nonzero integer lists with a primitive, where g is
+    gcd(a, b) up to sign (so primitive).  GCDHEU on a and the primitive
+    part of b, and the remainder sequence when the heuristic gives up."""
+    k = math.gcd(*b)
+    if k > 1:
+        b = [c // k for c in b]
+    found = _heu_gcd(a, b)
+    if found is None:
+        g = _remainder_sequence(a, b)[-1]
+        found = g, _exact_quotient(a, g), _exact_quotient(b, g)
+    g, qa, qb = found
+    return g, qa, [c * k for c in qb] if k > 1 else qb
 
 
 def _gamma_sum(num: Sequence, j: int):

@@ -28,6 +28,7 @@ from .poly import (
     _derivative,
     _exact,
     _exact_quotient,
+    _gcd,
     _horner,
     _monic_poly,
     _monic_tail,
@@ -182,46 +183,49 @@ def _sturm_chain(v: list[int]) -> list[list[int]]:
     return _remainder_sequence(v, _primitive_part(_derivative(v)))
 
 
-def _count_distinct(v: list[int], lo, hi) -> tuple[int, int]:
-    """(distinct real roots of v in (lo, hi], degree of gcd(v, v')) for an
-    integer list v of degree >= 1.
+def _count_distinct(v: list[int], lo, hi) -> int:
+    """Distinct real roots of v in (lo, hi] for an integer list v of degree
+    >= 1.
 
-    One remainder sequence serves both: the Sturm chain of v ends in
-    g = gcd(v, v'), and divided by g it is the Sturm chain of the
-    square-free part.  Wherever g does not vanish that division flips
-    every sign or none, so the chain of v counts as well.  Only a multiple
-    root sitting on a finite endpoint needs the chain of v / g.
+    The Sturm chain of v ends in g = gcd(v, v'), and divided by g it is
+    the Sturm chain of the square-free part.  Wherever g does not vanish
+    that division flips every sign or none, so the chain of v counts as
+    well.  Only a multiple root sitting on a finite endpoint needs the
+    chain of v / g.
     """
     chain = _sturm_chain(v)
     g = chain[-1]
     if len(g) > 1 and any(x is not None and not _horner(g, *x) for x in (lo, hi)):
         chain = _sturm_chain(_exact_quotient(v, g))
-    return _variations(chain, lo, -1) - _variations(chain, hi, 1), len(g) - 1
+    return _variations(chain, lo, -1) - _variations(chain, hi, 1)
 
 
 def _square_free_factors(v: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm on an integer list of degree >= 1: [(f_i, i)] with
-    v = const * prod f_i^i and f_i square-free, pairwise coprime and
-    nonconstant.
+    """Yun's algorithm on a primitive integer list of degree >= 1: [(f_i, i)]
+    with v = +-prod f_i^i and f_i square-free, pairwise coprime and
+    nonconstant; a square-free v gives [(v, 1)].
 
-    b and d carry one common scale factor throughout, which keeps the
-    linear step d = c - b' exact; every division is exact over Z.
+    Each step takes one gcd with its cofactors from poly._gcd: first
+    g = gcd(v, v') with b = v/g and c = v'/g, then a = gcd(b, d) with b/a
+    and c = d/a for d = c - b'.  b and c carry one common scale factor
+    throughout, which keeps the linear step exact; every division is exact
+    over Z.
     """
-    g = _sturm_chain(v)[-1]
+    g, b, c = _gcd(v, _derivative(v))
     if len(g) == 1:
         return [(v, 1)]
     out = []
-    b = _exact_quotient(v, g)
-    d = _subtract(_exact_quotient(_derivative(v), g), _derivative(b))
     i = 1
     while True:
-        a = _remainder_sequence(b, _primitive_part(d))[-1] if d else b
+        d = _subtract(c, _derivative(b))
+        if d:
+            a, b, c = _gcd(b, d)
+        else:
+            a, b = b, [1]
         if len(a) > 1:
             out.append((a, i))
-        b = _exact_quotient(b, a)
         if len(b) < 2:
             return out
-        d = _subtract(_exact_quotient(d, a), _derivative(b))
         i += 1
 
 
@@ -263,8 +267,8 @@ def sturm_count(
         raise ValueError("need lo < hi")
     v = _primitive_part(list(p._num))
     if multiplicity:
-        return sum(mult * _count_distinct(f, a, b)[0] for f, mult in _square_free_factors(v))
-    return _count_distinct(v, a, b)[0]
+        return sum(mult * _count_distinct(f, a, b) for f, mult in _square_free_factors(v))
+    return _count_distinct(v, a, b)
 
 
 _END = object()
@@ -329,6 +333,9 @@ class Hyperbolicity:
 def is_hyperbolic(p: Poly) -> Hyperbolicity:
     """Whether all roots of exact p are real; distinct iff gcd(p,p') constant.
 
+    Decided from the square-free factors: p is hyperbolic iff the Sturm
+    chain of each factor f counts deg f real roots, and its roots are
+    distinct iff the only factor is p itself with multiplicity 1.
     Constants (degree 0) are vacuously hyperbolic with distinct roots.
     """
     if not p.is_exact:
@@ -337,8 +344,9 @@ def is_hyperbolic(p: Poly) -> Hyperbolicity:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return Hyperbolicity(True, True)
-    real, gcd_degree = _count_distinct(_primitive_part(list(p._num)), None, None)
-    return Hyperbolicity(real == p.degree - gcd_degree, gcd_degree == 0)
+    factors = _square_free_factors(_primitive_part(list(p._num)))
+    real = all(_count_distinct(f, None, None) == len(f) - 1 for f, _ in factors)
+    return Hyperbolicity(real, len(factors) == 1 and factors[0][1] == 1)
 
 
 # -- sign data ----------------------------------------------------------------

@@ -3,6 +3,7 @@ falling-factorial transform."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,14 @@ from szego import (
     poly_from_json,
     poly_to_json,
 )
-from szego.poly import NEG_INF, falling_factorial_poly, poly_gcd
+from szego.poly import (
+    NEG_INF,
+    _gcd,
+    _heu_gcd,
+    _primitive_part,
+    falling_factorial_poly,
+    poly_gcd,
+)
 from szego.roots import sign_changes
 
 
@@ -143,6 +151,26 @@ def _euclid_gcd(a, b):
     return Poly([c / a[-1] for c in a]) if a else Poly.zero()
 
 
+def _ladder_sturm_input(rng, d):
+    """Square-free product of 0, d - 3 distinct integers of [-w, w] and a
+    quadratic with no real root, shaped like the benchmark ladder's
+    sturm_count input."""
+    w = (d - 1) // 2
+    roots = [0] + rng.sample([r for r in range(-w, w + 1) if r], d - 3)
+    return Poly.from_roots(roots) * Poly([rng.randint(1, 9), 0, 1])
+
+
+def _assert_gcd_with_cofactors(a, b, want=None):
+    """poly_gcd against want (Euclid's gcd by default), and the cofactors of
+    _gcd on the primitive parts multiply back to them."""
+    assert poly_gcd(a, b) == (_euclid_gcd(a, b) if want is None else want), (a, b)
+    if a and b:
+        pa, pb = (_primitive_part(list(p._num)) for p in (a, b))
+        g, qa, qb = _gcd(pa, pb)
+        assert Poly(g).monic() == poly_gcd(a, b)
+        assert Poly(g) * Poly(qa) == Poly(pa) and Poly(g) * Poly(qb) == Poly(pb)
+
+
 def test_poly_gcd_against_euclid_reference():
     rng = random.Random(71)
     for _ in range(60):
@@ -153,9 +181,35 @@ def test_poly_gcd_against_euclid_reference():
         a = common * _rand_poly(rng, rng.randint(0, 8))
         b = common * _rand_poly(rng, rng.randint(0, 8)) * Fraction(-3, 2)
         for x, y in ((a, b), (b, a), (a, a.derivative()), (a, Poly.zero())):
-            assert poly_gcd(x, y) == _euclid_gcd(x, y), (x, y)
+            _assert_gcd_with_cofactors(x, y)
         g = poly_gcd(a, b)
         assert g.lead == 1 and divmod(a, g)[1].is_zero and divmod(b, g)[1].is_zero
+    # products of rational linear factors, with shared and repeated factors;
+    # Fraction Euclid takes seconds on gcd(a, a') at degree 40, so there
+    # the reference is the planted gcd, prod (x - r)^(m_r - 1)
+    for d in (16, 24, 32, 48):
+        roots = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(d)]
+        shared = roots[: d // 3]
+        planted = shared + roots[d // 3: 2 * d // 3] + shared[: d // 6]
+        a = Poly.from_roots(planted, Fraction(-7, 3))
+        b = Poly.from_roots(shared + roots[2 * d // 3:])
+        _assert_gcd_with_cofactors(a, b)
+        repeats = [r for r, m in Counter(planted).items() for _ in range(m - 1)]
+        _assert_gcd_with_cofactors(a, a.derivative(), Poly.from_roots(repeats))
+    # coprime pairs
+    for d in (4, 16, 32):
+        roots = rng.sample(range(-60, 61), 2 * d)
+        _assert_gcd_with_cofactors(Poly.from_roots(roots[:d]), Poly.from_roots(roots[d:]))
+        _assert_gcd_with_cofactors(_rand_poly(rng, d, 99), _rand_poly(rng, d // 2 + 1, 99))
+    # at the first point xi = 4, gcd(15, 25) = 5 reads as x + 1, which
+    # divides x^2 - 1 but not x^2 + x + 5
+    _assert_gcd_with_cofactors(Poly([-1, 0, 1]), Poly([5, 1, 1]))
+    # gcd(v(xi), v'(xi)) at the first evaluation point carries more
+    # spurious content than xi has bits here, so this needs the later points
+    v = _ladder_sturm_input(random.Random(0), 48)
+    _assert_gcd_with_cofactors(v, v.derivative())
+    pv, pdv = (_primitive_part(list(p._num)) for p in (v, v.derivative()))
+    assert _heu_gcd(pv, pdv) == ([1], pv, pdv)
     b = Poly([Fraction(-4, 3), 0, Fraction(-2, 5)])
     assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
     assert poly_gcd(Poly.zero(), b) == b.monic()

@@ -18,12 +18,15 @@ from szego import (
     hurwitz_determinants,
     is_hyperbolic,
     kernel_backend,
+    poly_gcd,
     region_membership,
     sign_changes,
     square_free_decomposition,
     sturm_count,
     taylor_window_bound,
 )
+import szego.poly
+import szego.roots
 from szego import _roots_py
 from szego.roots import place_positive_roots
 
@@ -262,6 +265,63 @@ def test_root_counting_at_degree_48():
     factors = square_free_decomposition(q)
     assert [m for _, m in factors] == [1, 2]
     assert [f.degree for f, _ in factors] == [24, 12]
+
+
+def _gcd_layer_answers():
+    """The answers of every layer that takes a heuristic gcd, on planted
+    inputs with repeated rational roots and at degree 48."""
+    rng = random.Random(64)
+    cases = [_planted(rng, rng.randint(2, 24))[0] for _ in range(12)]
+    distinct = rng.sample(range(-23, 24), 36)
+    cases.append(Poly.from_roots(distinct + distinct[:12]))
+    breaks = [Fraction(k, 2) for k in range(200)] + [None]
+    return [
+        (
+            poly_gcd(p, p.derivative()),
+            poly_gcd(p, cases[0]),
+            square_free_decomposition(p),
+            is_hyperbolic(p),
+            sturm_count(p, multiplicity=True),
+            sturm_count(p, Fraction(-1, 2), Fraction(7, 2), multiplicity=True),
+            place_positive_roots(p, breaks),
+        )
+        for p in cases
+    ]
+
+
+def test_forced_gcd_fallback_gives_the_same_answers(monkeypatch):
+    want = _gcd_layer_answers()
+    gave_up = []
+
+    def give_up(a, b):
+        gave_up.append(len(a))
+        return None
+
+    monkeypatch.setattr(szego.poly, "_heu_gcd", give_up)
+    assert _gcd_layer_answers() == want
+    assert len(gave_up) > 50
+
+
+def test_one_sturm_chain_per_square_free_factor(monkeypatch):
+    degrees = []
+    sturm_chain = szego.roots._sturm_chain
+
+    def counted(v):
+        degrees.append(len(v) - 1)
+        return sturm_chain(v)
+
+    monkeypatch.setattr(szego.roots, "_sturm_chain", counted)
+    square_free = Poly.from_roots([Fraction(1, 2), 3, Fraction(7, 2), -2])
+    repeated = Poly.from_roots([Fraction(1, 2), 5, 3, 3, -2, -2, -2])
+    for p, factor_degrees in ((square_free, [4]), (repeated, [2, 1, 1])):
+        for count in (
+            lambda: place_positive_roots(p, [0, 1, 2, None]),
+            lambda: sturm_count(p, multiplicity=True),
+            lambda: is_hyperbolic(p),
+        ):
+            degrees.clear()
+            count()
+            assert degrees == factor_degrees
 
 
 def _windows_of(roots, breaks):
