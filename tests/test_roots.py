@@ -81,6 +81,100 @@ def test_kernel_residual_is_the_componentwise_backward_error():
         assert res <= 1e-12
 
 
+def _reference_solve(coeffs, tol, max_iter):
+    """The kernel as it was before converged roots were frozen: every
+    sweep evaluates every root, and a last pass recomputes every
+    residual."""
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[n] == 0 or coeffs[0] == 0:
+        raise ValueError(
+            "kernel needs degree >= 1 and nonzero leading and constant coefficients"
+        )
+    moduli = [abs(c) for c in coeffs]
+    z = _roots_py._starts(moduli)
+
+    iterations = 0
+    converged = False
+    for _ in range(max_iter):
+        iterations += 1
+        all_done = True
+        for i in range(n):
+            zi = z[i]
+            r = abs(zi)
+            # Horner for p(zi), p'(zi) and sum |c_j| |zi|^j
+            p = coeffs[n]
+            dp = 0j
+            bound = moduli[n]
+            for j in range(n - 1, -1, -1):
+                dp = dp * zi + p
+                p = p * zi + coeffs[j]
+                bound = bound * r + moduli[j]
+            if abs(p) <= tol * bound < math.inf:
+                continue
+            all_done = False
+            if dp == 0:
+                # flat spot: nudge deterministically and retry next sweep
+                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
+                continue
+            ratio = p / dp
+            acc = 0j
+            collision = False
+            for j in range(n):
+                if j == i:
+                    continue
+                diff = zi - z[j]
+                if diff == 0:
+                    collision = True
+                    break
+                acc += 1.0 / diff
+            if collision:
+                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
+                continue
+            denom = 1.0 - ratio * acc
+            if denom == 0:
+                z[i] = zi - ratio
+            else:
+                z[i] = zi - ratio / denom
+        if all_done:
+            converged = True
+            break
+
+    residuals = []
+    for zi in z:
+        r = abs(zi)
+        p = coeffs[n]
+        bound = moduli[n]
+        for j in range(n - 1, -1, -1):
+            p = p * zi + coeffs[j]
+            bound = bound * r + moduli[j]
+        residuals.append(abs(p) / bound if bound < math.inf else math.inf)
+    return z, residuals, iterations, converged
+
+
+def _outcome(kernel, coeffs, tol, max_iter):
+    # repr tells NaN and -0.0 apart; an exception is part of the outcome
+    try:
+        return repr(kernel(list(coeffs), tol, max_iter))
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc)
+
+
+def test_kernel_output_is_bit_identical_to_the_reference():
+    rng = random.Random(53)
+    corpus = [_random_complex_coeffs(rng, rng.randint(2, 32)) for _ in range(40)]
+    for _ in range(8):  # products with repeated roots
+        roots = [rng.randint(-6, 6) for _ in range(rng.randint(2, 8))]
+        roots += [rng.choice(roots) for _ in range(rng.randint(1, 6))]
+        corpus.append(Poly.from_roots([r or 7 for r in roots]).to_complex())
+    corpus.append(Poly.from_roots([-j for j in range(1, 13)]).to_complex())
+    corpus.append([1e6 + 0j] + [0j] * 23 + [1 + 0j])
+    corpus.append([1e300 + 0j, 1e-10 + 0j, 1e-320 + 0j])  # roots beyond the float range
+    for coeffs in corpus:
+        for max_iter in (0, 1, 3, 400):
+            expected = _outcome(_reference_solve, coeffs, 1e-12, max_iter)
+            assert _outcome(_roots_py.solve, coeffs, 1e-12, max_iter) == expected
+
+
 def test_kernel_starts_on_the_newton_polygon():
     # roots of size 1..12 inside a Cauchy circle of radius about 1.3e9
     wilkinson = Poly.from_roots([-j for j in range(1, 13)]).to_complex()
