@@ -14,6 +14,14 @@ then an exact root of a polynomial whose coefficients differ from p's by
 a relative amount of at most tol each (the componentwise backward
 error).  The bound is a real Horner pass over |c_i|, with no power of
 |z|, and a non-finite bound never counts as converged.
+
+A sweep evaluates only the roots that have not converged.  The test
+depends on z and the coefficients alone, and a root that passes it is
+never written again, so it would pass in every later sweep: freezing it
+changes no iterate, no sweep count and no residual.  Its residual is
+kept from the sweep in which it converged, and a last pass computes the
+residuals of the roots still moving when max_iter runs out.  The
+iteration count is the number of sweeps.
 """
 
 from __future__ import annotations
@@ -69,42 +77,45 @@ def solve(
         )
     moduli = [abs(c) for c in coeffs]
     z = _starts(moduli)
+    lead, lead_modulus = coeffs[n], moduli[n]
+    # (c_j, |c_j|) for j = n-1 down to 0, the order Horner reads them in
+    row = list(zip(coeffs[n - 1 :: -1], moduli[n - 1 :: -1]))
 
+    residuals = [0.0] * n
+    active = list(range(n))
     iterations = 0
-    converged = False
     for _ in range(max_iter):
         iterations += 1
-        all_done = True
-        for i in range(n):
+        moving = []
+        for i in active:
             zi = z[i]
             r = abs(zi)
             # Horner for p(zi), p'(zi) and sum |c_j| |zi|^j
-            p = coeffs[n]
+            p = lead
             dp = 0j
-            bound = moduli[n]
-            for j in range(n - 1, -1, -1):
+            bound = lead_modulus
+            for c, m in row:
                 dp = dp * zi + p
-                p = p * zi + coeffs[j]
-                bound = bound * r + moduli[j]
-            if abs(p) <= tol * bound < math.inf:
+                p = p * zi + c
+                bound = bound * r + m
+            size = abs(p)
+            if size <= tol * bound < math.inf:
+                # frozen: zi is never written again, so it would pass again
+                residuals[i] = size / bound
                 continue
-            all_done = False
+            moving.append(i)
             if dp == 0:
                 # flat spot: nudge deterministically and retry next sweep
                 z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
                 continue
             ratio = p / dp
             acc = 0j
-            collision = False
-            for j in range(n):
-                if j == i:
-                    continue
-                diff = zi - z[j]
-                if diff == 0:
-                    collision = True
-                    break
-                acc += 1.0 / diff
-            if collision:
+            try:
+                for w in z[:i]:
+                    acc += 1.0 / (zi - w)
+                for w in z[i + 1 :]:
+                    acc += 1.0 / (zi - w)
+            except ZeroDivisionError:  # zi collides with another root
                 z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
                 continue
             denom = 1.0 - ratio * acc
@@ -112,17 +123,17 @@ def solve(
                 z[i] = zi - ratio
             else:
                 z[i] = zi - ratio / denom
-        if all_done:
-            converged = True
+        active = moving
+        if not active:
             break
 
-    residuals = []
-    for zi in z:
+    for i in active:
+        zi = z[i]
         r = abs(zi)
-        p = coeffs[n]
-        bound = moduli[n]
-        for j in range(n - 1, -1, -1):
-            p = p * zi + coeffs[j]
-            bound = bound * r + moduli[j]
-        residuals.append(abs(p) / bound if bound < math.inf else math.inf)
-    return z, residuals, iterations, converged
+        p = lead
+        bound = lead_modulus
+        for c, m in row:
+            p = p * zi + c
+            bound = bound * r + m
+        residuals[i] = abs(p) / bound if bound < math.inf else math.inf
+    return z, residuals, iterations, not active

@@ -81,11 +81,18 @@ def aberth_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> tuple[comp
     an exact root of p with each coefficient perturbed by a relative
     amount of at most tol.  RootFindingError is raised when that is not
     reached in max_iter sweeps.  The returned tuple is sorted by (real,
-    imaginary).
+    imaginary).  ValueError is raised when a coefficient overflows a
+    double or the leading one underflows to zero.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    coeffs = p.to_complex()
+    unrepresentable = "coefficients are not representable as complex doubles"
+    try:
+        coeffs = p.to_complex()
+    except OverflowError:
+        raise ValueError(unrepresentable) from None
+    if coeffs[-1] == 0:
+        raise ValueError(unrepresentable)
     mu = 0
     while coeffs[mu] == 0:
         mu += 1

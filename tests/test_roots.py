@@ -59,10 +59,18 @@ def test_kernel_converges_on_random_polynomials():
 
 def test_kernel_reports_nonconvergence_honestly():
     coeffs = _random_complex_coeffs(random.Random(52), 9)
-    roots, residuals, iters, ok = _roots_py.solve(list(coeffs), 1e-12, 1)
-    assert not ok
-    assert iters <= 1
-    assert len(roots) == 9 and len(residuals) == 9
+    # after 4 sweeps seven of the nine roots are frozen and two still move
+    for max_iter in (1, 2, 3, 4):
+        roots, residuals, iters, ok = _roots_py.solve(list(coeffs), 1e-12, max_iter)
+        assert not ok
+        assert iters <= max_iter
+        assert len(roots) == 9 and len(residuals) == 9
+        assert max(residuals) > 1e-12
+        # frozen and still-moving roots alike report the residual at the returned root
+        for z, res in zip(roots, residuals):
+            p = sum(c * z**i for i, c in enumerate(coeffs))
+            bound = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+            assert res == pytest.approx(abs(p) / bound, rel=1e-6, abs=1e-15)
 
 
 def test_kernel_needs_a_nonzero_constant_term():
@@ -159,7 +167,13 @@ def _outcome(kernel, coeffs, tol, max_iter):
         return repr(exc)
 
 
-def test_kernel_output_is_bit_identical_to_the_reference():
+def _assert_matches_reference(coeffs):
+    for max_iter in (0, 1, 3, 400):
+        expected = _outcome(_reference_solve, coeffs, 1e-12, max_iter)
+        assert _outcome(_roots_py.solve, coeffs, 1e-12, max_iter) == expected
+
+
+def test_kernel_output_is_bit_identical_to_the_reference(monkeypatch):
     rng = random.Random(53)
     corpus = [_random_complex_coeffs(rng, rng.randint(2, 32)) for _ in range(40)]
     for _ in range(8):  # products with repeated roots
@@ -170,9 +184,12 @@ def test_kernel_output_is_bit_identical_to_the_reference():
     corpus.append([1e6 + 0j] + [0j] * 23 + [1 + 0j])
     corpus.append([1e300 + 0j, 1e-10 + 0j, 1e-320 + 0j])  # roots beyond the float range
     for coeffs in corpus:
-        for max_iter in (0, 1, 3, 400):
-            expected = _outcome(_reference_solve, coeffs, 1e-12, max_iter)
-            assert _outcome(_roots_py.solve, coeffs, 1e-12, max_iter) == expected
+        _assert_matches_reference(coeffs)
+    # forced starts reach the nudges: two equal starts collide, and 1.5 is
+    # the critical point of (x - 1)(x - 2)
+    for starts in ([0j, 0j], [1.5 + 0j, 0j]):
+        monkeypatch.setattr(_roots_py, "_starts", lambda moduli, s=starts: list(s))
+        _assert_matches_reference([2 + 0j, -3 + 0j, 1 + 0j])
 
 
 def test_kernel_starts_on_the_newton_polygon():
@@ -553,6 +570,19 @@ def test_aberth_degree_one_and_validation():
     assert aberth_roots(Poly([2, 3])) == (-2 / 3 + 0j,)
     with pytest.raises(ValueError):
         aberth_roots(Poly([5]))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly([1, Fraction(1, 10**400)]),  # the lead underflows at degree 1
+        Poly([1, 2, Fraction(1, 10**400)]),  # the lead underflows before the kernel
+        Poly([1, 0, 10**400]),  # a coefficient overflows
+    ],
+)
+def test_aberth_rejects_coefficients_beyond_the_double_range(p):
+    with pytest.raises(ValueError, match="not representable as complex doubles"):
+        aberth_roots(p)
 
 
 def test_aberth_vieta_sums():
