@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Optional
 
@@ -35,14 +36,7 @@ from .exact import format_rational, parse_rational
 from .poly import ExpPoly, Poly, exp_poly_to_json, iterate_falling_factorial_transform, poly_from_json, poly_to_json
 from .roots import RootFindingError
 from .ssc import SscContext, compose, exp_compose
-from .verify import (
-    _atomic_write,
-    payload_csv_rows,
-    reports_payload,
-    run_suite,
-    write_reports_csv,
-    write_reports_json,
-)
+from .verify import payload_csv_rows, reports_payload, run_suite
 
 DEFAULT_TRIALS = 500
 
@@ -106,12 +100,33 @@ def _parse_poly(text: str) -> Poly:
     return Poly(_parse_vector(text))
 
 
-def _emit(obj, out_path: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
+def _write(text: str, path: Optional[str]) -> None:
+    """Write text to path atomically (a temporary file in the same
+    directory, then os.replace), or to stdout when no path is given."""
+    if not path:
         sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _emit(obj, path: Optional[str]) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+
+
+def _emit_csv(payload: dict, path: Optional[str]) -> None:
+    """The CSV summary of a verification report document."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(payload_csv_rows(payload))
+    _write(buf.getvalue(), path)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -193,9 +208,7 @@ def _cmd_xi_iterate(args) -> int:
     text = ",".join(format_rational(c) for c in q.coeffs) if q.coeffs else "0"
     sys.stdout.write(text + "\n")
     if args.out:
-        _atomic_write(
-            args.out, json.dumps(poly_to_json(q), indent=2, sort_keys=True) + "\n"
-        )
+        _emit(poly_to_json(q), args.out)
     return 0
 
 
@@ -229,12 +242,10 @@ def _cmd_verify(args) -> int:
     if args.suite and args.suite != "all":
         names = _split_suite_names(args.suite)
     reports = run_suite(names, trials=args.trials, seed=seed, jobs=args.jobs)
-    if args.out:
-        write_reports_json(reports, args.out)
-    else:
-        _emit(reports_payload(reports), None)
+    payload = reports_payload(reports)
+    _emit(payload, args.out)
     if args.csv:
-        write_reports_csv(reports, args.csv)
+        _emit_csv(payload, args.csv)
     failed = [r.check_id for r in reports if not r.passed]
     print(
         f"{len(reports)} checks, {len(failed)} failed"
@@ -249,12 +260,7 @@ def _cmd_report(args) -> int:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "reports" not in payload:
         raise ValueError("not a verification report document")
-    buf = io.StringIO()
-    csv.writer(buf).writerows(payload_csv_rows(payload))
-    if args.csv:
-        _atomic_write(args.csv, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit_csv(payload, args.csv)
     return 0
 
 

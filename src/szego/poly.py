@@ -197,12 +197,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         return NotImplemented
 
-    def __rmul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)) and self._den is not None:
-            return self * other
-        if isinstance(other, (int, float, complex, Fraction)):
-            return Poly([other * c for c in self.coeffs])
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -219,25 +214,12 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
             return NotImplemented
+        if self._den is None or other._den is None:
+            raise ValueError("division requires exact polynomials")
         if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
-        d = len(other._num) - 1
-        if len(self._num) <= d:
+        if len(self._num) < len(other._num):
             return Poly.zero(), self
-        if self._den is None or other._den is None:
-            rem = self.to_complex()
-            divisor = other.to_complex()
-            lead = divisor[-1]
-            quot = [0] * (len(rem) - d)
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i]
-                if c == 0:
-                    continue
-                q = c / lead
-                quot[i - d] = q
-                for j, oj in enumerate(divisor):
-                    rem[i - d + j] = rem[i - d + j] - q * oj
-            return Poly(quot), Poly(rem)
         quot, rem, scale = _divide(self._num, other._num)
         den = scale * self._den
         return _exact([c * other._den for c in quot], den), _exact(rem, den)
@@ -700,38 +682,19 @@ def iterate_falling_factorial_transform(p: Poly, nu: int) -> Poly:
     return p
 
 
-def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> Poly:
+def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton divided differences, expanded in nested Horner order
-    t_0 + (x - x_0)(t_1 + (x - x_1)(...)).  Exact when every node and
-    value is an int or Fraction, complex otherwise.  Nodes must be
-    pairwise distinct.
+    Nodes and values must be ints or Fractions (ValueError otherwise) and
+    the nodes pairwise distinct.  Newton divided differences in integers:
+    every node and divided difference is a reduced numerator/denominator
+    pair, and the nested Horner form t_0 + (x - x_0)(t_1 + (x - x_1)(...))
+    is expanded as numerators over one denominator.
     """
     if not points:
         return Poly.zero()
-    if all(isinstance(v, (int, Fraction)) for pt in points for v in pt):
-        return _interpolate_exact(points)
-    xs = [p[0] for p in points]
-    table = [p[1] for p in points]
-    n = len(points)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dx = xs[i] - xs[i - level]
-            if dx == 0:
-                raise ValueError("interpolation nodes must be distinct")
-            table[i] = (table[i] - table[i - 1]) / dx
-    num = [table[-1]]
-    for x, t in zip(xs[-2::-1], table[-2::-1]):
-        num = [u - x * v for u, v in zip([0] + num, num + [0])]
-        num[0] += t
-    return Poly(num)
-
-
-def _interpolate_exact(points: Sequence[tuple]) -> Poly:
-    """interpolate() for rational nodes and values, in integers: every
-    node and divided difference is a reduced numerator/denominator pair,
-    and the Newton form is expanded as numerators over one denominator."""
+    if not all(isinstance(v, (int, Fraction)) for pt in points for v in pt):
+        raise ValueError("interpolation requires exact nodes and values")
     xn = [p[0].numerator for p in points]
     xd = [p[0].denominator for p in points]
     tn = [p[1].numerator for p in points]

@@ -17,6 +17,7 @@ _roots_py.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,8 +82,8 @@ def aberth_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> tuple[comp
     an exact root of p with each coefficient perturbed by a relative
     amount of at most tol.  RootFindingError is raised when that is not
     reached in max_iter sweeps.  The returned tuple is sorted by (real,
-    imaginary).  ValueError is raised when a coefficient overflows a
-    double or the leading one underflows to zero.
+    imaginary).  ValueError is raised when a coefficient is not finite,
+    overflows a double or the leading one underflows to zero.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -91,6 +92,8 @@ def aberth_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> tuple[comp
         coeffs = p.to_complex()
     except OverflowError:
         raise ValueError(unrepresentable) from None
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ValueError("coefficients must be finite")
     if coeffs[-1] == 0:
         raise ValueError(unrepresentable)
     mu = 0
@@ -461,7 +464,7 @@ class RegionVerdict:
     witness_roots: Optional[tuple[complex, ...]] = None
 
 
-def region_membership(c: Sequence[Fraction], refine_tol: float = 1e-9) -> RegionVerdict:
+def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     """Classify the monic polynomial x^n + c_1 x^{n-1} + ... + c_n."""
     cvec = [Fraction(x) for x in c]
     n = len(cvec)
@@ -487,9 +490,10 @@ def region_membership(c: Sequence[Fraction], refine_tol: float = 1e-9) -> Region
         verdict = OUTSIDE
     else:
         witnesses = aberth_roots(p)
-        if all(z.real > refine_tol * max(1.0, abs(z)) for z in witnesses):
+        tol = 1e-9  # relative margin a witness needs off the imaginary axis
+        if all(z.real > tol * max(1.0, abs(z)) for z in witnesses):
             verdict = INSIDE
-        elif any(z.real < -refine_tol * max(1.0, abs(z)) for z in witnesses):
+        elif any(z.real < -tol * max(1.0, abs(z)) for z in witnesses):
             verdict = OUTSIDE
         else:
             verdict = BOUNDARY_OR_UNCERTAIN

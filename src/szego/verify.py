@@ -6,27 +6,24 @@ and the perturbation experiments.
 A randomized check is one per-trial function trial(rng, t) that
 returns None when trial t holds and a failure record (a dict) when it
 does not.  One driver, _run_trials, runs it on the random stream
-seed:check:trial, tags each record with its trial and times the whole
-into a CheckReport, so reports are reproducible and independent of
-execution order.  Failure records carry exact inputs (as rational
-strings) so a reported counterexample can be replayed.  Verdicts are
-exact: identities in rational arithmetic, root counts and root windows
-from Sturm chains, half-planes from Hurwitz minors.  Floats enter only
-the complex cross-checks of sign_experiments and region_membership's
-fallback when a Hurwitz minor vanishes.  The suite is the fixed list
-of cells in _cell_specs.
+seed:check:trial and tags each record with its trial, so reports are
+reproducible and independent of execution order.  Failure records
+carry exact inputs (as rational strings) so a reported counterexample
+can be replayed.  Verdicts are exact: identities in rational
+arithmetic, root counts and root windows from Sturm chains, half-planes
+from Hurwitz minors.  Floats enter only the complex cross-checks of
+sign_experiments and region_membership's fallback when a Hurwitz minor
+vanishes.  The suite is the fixed list of cells in _cell_specs; the
+runner, _run_cell, times each cell, and no check keeps a clock of its
+own.  Reports are returned as data and written out by the command line.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import os
 import platform
 import random
-import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -84,8 +81,6 @@ __all__ = [
     "run_suite",
     "reports_payload",
     "payload_csv_rows",
-    "write_reports_json",
-    "write_reports_csv",
 ]
 
 
@@ -95,7 +90,7 @@ class CheckReport:
     trials: int
     failures: list
     seed: int
-    elapsed: float
+    elapsed: float = 0.0  # set by _run_cell, the suite's one clock
     notes: list = field(default_factory=list)
 
     @property
@@ -130,15 +125,12 @@ def _run_trials(
     """Run trial(rng, t) for t < trials, each on the stream
     seed:check_id:t.  A non-None return is a failure record and is
     tagged with its trial; notes is the list the trials append to."""
-    t0 = time.perf_counter()
     failures: list = []
     for t in range(trials):
         record = trial(_rng(seed, f"{check_id}:{t}"), t)
         if record is not None:
             failures.append({"trial": t, **record})
-    return CheckReport(
-        check_id, trials, failures, seed, time.perf_counter() - t0, notes or []
-    )
+    return CheckReport(check_id, trials, failures, seed, notes=notes or [])
 
 
 def _sgn(x) -> int:
@@ -183,12 +175,6 @@ def _rand_monic(rng: random.Random, deg: int, bound: int = 6) -> Poly:
 def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[Fraction, ...]:
     # coordinates (-1)^i u_i with u_i >= 0: the alternating-sign cone
     return tuple((-1) ** i * _rand_nonneg(rng, bound) for i in range(1, n + 1))
-
-
-def _offset_poly(sigma: Sequence[Fraction]) -> Poly:
-    """Q(t) = t^n + sigma_1 t^(n-1) + ... + sigma_n = prod (t + a_j): its
-    positive roots are the negated negative factor offsets."""
-    return _monic_tail(sigma)
 
 
 def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
@@ -312,7 +298,7 @@ def check_interval_localization(
             }
         c = tuple(reversed(core.coeffs[:-1]))
         sigma = decompose_poly(c, n, k, want_roots=False).sigma
-        places = place_positive_roots(_offset_poly(sigma), breaks)
+        places = place_positive_roots(_monic_tail(sigma), breaks)
         matched = _distinct_windows(places)
         if matched < nu:
             return {
@@ -389,7 +375,7 @@ def check_integer_intervals(m: int, trials: int = 500, seed: int = 42) -> CheckR
         kchanges = sign_changes(ExpPoly(p).gamma_numerators(bound))
         c = tuple(reversed(p.coeffs[:-1]))
         sigma = decompose_exp(c, MONIC, want_roots=False).sigma
-        places = place_positive_roots(_offset_poly(sigma), itertools.count())
+        places = place_positive_roots(_monic_tail(sigma), itertools.count())
         matched = _distinct_windows(places)
         if matched < kchanges:
             return {
@@ -457,7 +443,6 @@ def check_alternation_iteration(p: Poly, max_nu: int = 10000) -> CheckReport:
     coefficient, the exact invariance of the constant term, and strict
     growth of every magnitude ratio over the last 10 steps.
     """
-    t0 = time.perf_counter()
     check_id = "alternation_iteration"
     if not p.is_exact or p.degree < 2:
         raise ValueError("need an exact polynomial of degree >= 2")
@@ -536,13 +521,12 @@ def check_alternation_iteration(p: Poly, max_nu: int = 10000) -> CheckReport:
                         "ratios": _fmt(window),
                     }
                 )
-    return CheckReport(check_id, 1, failures, 0, time.perf_counter() - t0, notes)
+    return CheckReport(check_id, 1, failures, 0, notes=notes)
 
 
 def check_eventual_hyperbolicity(p: Poly, max_nu: int = 10000) -> CheckReport:
     """Iterating the transform eventually yields real distinct roots,
     with the count of positive ones dictated by the constant term."""
-    t0 = time.perf_counter()
     check_id = "eventual_hyperbolicity"
     if not p.is_exact or p.degree < 1:
         raise ValueError("need an exact polynomial of degree >= 1")
@@ -580,7 +564,7 @@ def check_eventual_hyperbolicity(p: Poly, max_nu: int = 10000) -> CheckReport:
         )
     else:
         notes.append({"nu": found})
-    return CheckReport(check_id, 1, failures, 0, time.perf_counter() - t0, notes)
+    return CheckReport(check_id, 1, failures, 0, notes=notes)
 
 
 def _run_cases(
@@ -594,7 +578,6 @@ def _run_cases(
     """check(p) on the fixed cases, then on draw(rng, t) for t < trials,
     each drawn from the stream seed:check_id:case:t.  Failures and notes
     are tagged with their case index."""
-    t0 = time.perf_counter()
     drawn = (draw(_rng(seed, f"{check_id}:case:{t}"), t) for t in range(trials))
     cases = [*fixed, *drawn]
     failures: list = []
@@ -603,9 +586,7 @@ def _run_cases(
         report = check(p)
         failures += [{"case": i, **f} for f in report.failures]
         notes += [{"case": i, **nt} for nt in report.notes]
-    return CheckReport(
-        check_id, len(cases), failures, seed, time.perf_counter() - t0, notes
-    )
+    return CheckReport(check_id, len(cases), failures, seed, notes=notes)
 
 
 def _draw_monic(rng: random.Random, t: int) -> Poly:
@@ -671,7 +652,6 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
         return None
 
     report = _run_trials("halfplane_not_invariant", trials, seed, trial)
-    t0 = time.perf_counter()
 
     # (ii) the witness lies on the source and image surfaces
     a, b = Fraction(-2), Fraction(1, 3)
@@ -709,7 +689,6 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
     report.notes.append(
         {"scan_inside": inside, "scan_outside": outside, "scan_uncertain": uncertain}
     )
-    report.elapsed += time.perf_counter() - t0
     return report
 
 
@@ -717,19 +696,17 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
 
 
 def check_sign_experiments(
-    k_values: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    eps: Fraction = Fraction(1, 100),
-    seed: int = 42,
+    k_values: Sequence[int] = (1, 2, 3, 4, 5, 6), seed: int = 42
 ) -> CheckReport:
-    """Exact self-composition identities and their eps-perturbations.
+    """Exact self-composition identities and their eps-perturbations,
+    eps = 1/100.
 
     Perturbing a conjugate factor pair keeps the composition real (it is
     computed exactly as a rational polynomial) and pushes every root off
     the imaginary axis into the open left half line / half plane.
     """
-    t0 = time.perf_counter()
     check_id = "sign_experiments"
-    eps = Fraction(eps)
+    eps = Fraction(1, 100)
     failures: list = []
 
     def fail(k, part, **extra):
@@ -825,25 +802,18 @@ def check_sign_experiments(
                 negative_roots=neg_count,
             )
 
-    return CheckReport(
-        check_id, len(list(k_values)), failures, seed, time.perf_counter() - t0
-    )
+    return CheckReport(check_id, len(list(k_values)), failures, seed)
 
 
 # -- exploratory: iterated hyperbolization ------------------------------------
 
 
-def check_hyperbolization(
-    n: int = 2,
-    k: int = 1,
-    nu_max: int = 400,
-    trials: int = 50,
-    seed: int = 42,
-) -> CheckReport:
-    """Exploratory: iterate the finite affine map on cone points and
-    record how fast iterates become hyperbolic; exactly verify the
-    two-coefficient exp closed form and its first hyperbolic index."""
-    t0 = time.perf_counter()
+def check_hyperbolization(trials: int = 50, seed: int = 42) -> CheckReport:
+    """Exploratory: iterate the finite affine map (n = 2, k = 1) on cone
+    points for up to 400 steps and record how fast iterates become
+    hyperbolic; exactly verify the two-coefficient exp closed form and
+    its first hyperbolic index."""
+    n, k, nu_max = 2, 1, 400
     check_id = f"hyperbolization[n={n},k={k}]"
     failures: list = []
     notes: list = []
@@ -915,9 +885,7 @@ def check_hyperbolization(
                     "iterated": s_iter,
                 }
             )
-    return CheckReport(
-        check_id, trials, failures, seed, time.perf_counter() - t0, notes
-    )
+    return CheckReport(check_id, trials, failures, seed, notes=notes)
 
 
 # -- composition calculus -----------------------------------------------------
@@ -999,8 +967,8 @@ def _cell_specs(trials: int, seed: int) -> list[tuple[str, Callable[..., CheckRe
         ("alternation_iteration", suite_alternation_iteration, (iter_trials, seed)),
         ("eventual_hyperbolicity", suite_eventual_hyperbolicity, (iter_trials, seed)),
         ("halfplane_not_invariant", check_halfplane_not_invariant, (min(trials, 100), seed)),
-        ("sign_experiments", check_sign_experiments, ((1, 2, 3, 4, 5, 6), Fraction(1, 100), seed)),
-        ("hyperbolization[n=2,k=1]", check_hyperbolization, (2, 1, 400, explore_trials, seed)),
+        ("sign_experiments", check_sign_experiments, ((1, 2, 3, 4, 5, 6), seed)),
+        ("hyperbolization[n=2,k=1]", check_hyperbolization, (explore_trials, seed)),
         ("derivative_identities", check_derivative_identities, (trials, seed)),
         ("root_multiplicity", check_root_multiplicity, (trials, seed)),
     ]
@@ -1015,8 +983,12 @@ def available_checks() -> list[str]:
 
 
 def _run_cell(spec: tuple[str, Callable[..., CheckReport], tuple]) -> CheckReport:
+    """Run one cell and time it: the only clock of the suite."""
     _, check, args = spec
-    return check(*args)
+    t0 = time.perf_counter()
+    report = check(*args)
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 def run_suite(
@@ -1084,28 +1056,3 @@ def payload_csv_rows(payload: dict) -> list[list]:
             ]
         )
     return rows
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_reports_json(reports: Sequence[CheckReport], path: str) -> None:
-    payload = reports_payload(reports)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_reports_csv(reports: Sequence[CheckReport], path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerows(payload_csv_rows(reports_payload(reports)))
-    _atomic_write(path, buf.getvalue())

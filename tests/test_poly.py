@@ -90,6 +90,18 @@ def test_divmod_is_exact_division_with_remainder():
         divmod(Poly([1, 1]), Poly.zero())
 
 
+def test_divmod_rejects_inexact_polynomials():
+    exact = Poly([1, 2, 1])
+    inexact = Poly([1.0, 1.0])
+    for a, b in ((exact, inexact), (inexact, exact), (inexact, inexact), (Poly([1j]), exact)):
+        with pytest.raises(ValueError, match="division requires exact polynomials"):
+            divmod(a, b)
+    with pytest.raises(ValueError, match="exact"):
+        exact // inexact
+    with pytest.raises(ValueError, match="exact"):
+        exact % inexact
+
+
 def test_power_and_from_roots():
     assert Poly([1, 1]) ** 3 == Poly([1, 3, 3, 1])
     assert Poly([1, 1]) ** 0 == Poly.one()
@@ -325,11 +337,14 @@ def test_interpolate_worked_and_random():
 
 
 def test_interpolate_complex_nodes():
-    pts = [(0j, 1 + 0j), (1j, 0j), (-1j, 0j)]
-    q = interpolate(pts)  # 1 + x^2 fits: 1 + (i)^2 = 0
-    assert abs(q.coeff(0) - 1) < 1e-12
-    assert abs(q.coeff(1)) < 1e-12
-    assert abs(q.coeff(2) - 1) < 1e-12
+    # interpolation is exact-only: a complex or float node or value is rejected
+    for pts in (
+        [(0j, 1 + 0j), (1j, 0j), (-1j, 0j)],
+        [(0, 1), (1, 0.5)],
+        [(0.0, 1), (1, 2)],
+    ):
+        with pytest.raises(ValueError, match="exact"):
+            interpolate(pts)
 
 
 def test_poly_json_round_trip():

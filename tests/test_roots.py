@@ -585,6 +585,21 @@ def test_aberth_rejects_coefficients_beyond_the_double_range(p):
         aberth_roots(p)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1, math.inf],
+        [math.nan, 1],
+        [1, 2, math.inf],
+        [1, math.nan, 1],
+        [math.inf, 1, 1],
+    ],
+)
+def test_aberth_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="must be finite"):
+        aberth_roots(Poly(coeffs))
+
+
 def test_aberth_vieta_sums():
     rng = random.Random(32)
     for _ in range(25):

@@ -24,11 +24,12 @@ from szego import (
     run_suite,
     sturm_count,
 )
+from szego.cli import main
+from szego.poly import _monic_tail
 from szego.roots import place_positive_roots
 from szego.verify import (
     _cell_specs,
     _distinct_windows,
-    _offset_poly,
     check_alternation_iteration,
     check_cone_exp,
     check_cone_finite,
@@ -46,8 +47,6 @@ from szego.verify import (
     reports_payload,
     suite_alternation_iteration,
     suite_eventual_hyperbolicity,
-    write_reports_csv,
-    write_reports_json,
 )
 
 F = Fraction
@@ -138,9 +137,9 @@ def test_offsets_on_a_localization_break_take_either_window():
     assert nu == 1
     # the check's own steps: exact sigma, Q, placement at the breaks -hi
     sigma = decompose_poly(c, n, k, want_roots=False).sigma
-    assert _offset_poly(sigma) == Poly.from_roots([-a for a in offsets])
+    assert _monic_tail(sigma) == Poly.from_roots([-a for a in offsets])
     breaks = [-hi for _, hi in localization_intervals(n, k)] + [None]
-    places = place_positive_roots(_offset_poly(sigma), breaks)
+    places = place_positive_roots(_monic_tail(sigma), breaks)
     assert places == [(1, 2), (1, 2), (3, 3)]
     assert _distinct_windows(places) == 3 >= nu
 
@@ -476,6 +475,14 @@ def test_run_suite_clamps_workers(monkeypatch):
     assert created == [3, 2]
 
 
+def test_the_cell_runner_is_the_only_clock():
+    # a check called directly is untimed; run_suite times every cell
+    assert check_derivative_identities(trials=2, seed=1).elapsed == 0.0
+    assert suite_eventual_hyperbolicity(trials=1, seed=1).elapsed == 0.0
+    reports = run_suite(names=["derivative_identities", "halfplane_not_invariant"], trials=2, seed=1)
+    assert all(r.elapsed > 0 for r in reports)
+
+
 def test_reports_payload_and_csv(tmp_path):
     reports = run_suite(names=["derivative_identities", "root_multiplicity"], trials=5, seed=14)
     payload = reports_payload(reports)
@@ -491,12 +498,17 @@ def test_reports_payload_and_csv(tmp_path):
     assert rows[1][0] == "derivative_identities"
     assert rows[1][1] == 5
 
+    # the command line writes both files from one payload
     jpath = tmp_path / "out.json"
     cpath = tmp_path / "out.csv"
-    write_reports_json(reports, str(jpath))
-    write_reports_csv(reports, str(cpath))
+    argv = ["verify", "--suite", "derivative_identities,root_multiplicity",
+            "--trials", "5", "--seed", "14", "--out", str(jpath), "--csv", str(cpath)]
+    assert main(argv) == 0
     loaded = json.loads(jpath.read_text())
-    assert [r["check_id"] for r in loaded["reports"]] == [r.check_id for r in reports]
+    assert loaded["reports"] == payload["reports"]
+    assert set(loaded["metadata"]) == set(meta)
     lines = cpath.read_text().strip().splitlines()
-    assert lines[0].startswith("check_id,")
+    assert lines[0] == "check_id,trials,failures,seed,seconds"
     assert len(lines) == 3
+    seconds = loaded["metadata"]["elapsed_seconds"]
+    assert lines[1] == f"derivative_identities,5,0,14,{seconds['derivative_identities']:.3f}"
