@@ -106,16 +106,21 @@ def _write(text: str, path: Optional[str]) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", text=True
+        )
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        # name the file asked for, not the hidden temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(obj, path: Optional[str]) -> None:
@@ -239,8 +244,10 @@ def _split_suite_names(spec: str) -> list[str]:
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     names = None
-    if args.suite and args.suite != "all":
+    if args.suite != "all":
         names = _split_suite_names(args.suite)
+        if not names:
+            raise ValueError("no checks selected")
     reports = run_suite(names, trials=args.trials, seed=seed, jobs=args.jobs)
     payload = reports_payload(reports)
     _emit(payload, args.out)

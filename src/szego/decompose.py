@@ -275,7 +275,7 @@ def decompose_exp(
             raise DegreeDeficientError(
                 "degree deficient: top coefficient c_m must be nonzero"
             )
-        p = Poly([Fraction(1)] + cvec)
+        p = _exact(*_clear([1] + cvec))
         g = _exp_gamma_poly(p, m)
         if g.constant != 1:
             raise InternalInconsistencyError("gamma_0 must equal 1")

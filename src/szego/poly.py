@@ -8,7 +8,8 @@ polynomial has exactly one representation.  Arithmetic runs on the
 integers; ``coeffs`` (the Fractions num_i/den in lowest terms) is built
 on first use and cached.  One float or complex coefficient demotes the
 whole polynomial to a tuple of complex doubles.  The public constructor
-validates and demotes; arithmetic results go through the trusted
+validates and demotes; arithmetic results, and the exact results of
+``one``, ``x``, ``monomial`` and ``from_roots``, go through the trusted
 constructor ``_exact``, which only trims and divides out the gcd.  The
 zero polynomial has degree ``NEG_INF`` so degree comparisons behave
 without special-casing.
@@ -90,28 +91,42 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _exact([])
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _exact([1])
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _exact([0, 1])
 
     @classmethod
     def monomial(cls, d: int, c: Scalar = 1) -> "Poly":
         if d < 0:
             raise ValueError("negative degree")
+        if isinstance(c, (int, Fraction)):
+            return _exact([0] * d + [c.numerator], c.denominator)
         return cls([0] * d + [c])
 
     @classmethod
     def from_roots(cls, roots: Sequence[Scalar], lead: Scalar = 1) -> "Poly":
-        p = cls((lead,))
+        """lead * prod (x - r).  Rational roots and lead multiply in
+        integers: each root a/b multiplies the numerators by b x - a and
+        the one running denominator by b."""
+        roots = list(roots)
+        if not all(isinstance(v, (int, Fraction)) for v in [lead, *roots]):
+            p = cls((lead,))
+            for r in roots:
+                p = p * cls((-r, 1))
+            return p
+        num = [lead.numerator]
+        den = lead.denominator
         for r in roots:
-            p = p * cls((-r, 1))
-        return p
+            a, b = r.numerator, r.denominator
+            num = [b * u - a * v for u, v in zip([0, *num], [*num, 0])]
+            den *= b
+        return _exact(num, den)
 
     # -- basic observers ------------------------------------------------------
 

@@ -470,7 +470,8 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     n = len(cvec)
     p = _monic_tail(cvec)
 
-    cone = all((-1) ** (i + 1) * ci >= 0 for i, ci in enumerate(cvec))
+    # (-1)^j c_j >= 0, read from the numerators of c_1 .. c_n (den > 0)
+    cone = all(v <= 0 if j % 2 else v >= 0 for j, v in enumerate(p._num[-2::-1], 1))
     hyp = is_hyperbolic(p).hyperbolic if n >= 1 else True
 
     if n == 0:

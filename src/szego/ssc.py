@@ -21,6 +21,7 @@ in complex doubles (used by the perturbation experiments).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from .exact import binomial
 from .poly import (
     ExpPoly,
     Poly,
+    _exact,
+    _rebuild,
     falling_factorial_transform,
     inverse_falling_factorial_transform,
 )
@@ -70,14 +73,22 @@ def compose(a: Poly, b: Poly, ctx: SscContext) -> Poly:
     unit.  Exact over rationals; complex-double otherwise.
     """
     n = ctx.ambient_degree
-    if a.degree > n or b.degree > n:
+    la, lb = len(a._num), len(b._num)  # degree + 1; no trailing zeros
+    if la > n + 1 or lb > n + 1:
         raise ValueError(
             f"operand degree exceeds ambient degree {n}: {a.degree}, {b.degree}"
         )
-    if a.coeff(n) == 0 and b.coeff(n) == 0:
+    if la <= n and lb <= n:
         raise AmbientDegreeError(
             "ambiguous ambient degree: no operand has a nonzero coefficient "
             f"at x^{n}"
+        )
+    if a._den is not None and b._den is not None:
+        # 1/C(n, j) = j! (n-j)! / n!: integer numerators over one denominator
+        f = [math.factorial(j) for j in range(n + 1)]
+        return _exact(
+            [x * y * f[j] * f[n - j] for j, (x, y) in enumerate(zip(a._num, b._num))],
+            a._den * b._den * f[n],
         )
     return Poly([a.coeff(j) * b.coeff(j) / binomial(n, j) for j in range(n + 1)])
 
@@ -93,9 +104,9 @@ def composition_factor(n: int, k: int, a) -> Poly:
         raise ValueError("composition_factor requires n >= 1 and k >= 1")
     m = n + k
     if isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-        return Poly(
-            [binomial(m, s) * ((m - s) * a + s) / m for s in range(m + 1)]
+        p, q = a.numerator, a.denominator
+        return _exact(
+            [math.comb(m, s) * ((m - s) * p + s * q) for s in range(m + 1)], m * q
         )
     return Poly(
         [binomial(m, s) * ((m - s) * complex(a) + s) / m for s in range(m + 1)]
@@ -142,7 +153,7 @@ def exp_factor_step(p: Poly, a) -> Poly:
 
 def _drop_top(p: Poly, n: int) -> Poly:
     """p with its degree-n coefficient removed (degree <= n-1 remains)."""
-    return Poly(list(p.coeffs[:n]))
+    return _rebuild(list(p._num[:n]), p._den)
 
 
 def derivative_identities_hold(a: Poly, b: Poly, ctx: SscContext) -> bool:

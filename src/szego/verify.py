@@ -41,7 +41,7 @@ from .decompose import (
     localization_intervals,
 )
 from .exact import binomial, format_rational
-from .poly import ExpPoly, Poly, _monic_tail, falling_factorial_transform
+from .poly import ExpPoly, Poly, _clear, _exact, _monic_tail, falling_factorial_transform
 from .roots import (
     INSIDE,
     OUTSIDE,
@@ -133,10 +133,6 @@ def _run_trials(
     return CheckReport(check_id, trials, failures, seed, notes=notes or [])
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _fmt(values) -> list[str]:
     return [format_rational(Fraction(v)) for v in values]
 
@@ -165,7 +161,7 @@ def _rand_nonzero(rng: random.Random, bound: int = 6, max_den: int = 8) -> Fract
 
 def _rand_poly(rng: random.Random, deg: int, bound: int = 6) -> Poly:
     coeffs = [_rand_fraction(rng, bound) for _ in range(deg)]
-    return Poly(coeffs + [_rand_nonzero(rng, bound)])
+    return _exact(*_clear(coeffs + [_rand_nonzero(rng, bound)]))
 
 
 def _rand_monic(rng: random.Random, deg: int, bound: int = 6) -> Poly:
@@ -278,15 +274,16 @@ def check_interval_localization(
             r = _rand_positive(rng, 6)
             if r not in pos:
                 pos.append(r)
-        core = Poly.from_roots(pos) if pos else Poly.one()
+        core = Poly.from_roots(pos)
         rest = n - nu
         while rest > 0:
             if rest >= 2 and rng.random() < 0.5:
                 # x^2 + p x + q with p, q >= 0 has no positive root
-                core = core * Poly([_rand_nonneg(rng, 6), _rand_nonneg(rng, 6), Fraction(1)])
+                q, p = _rand_nonneg(rng, 6), _rand_nonneg(rng, 6)
+                core = core * _monic_tail([p, q])
                 rest -= 2
             else:
-                core = core * Poly([_rand_nonneg(rng, 6), Fraction(1)])
+                core = core * _monic_tail([_rand_nonneg(rng, 6)])
                 rest -= 1
         audited = sturm_count(core, Fraction(0), None)
         if audited != nu:
@@ -447,49 +444,48 @@ def check_alternation_iteration(p: Poly, max_nu: int = 10000) -> CheckReport:
     if not p.is_exact or p.degree < 2:
         raise ValueError("need an exact polynomial of degree >= 2")
     n = p.degree
-    lead = p.lead
-    const = p.constant
-    sub0 = p.coeff(n - 1)
-    step = lead * binomial(n, 2)  # exact per-iteration drop of c_1
+    den = p._den
+    const = p._num[0]
+    sub0 = p._num[n - 1]
+    step = p._num[n] * binomial(n, 2)  # exact per-iteration drop of c_1
 
     failures: list = []
     notes: list = []
-    history: list[list[Fraction]] = []
+    history: list[tuple[int, ...]] = []
     run_start: Optional[int] = None
     nu0: Optional[int] = None
     q = p
     for nu in range(max_nu + 1):
-        cs = [q.coeff(n - s) for s in range(n + 1)]  # c_0 .. c_n
-        if cs[n] != const:
+        # the transform keeps degree n; every numerator is over q._den > 0,
+        # so it carries the sign of its coefficient
+        num = q._num
+        if num[0] * den != const * q._den:
             failures.append(
                 {
                     "p": _fmt(p.coeffs),
                     "nu": nu,
                     "stage": "constant term drifted",
-                    "observed": format_rational(cs[n]),
-                    "expected": format_rational(const),
+                    "observed": format_rational(q.constant),
+                    "expected": format_rational(p.constant),
                 }
             )
             break
-        if cs[1] != sub0 - nu * step:
+        if num[n - 1] * den != (sub0 - nu * step) * q._den:
             failures.append(
                 {
                     "p": _fmt(p.coeffs),
                     "nu": nu,
                     "stage": "subleading decrement law",
-                    "observed": format_rational(cs[1]),
-                    "expected": format_rational(sub0 - nu * step),
+                    "observed": format_rational(q.coeff(n - 1)),
+                    "expected": format_rational(Fraction(sub0 - nu * step, den)),
                 }
             )
             break
-        alternating = all(
-            _sgn(a) != 0 and _sgn(a) == -_sgn(b)
-            for a, b in zip(cs[: n - 1], cs[1:n])
-        ) and _sgn(cs[n - 1]) != 0
-        if alternating:
+        # signs of x^n .. x^1 nonzero and alternating
+        if all(num[i] * num[i - 1] < 0 for i in range(2, n + 1)):
             if run_start is None:
                 run_start = nu
-            history.append(cs)
+            history.append(num)
             if nu - run_start == 20:
                 nu0 = run_start
                 break
@@ -510,8 +506,9 @@ def check_alternation_iteration(p: Poly, max_nu: int = 10000) -> CheckReport:
     else:
         notes.append({"nu0": nu0})
         for s in range(1, n):
-            ratios = [abs(cs[s] / cs[s - 1]) for cs in history]
-            window = ratios[-11:]
+            # |c_s / c_(s-1)| over the last 11 steps, with c_s at x^(n-s):
+            # a ratio of two numerators over one denominator
+            window = [Fraction(abs(v[n - s]), abs(v[n - s + 1])) for v in history[-11:]]
             if not all(x < y for x, y in zip(window, window[1:])):
                 failures.append(
                     {
@@ -596,7 +593,7 @@ def _draw_monic(rng: random.Random, t: int) -> Poly:
 def _draw_monic_or_zero_root(rng: random.Random, t: int) -> Poly:
     p = _draw_monic(rng, t)
     if t % 5 == 4:
-        p = Poly([Fraction(0)] + list(p.coeffs))  # plant a zero root
+        p = p * Poly.x()  # plant a zero root
     return p
 
 

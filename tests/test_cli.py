@@ -366,6 +366,31 @@ def test_verify_rejects_trials_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["", ",", " , "])
+def test_verify_with_no_selected_check_is_an_error(spec, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = main(["verify", "--suite", spec, "--trials", "1", "--out", str(out)])
+    assert rc == 1
+    assert "no checks selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_errors_name_the_requested_path(tmp_path, capsys):
+    argv = ["verify", "--suite", "derivative_identities", "--trials", "1", "--out"]
+    missing = tmp_path / "no-such-dir" / "r.json"
+    assert main(argv + [str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{missing}'" in err and ".tmp-" not in err
+    # the replace fails onto a directory: the temporary file is removed
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(argv + [str(target)]) == 1
+    err = capsys.readouterr().err
+    assert str(target) in err and ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any(target.iterdir())
+
+
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

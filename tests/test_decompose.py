@@ -482,7 +482,7 @@ def test_phi_tends_to_the_monic_exp_map():
     # becomes phi_jl m^(j-l).  Times (m!/k!) m^n it is a polynomial in m of
     # degree <= 2n, fixed here by 3n+2 values of k, whose m^(2n)
     # coefficient is entry (j, l) of the monic exp map
-    for n in range(1, 9):
+    for n in range(1, 13):
         want = _map_entries(decomposition_map("exp", m=n, convention=MONIC))
         points = {key: [] for key in want}
         for k in range(1, 3 * n + 3):

@@ -535,6 +535,57 @@ def test_interpolate_against_lagrange_reference():
     assert q.is_exact and q == Poly([1, 1, 1])
 
 
+def test_from_roots_against_fraction_reference():
+    rng = random.Random(85)
+    cases = [
+        ([], 1),
+        ([], Fraction(-2, 3)),
+        ([1, 2], 0),
+        ([0], 1),
+        ([0, 0, 3], 2),
+        ([1, 2, 3], 1),
+        ([-4, Fraction(5, 2), Fraction(5, 2), Fraction(-7, 3)], Fraction(3, 4)),
+        ([Fraction(1, 2)] * 6, Fraction(-1, 8)),
+        ([Fraction(10**20, 3**30), -1, True], -5),
+    ]
+    for _ in range(40):
+        pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3)]
+        roots = [rng.choice(pool + [0, rng.randint(-5, 5)]) for _ in range(rng.randint(0, 9))]
+        cases.append((roots, Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+    for roots, lead in cases:
+        want = [Fraction(lead)]
+        for r in roots:
+            want = _ref_mul(want, [-Fraction(r), Fraction(1)])
+        _assert_canonical(Poly.from_roots(roots, lead), _ref_trim(want))
+        _assert_canonical(Poly.from_roots(iter(roots), lead), _ref_trim(want))
+
+
+def test_from_roots_with_an_inexact_root_or_lead_demotes():
+    cases = [([1, 2.0], 1), ([0.5j, Fraction(1, 2)], 1), ([1, 2], 0.5), ([1, -2], 2j)]
+    for roots, lead in cases:
+        p = Poly.from_roots(roots, lead)
+        assert not p.is_exact
+        want = [complex(lead)]
+        for r in roots:
+            want = [u - complex(r) * v for u, v in zip([0j, *want], [*want, 0j])]
+        assert list(p.coeffs) == want
+
+
+def test_one_x_zero_and_monomial():
+    _assert_canonical(Poly.one(), [Fraction(1)])
+    _assert_canonical(Poly.x(), [Fraction(0), Fraction(1)])
+    _assert_canonical(Poly.zero(), [])
+    _assert_canonical(Poly.monomial(0), [Fraction(1)])
+    _assert_canonical(Poly.monomial(3, Fraction(-4, 6)), [0, 0, 0, Fraction(-2, 3)])
+    _assert_canonical(Poly.monomial(2, 0), [])
+    inexact = Poly.monomial(2, 1.5)
+    assert not inexact.is_exact and inexact.coeffs == (0j, 0j, 1.5 + 0j)
+    with pytest.raises(ValueError):
+        Poly.monomial(-1)
+    with pytest.raises(TypeError):
+        Poly.monomial(1, "2")
+
+
 def test_equality_and_hash_across_construction_routes():
     p = Poly([Fraction(1, 2), Fraction(-3, 4), 2])
     routes = [

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import szego.poly
 from szego import (
     AmbientDegreeError,
     ExpPoly,
@@ -64,6 +65,51 @@ def test_compose_formula_directly():
             assert got.coeff(j) == a.coeff(j) * b.coeff(j) / binomial(n, j)
 
 
+def _ref_compose(a, b, n):
+    """[x^j] = a_j b_j / C(n, j) on Fraction lists padded to length n + 1."""
+    ca = list(a.coeffs) + [Fraction(0)] * (n + 1 - len(a.coeffs))
+    cb = list(b.coeffs) + [Fraction(0)] * (n + 1 - len(b.coeffs))
+    return [x * y / binomial(n, j) for j, (x, y) in enumerate(zip(ca, cb))]
+
+
+def test_exact_compose_against_fraction_reference():
+    rng = random.Random(26)
+    cases = [
+        (Poly([3]), Poly([Fraction(-2, 7)]), 0),
+        (Poly([Fraction(5, 3)]), Poly.zero(), 0),
+        (Poly([0, 1]), Poly([5]), 1),
+        (Poly.zero(), Poly([1, 1]), 1),
+        (Poly([Fraction(10**20, 3**30), 0, Fraction(-7, 10**9)]), Poly([0, 1]), 2),
+    ]
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        low = Poly(
+            [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(rng.randint(0, n))]
+        )
+        cases.append((_rand_poly(rng, n), low, n))
+        cases.append((_rand_poly(rng, n), _rand_poly(rng, n), n))
+    for a, b, n in cases:
+        for x, y in ((a, b), (b, a)):
+            got = compose(x, y, SscContext(n))
+            want = Poly(_ref_compose(x, y, n))
+            assert got.is_exact and got == want and (got._num, got._den) == (want._num, want._den)
+
+
+def test_compose_with_an_inexact_operand_demotes():
+    exact = Poly([1, Fraction(1, 3), 2])
+    for other in (Poly([1.0, 2.0, 0.5]), Poly([1j, 1]), Poly([0.25, 0, 1j])):
+        for x, y in ((exact, other), (other, exact)):
+            got = compose(x, y, SscContext(2))
+            assert not got.is_exact
+            want = [complex(x.coeff(j)) * complex(y.coeff(j)) / binomial(2, j) for j in range(3)]
+            assert max(abs(got.coeff(j) - want[j]) for j in range(3)) < 1e-15
+    for x, y in ((Poly([1, 1]), Poly([1j, 1])), (Poly([1.0, 1.0]), Poly([1, 1]))):
+        with pytest.raises(AmbientDegreeError):
+            compose(x, y, SscContext(2))
+        with pytest.raises(ValueError, match="exceeds ambient degree 0: 1, 1"):
+            compose(x, y, SscContext(0))
+
+
 def test_commutative_and_associative():
     rng = random.Random(23)
     for _ in range(30):
@@ -109,6 +155,40 @@ def test_composition_factor_matches_product_form():
         assert built == Poly([1, 1]) ** (n + k - 1) * Poly([a, 1])
     with pytest.raises(ValueError):
         composition_factor(0, 1, Fraction(1))
+
+
+def test_composition_factor_against_fraction_reference():
+    cases = [(1, 1, 0), (1, 1, -1), (2, 3, Fraction(-3, 2)), (4, 1, 7), (3, 5, Fraction(10**20 + 1, -(3**25)))]
+    for n, k, a in cases:
+        m = n + k
+        want = Poly([binomial(m, s) * ((m - s) * Fraction(a) + s) / m for s in range(m + 1)])
+        got = composition_factor(n, k, a)
+        assert got.is_exact and (got._num, got._den) == (want._num, want._den)
+    for a in (0.5, -2.0):
+        p = composition_factor(2, 1, a)
+        assert not p.is_exact
+        assert max(abs(u - v) for u, v in zip(p.coeffs, (Poly([1, 1]) ** 2 * Poly([a, 1])).coeffs)) < 1e-14
+
+
+def test_exact_construction_skips_the_public_constructor(monkeypatch):
+    a = Poly([1, Fraction(-2, 3), 4])
+    b = Poly([Fraction(5, 2), 0, 1])
+    c = Poly([7])
+
+    def refuse(values):
+        raise AssertionError("the public Poly constructor ran on an exact path")
+
+    monkeypatch.setattr(szego.poly, "_coerce", refuse)
+    with pytest.raises(AssertionError):
+        Poly([1])
+    Poly.from_roots([1, Fraction(-1, 2), 0], Fraction(3, 5))
+    Poly.from_roots([])
+    Poly.one(), Poly.x(), Poly.zero(), Poly.monomial(3, Fraction(1, 2))
+    a**5
+    compose(a, b, SscContext(2))
+    compose(b, c, SscContext(2))
+    composition_factor(2, 3, Fraction(-1, 4))
+    composition_factor(2, 3, 5)
 
 
 def test_composition_factor_coefficient_vanishing():
