@@ -13,13 +13,11 @@ Exit status: 0 success, 2 verification failures, 1 usage/parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Optional
 
@@ -102,15 +100,20 @@ def _parse_poly(text: str) -> Poly:
 
 def _write(text: str, path: Optional[str]) -> None:
     """Write text to path atomically (a temporary file in the same
-    directory, then os.replace), or to stdout when no path is given."""
+    directory, then os.replace), or to stdout when no path is given.
+
+    The temporary file is created with mode 0o666, so the umask applies
+    to it as it would to open(path, "w"); tempfile.mkstemp would make it
+    0o600 whatever the umask."""
     if not path:
         sys.stdout.write(text)
         return
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", text=True
-        )
+        # a 64-bit random name; O_EXCL never opens a file already there
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -129,6 +132,8 @@ def _emit(obj, path: Optional[str]) -> None:
 
 def _emit_csv(payload: dict, path: Optional[str]) -> None:
     """The CSV summary of a verification report document."""
+    import csv  # only the CSV outputs need it; kept off the import of szego
+
     buf = io.StringIO()
     csv.writer(buf).writerows(payload_csv_rows(payload))
     _write(buf.getvalue(), path)
@@ -243,11 +248,7 @@ def _split_suite_names(spec: str) -> list[str]:
 
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    names = None
-    if args.suite != "all":
-        names = _split_suite_names(args.suite)
-        if not names:
-            raise ValueError("no checks selected")
+    names = None if args.suite == "all" else _split_suite_names(args.suite)
     reports = run_suite(names, trials=args.trials, seed=seed, jobs=args.jobs)
     payload = reports_payload(reports)
     _emit(payload, args.out)

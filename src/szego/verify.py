@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import os
-import platform
 import random
+import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -994,18 +993,20 @@ def run_suite(
     seed: int = 42,
     jobs: int = 1,
 ) -> list[CheckReport]:
-    """Run the cells (all, or those matching the given families / cell
-    ids) in deterministic cell order.
+    """Run the cells (all when names is None, else those matching the
+    given families / cell ids) in deterministic cell order.
 
-    At most min(jobs, cells, CPUs) worker processes run; trials < 1 and
-    jobs < 1 are errors."""
+    At most min(jobs, cells, CPUs) worker processes run; an empty
+    selection, trials < 1 and jobs < 1 are errors."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = _cell_specs(trials, seed)
-    if names:
+    if names is not None:
         wanted = set(names)
+        if not wanted:
+            raise ValueError("no checks selected")
         if "all" not in wanted:
             known = {s[0] for s in specs} | {_family(s[0]) for s in specs}
             unknown = wanted - known
@@ -1017,6 +1018,10 @@ def run_suite(
             specs = [s for s in specs if s[0] in wanted or _family(s[0]) in wanted]
     workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool modules (multiprocessing, socket,
+        # logging, ...) would otherwise load on every import of szego
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, specs))
     return [_run_cell(s) for s in specs]
@@ -1030,7 +1035,7 @@ def reports_payload(reports: Sequence[CheckReport]) -> dict:
     return {
         "metadata": {
             "generated_at": datetime.now(timezone.utc).isoformat(),
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
             "backend": kernel_backend(),
             "elapsed_seconds": {r.check_id: round(r.elapsed, 6) for r in reports},
         },

@@ -391,6 +391,21 @@ def test_write_errors_name_the_requested_path(tmp_path, capsys):
     assert not any(target.iterdir())
 
 
+def test_report_files_follow_the_umask(tmp_path, capsys):
+    argv = ["verify", "--suite", "derivative_identities", "--trials", "1"]
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            out, csv = tmp_path / f"{mode:o}.json", tmp_path / f"{mode:o}.csv"
+            assert main(argv + ["--out", str(out), "--csv", str(csv)]) == 0
+            assert os.stat(out).st_mode & 0o777 == mode
+            assert os.stat(csv).st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+
+
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,10 +1,13 @@
-"""Every import in the package source is used.
+"""Every import in the package source is used, and importing the
+package loads only what every command needs.
 
-A stand-in for pyflakes' unused-import warning, written with ``ast`` so
-it needs nothing beyond the standard library.
+The first check is a stand-in for pyflakes' unused-import warning,
+written with ``ast`` so it needs nothing beyond the standard library.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,16 @@ def test_the_check_finds_a_planted_unused_import():
         "def f():\n    from .roots import _det\n    return os.path.sep\n"
     )
     assert _unused_imports(source) == ["math", "F", "_det"]
+
+
+def test_importing_the_cli_loads_no_pool_platform_or_csv():
+    # -S: no site hooks, so only szego's own imports are seen
+    probe = (
+        "import sys, szego.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'platform', 'csv'}"
+        " & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

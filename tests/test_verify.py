@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import random
 from fractions import Fraction
 
@@ -441,6 +442,12 @@ def test_run_suite_rejects_trials_below_one():
             run_suite(names=["derivative_identities"], trials=trials, seed=1)
 
 
+def test_run_suite_rejects_an_empty_selection():
+    # only None selects every cell
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_suite(names=[], trials=1, seed=1)
+
+
 def test_run_suite_clamps_workers(monkeypatch):
     created = []
 
@@ -459,7 +466,7 @@ def test_run_suite_clamps_workers(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("szego.verify.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     huge = 10**9
     # clamped by the cell count (cone_exp has 3 cells)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -489,6 +496,7 @@ def test_reports_payload_and_csv(tmp_path):
     assert set(payload) == {"metadata", "reports"}
     meta = payload["metadata"]
     assert meta["backend"] == "python"
+    assert meta["python"] == platform.python_version()
     assert set(meta["elapsed_seconds"]) == {r.check_id for r in reports}
     assert [r["check_id"] for r in payload["reports"]] == [r.check_id for r in reports]
 
