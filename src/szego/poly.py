@@ -1,18 +1,23 @@
-"""Dense univariate polynomials over exact rationals or complex doubles.
+"""Dense univariate polynomials over exact rationals.
 
-Coefficients are ascending (index = power).  An exact polynomial is
-stored as a tuple of integer numerators over one positive common
-denominator, the layout of FLINT's fmpq_poly, kept canonical: no
-trailing zeros and gcd(den, num_0, ..., num_d) == 1, so every rational
-polynomial has exactly one representation.  Arithmetic runs on the
-integers; ``coeffs`` (the Fractions num_i/den in lowest terms) is built
-on first use and cached.  One float or complex coefficient demotes the
-whole polynomial to a tuple of complex doubles.  The public constructor
-validates and demotes; arithmetic results, and the exact results of
-``one``, ``x``, ``monomial`` and ``from_roots``, go through the trusted
-constructor ``_exact``, which only trims and divides out the gcd.  The
-zero polynomial has degree ``NEG_INF`` so degree comparisons behave
-without special-casing.
+Coefficients are ascending (index = power).  A polynomial is stored as
+a tuple of integer numerators over one positive common denominator,
+the layout of FLINT's fmpq_poly, kept canonical: no trailing zeros and
+gcd(den, num_0, ..., num_d) == 1, so every rational polynomial has
+exactly one representation.  Arithmetic runs on the integers;
+``coeffs`` (the Fractions num_i/den in lowest terms) is built on first
+use and cached.  Arithmetic results, and ``one``, ``x``, ``monomial``
+and ``from_roots``, go through the trusted constructor ``_exact``,
+which only trims and divides out the gcd.  The zero polynomial has
+degree ``NEG_INF`` so degree comparisons behave without
+special-casing.
+
+The public constructor also accepts float or complex coefficients and
+then stores the polynomial as a plain tuple of complex doubles.  Such
+a polynomial is only a container for the numerical root finder: it
+can be observed (``coeffs``, ``degree``, ``==``, ``to_complex`` ...)
+but every arithmetic operation, like every operation given a float or
+complex scalar, raises the one ValueError of ``_inexact``.
 
 The falling-factorial transform implemented here substitutes the
 degree-d falling factorial x(x-1)...(x-d+1) for each monomial x^d.  Its
@@ -26,13 +31,11 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .exact import falling_factorial_coeffs, format_rational, parse_rational, stirling2_row
 
 NEG_INF = float("-inf")
-
-Scalar = Union[Fraction, complex]
 
 __all__ = [
     "NEG_INF",
@@ -50,8 +53,9 @@ __all__ = [
 ]
 
 
-def _coerce(values: Iterable) -> tuple[list[Scalar], bool]:
-    """Normalize scalars: Fraction/int stay exact, float/complex demote all."""
+def _coerce(values: Iterable) -> tuple[list, bool]:
+    """Normalize scalars: Fraction/int stay exact; one float/complex
+    makes them all complex (the root finder's container)."""
     raw = list(values)
     exact = True
     for v in raw:
@@ -68,9 +72,10 @@ class Poly:
     """Immutable dense polynomial, coefficients ascending by power.
 
     Exact: ``_num`` is a tuple of ints over the positive int ``_den``,
-    canonical as the module docstring says.  Complex: ``_num`` is the
-    tuple of complex coefficients and ``_den`` is None.  ``_coeffs``
-    caches the public coefficient tuple (None until first asked for).
+    canonical as the module docstring says.  Complex (the root finder's
+    input only): ``_num`` is the tuple of complex coefficients and
+    ``_den`` is None.  ``_coeffs`` caches the public coefficient tuple
+    (None until first asked for).
     """
 
     __slots__ = ("_num", "_den", "_coeffs")
@@ -102,24 +107,23 @@ class Poly:
         return _exact([0, 1])
 
     @classmethod
-    def monomial(cls, d: int, c: Scalar = 1) -> "Poly":
+    def monomial(cls, d: int, c: Fraction = 1) -> "Poly":
         if d < 0:
             raise ValueError("negative degree")
-        if isinstance(c, (int, Fraction)):
-            return _exact([0] * d + [c.numerator], c.denominator)
-        return cls([0] * d + [c])
+        if not isinstance(c, (int, Fraction)):
+            _coerce([c])  # a TypeError for a type the constructor rejects
+            _inexact("monomial")
+        return _exact([0] * d + [c.numerator], c.denominator)
 
     @classmethod
-    def from_roots(cls, roots: Sequence[Scalar], lead: Scalar = 1) -> "Poly":
-        """lead * prod (x - r).  Rational roots and lead multiply in
+    def from_roots(cls, roots: Sequence[Fraction], lead: Fraction = 1) -> "Poly":
+        """lead * prod (x - r) for rational roots and lead, multiplied in
         integers: each root a/b multiplies the numerators by b x - a and
         the one running denominator by b."""
         roots = list(roots)
         if not all(isinstance(v, (int, Fraction)) for v in [lead, *roots]):
-            p = cls((lead,))
-            for r in roots:
-                p = p * cls((-r, 1))
-            return p
+            _coerce([lead, *roots])  # a TypeError for a type the constructor rejects
+            _inexact("from_roots")
         num = [lead.numerator]
         den = lead.denominator
         for r in roots:
@@ -151,19 +155,19 @@ class Poly:
         """Degree as an int; the zero polynomial reports NEG_INF."""
         return len(self._num) - 1 if self._num else NEG_INF
 
-    def coeff(self, i: int) -> Scalar:
+    def coeff(self, i: int) -> Fraction | complex:
         if 0 <= i < len(self._num):
             return self.coeffs[i]
         return Fraction(0) if self._den is not None else 0j
 
     @property
-    def lead(self) -> Scalar:
+    def lead(self) -> Fraction | complex:
         if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     @property
-    def constant(self) -> Scalar:
+    def constant(self) -> Fraction | complex:
         return self.coeff(0)
 
     def __bool__(self) -> bool:
@@ -190,7 +194,9 @@ class Poly:
         return _add(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return _rebuild([-c for c in self._num], self._den)
+        if self._den is None:
+            _inexact("negation")
+        return _exact([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -198,18 +204,19 @@ class Poly:
         return _add(self, other, -1)
 
     def __mul__(self, other) -> "Poly":
+        den = self._den
         if isinstance(other, Poly):
+            if den is None or other._den is None:
+                _inexact("multiplication")
             if not (self._num and other._num):
                 return _exact([])
-            if self._den is None or other._den is None:
-                return Poly(_convolve(self.to_complex(), other.to_complex()))
-            return _exact(_convolve(self._num, other._num), self._den * other._den)
-        if isinstance(other, (int, Fraction)) and self._den is not None:
-            return _exact(
-                [c * other.numerator for c in self._num], self._den * other.denominator
-            )
-        if isinstance(other, (int, float, complex, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            return _exact(_convolve(self._num, other._num), den * other._den)
+        if isinstance(other, (int, Fraction)):
+            if den is None:
+                _inexact("multiplication")
+            return _exact([c * other.numerator for c in self._num], den * other.denominator)
+        if isinstance(other, (float, complex)):
+            _inexact("multiplication")
         return NotImplemented
 
     __rmul__ = __mul__  # scalars commute
@@ -230,7 +237,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         if self._den is None or other._den is None:
-            raise ValueError("division requires exact polynomials")
+            _inexact("division")
         if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
         if len(self._num) < len(other._num):
@@ -246,31 +253,30 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return _rebuild([i * c for i, c in enumerate(self._num)][1:], self._den)
+        if self._den is None:
+            _inexact("differentiation")
+        return _exact(_derivative(self._num), self._den)
 
     def monic(self) -> "Poly":
+        if self._den is None:
+            _inexact("normalization")
         if not self._num:
             raise ValueError("cannot normalize the zero polynomial")
-        if self._den is None:
-            lead = self._num[-1]
-            return Poly([c / lead for c in self._num])
         return _monic_poly(list(self._num))
 
-    def __call__(self, x: Scalar) -> Scalar:
-        if self._den is not None and isinstance(x, (int, Fraction)):
-            num = self._num
-            if not num:
-                return Fraction(0)
-            b = x.denominator
-            return Fraction(_horner(num, x.numerator, b), self._den * b ** (len(num) - 1))
-        acc = 0j
-        for c in reversed(self.to_complex()):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: Fraction) -> Fraction:
+        if self._den is None or not isinstance(x, (int, Fraction)):
+            _inexact("evaluation")
+        num = self._num
+        if not num:
+            return Fraction(0)
+        b = x.denominator
+        return Fraction(_horner(num, x.numerator, b), self._den * b ** (len(num) - 1))
 
     def to_complex(self) -> list[complex]:
-        """Coefficients as complex doubles; num_i / den is int true
-        division, correctly rounded like ``float(Fraction)``."""
+        """Coefficients as complex doubles, the root finder's input;
+        num_i / den is int true division, correctly rounded like
+        ``float(Fraction)``."""
         den = self._den
         if den is None:
             return list(self._num)
@@ -280,6 +286,13 @@ class Poly:
 # -- the exact core -----------------------------------------------------------
 
 _new = object.__new__
+
+
+def _inexact(what: str) -> NoReturn:
+    """The one error of every exact-only operation that meets a complex
+    Poly or a float/complex scalar.  Callers test ``_den is None`` (or
+    the scalar's type) inline and call this only to raise."""
+    raise ValueError(f"{what} requires exact polynomials and rational scalars")
 
 
 def _exact(num: list, den: int = 1) -> Poly:
@@ -326,24 +339,17 @@ def _monic_tail(c: Sequence) -> Poly:
     return _exact(num[::-1] + [den], den)
 
 
-def _rebuild(vals: list, den: Optional[int]) -> Poly:
-    """vals over den through the trusted constructor, or, for den None,
-    complex values through the public one."""
-    return Poly(vals) if den is None else _exact(vals, den)
-
-
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
     """p + q for sign 1, p - q for sign -1."""
-    if p._den is None or q._den is None:
-        a, b, den = p.to_complex(), q.to_complex(), None
-    else:
-        a, b, den = p._num, q._num, p._den
-        if den != q._den:
-            g = math.gcd(den, q._den)
-            sa, sb = q._den // g, den // g
-            a = [c * sa for c in a]
-            b = [c * sb for c in b]
-            den *= sa
+    a, b, den = p._num, q._num, p._den
+    if den is None or q._den is None:
+        _inexact("addition")
+    if den != q._den:
+        g = math.gcd(den, q._den)
+        sa, sb = q._den // g, den // g
+        a = [c * sa for c in a]
+        b = [c * sb for c in b]
+        den *= sa
     n = min(len(a), len(b))
     if sign > 0:
         out = [x + y for x, y in zip(a, b)]
@@ -351,12 +357,12 @@ def _add(p: Poly, q: Poly, sign: int) -> Poly:
     else:
         out = [x - y for x, y in zip(a, b)]
         out += a[n:] if len(a) > n else [-c for c in b[n:]]
-    return _rebuild(out, den)
+    return _exact(out, den)
 
 
-def _convolve(a: Sequence, b: Sequence) -> list:
-    """Coefficients of the product of two nonzero polynomials (integer
-    numerators or complex values)."""
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer coefficients of the product of two nonzero integer
+    polynomials."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -400,14 +406,14 @@ def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], i
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (exact polynomials only).
+    """Monic gcd over the rationals.
 
     Takes the heuristic integer gcd ``_gcd`` of the primitive parts,
     which falls back to the integer remainder sequence below; gcd(0, 0)
     is 0.
     """
-    if not (a.is_exact and b.is_exact):
-        raise ValueError("gcd requires exact polynomials")
+    if a._den is None or b._den is None:
+        _inexact("gcd")
     ints = [_primitive_part(list(p._num)) for p in (a, b) if p._num]
     if not ints:
         return Poly.zero()
@@ -448,7 +454,7 @@ def _monic_poly(v: list[int]) -> Poly:
     return _exact(v, lead)
 
 
-def _derivative(v: list[int]) -> list[int]:
+def _derivative(v: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(v)][1:]
 
 
@@ -618,26 +624,28 @@ class ExpPoly:
     def is_exact(self) -> bool:
         return self._poly.is_exact
 
-    def gamma(self, j: int) -> Scalar:
+    def gamma(self, j: int) -> Fraction:
         """j! * [x^j] (e^x * P), via sum_i P_i * j(j-1)...(j-i+1).
 
-        Exact P sums integer numerators and divides by the common
-        denominator once; terms with i > j vanish.
+        Sums integer numerators and divides by the common denominator
+        once; terms with i > j vanish.
         """
         if j < 0:
             raise ValueError("negative Taylor index")
         p = self._poly
-        acc = _gamma_sum(p._num, j)
-        return Fraction(acc, p._den) if p._den is not None else complex(acc)
+        if p._den is None:
+            _inexact("gamma")
+        return Fraction(_gamma_sum(p._num, j), p._den)
 
-    def gamma_numerators(self, N: int) -> list:
+    def gamma_numerators(self, N: int) -> list[int]:
         """[gamma(0), ..., gamma(N)] times the positive denominator of
-        exact P: integer sums, with the signs of the gammas.  Complex P
-        gives the complex gammas themselves."""
+        P: integer sums, with the signs of the gammas."""
         if N < 0:
             raise ValueError("negative Taylor index")
-        num = self._poly._num
-        return [_gamma_sum(num, j) for j in range(N + 1)]
+        p = self._poly
+        if p._den is None:
+            _inexact("gamma")
+        return [_gamma_sum(p._num, j) for j in range(N + 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):
@@ -658,9 +666,11 @@ def falling_factorial_poly(d: int) -> Poly:
 
 def _stirling_product(p: Poly, row) -> Poly:
     """The polynomial with coefficients out_k = sum_d p_d row(d)[k]: an
-    integer unitriangular matrix applied to the numerators of exact p (or
-    to the coefficients of complex p).  Its inverse is integer too, so
-    gcd(den, out) = gcd(den, num) = 1 and the denominator is unchanged."""
+    integer unitriangular matrix applied to the numerators of p.  Its
+    inverse is integer too, so gcd(den, out) = gcd(den, num) = 1 and the
+    denominator is unchanged."""
+    if p._den is None:
+        _inexact("the falling-factorial transform")
     vals = p._num
     out = [0] * len(vals)
     for d, c in enumerate(vals):
@@ -668,7 +678,7 @@ def _stirling_product(p: Poly, row) -> Poly:
             for k, s in enumerate(row(d)):
                 if s:
                     out[k] += c * s
-    return _rebuild(out, p._den)
+    return _exact(out, p._den)
 
 
 def falling_factorial_transform(p: Poly) -> Poly:
@@ -684,7 +694,7 @@ def falling_factorial_transform(p: Poly) -> Poly:
 
 def inverse_falling_factorial_transform(q: Poly) -> Poly:
     """Inverse transform: x^k = sum_d S(k, d) x(x-1)...(x-d+1) with S the
-    Stirling numbers of the second kind (valid over C too)."""
+    Stirling numbers of the second kind."""
     return _stirling_product(q, stirling2_row)
 
 
@@ -709,7 +719,7 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     if not points:
         return Poly.zero()
     if not all(isinstance(v, (int, Fraction)) for pt in points for v in pt):
-        raise ValueError("interpolation requires exact nodes and values")
+        _inexact("interpolation")
     xn = [p[0].numerator for p in points]
     xd = [p[0].denominator for p in points]
     tn = [p[1].numerator for p in points]

@@ -31,6 +31,7 @@ from .poly import (
     _exact_quotient,
     _gcd,
     _horner,
+    _inexact,
     _monic_poly,
     _monic_tail,
     _primitive_part,
@@ -169,7 +170,6 @@ def _endpoint(x) -> Optional[tuple[int, int]]:
         raise ValueError(
             f"Sturm endpoints must be exact rationals or None, not {type(x).__name__}"
         )
-    x = Fraction(x)
     return x.numerator, x.denominator
 
 
@@ -242,8 +242,8 @@ def _square_free_factors(v: list[int]) -> list[tuple[list[int], int]]:
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's decomposition p = lead * prod f_i^i with f_i square-free,
     pairwise coprime, monic; only nonconstant f_i are returned."""
-    if not p.is_exact:
-        raise ValueError("square-free decomposition requires exact input")
+    if p._den is None:
+        _inexact("square-free decomposition")
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree < 1:
@@ -266,8 +266,8 @@ def sturm_count(
     distinct roots are counted; multiplicity=True weights each by its
     order, using the square-free decomposition.
     """
-    if not p.is_exact:
-        raise ValueError("Sturm counting requires exact coefficients")
+    if p._den is None:
+        _inexact("Sturm counting")
     if p.is_zero:
         raise ValueError("zero polynomial has no root count")
     a, b = _endpoint(lo), _endpoint(hi)
@@ -295,8 +295,10 @@ def place_positive_roots(p: Poly, breaks: Iterable) -> list[tuple[int, int]]:
     Sturm chain per square-free factor is read at each break, and the
     breaks are read only until every root is placed.
     """
-    if not p.is_exact or p.is_zero:
-        raise ValueError("root placement requires a nonzero exact polynomial")
+    if p._den is None:
+        _inexact("root placement")
+    if p.is_zero:
+        raise ValueError("root placement requires a nonzero polynomial")
     it = iter(breaks)
     if next(it, None) != 0:
         raise ValueError("the first break must be 0")
@@ -314,9 +316,11 @@ def place_positive_roots(p: Poly, breaks: Iterable) -> list[tuple[int, int]]:
                 b = next(it, _END)
                 if b is _END:
                     raise ValueError("breaks end before every positive root is placed")
-                ends.append(_endpoint(b))
-                if b is not None and not b > Fraction(*ends[s]):
+                end = _endpoint(b)
+                # endpoints have positive denominators: cross-multiply
+                if end is not None and end[0] * ends[s][1] <= ends[s][0] * end[1]:
                     raise ValueError("breaks must increase")
+                ends.append(end)
             end = ends[s + 1]
             if end is None:
                 out += [(s, s)] * (left * mult)
@@ -348,8 +352,8 @@ def is_hyperbolic(p: Poly) -> Hyperbolicity:
     distinct iff the only factor is p itself with multiplicity 1.
     Constants (degree 0) are vacuously hyperbolic with distinct roots.
     """
-    if not p.is_exact:
-        raise ValueError("hyperbolicity test requires exact coefficients")
+    if p._den is None:
+        _inexact("the hyperbolicity test")
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
@@ -381,8 +385,8 @@ def taylor_window_bound(p: Poly) -> int:
     safely beyond, so indices 0..N carry all sign changes of the full
     infinite sequence.
     """
-    if not p.is_exact:
-        raise ValueError("bound requires exact coefficients")
+    if p._den is None:
+        _inexact("the Taylor window bound")
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = p.monic()
@@ -402,8 +406,10 @@ def hurwitz_determinants(p: Poly) -> list[Fraction]:
     real part.  The minors are taken on the integer numerators of p, so
     the k-th is an integer over den^k.
     """
-    if not p.is_exact or p.is_zero:
-        raise ValueError("need a nonzero exact polynomial")
+    if p._den is None:
+        _inexact("Hurwitz determinants")
+    if p.is_zero:
+        raise ValueError("need a nonzero polynomial")
     desc = p._num[::-1]  # numerators of a_0 .. a_n
     if desc[0] <= 0:
         raise ValueError("leading coefficient must be positive")

@@ -15,8 +15,9 @@ is e^x * R with T(R) = T(P) * T(Q): one polynomial product between the
 transform and its inverse, exact, with no interpolation and no
 truncated series arithmetic.
 
-Exact rational operands compose exactly; float/complex operands compose
-in complex doubles (used by the perturbation experiments).
+Everything here is exact: operands are exact polynomials and factor
+parameters are ints or Fractions.  A complex operand or a float/complex
+parameter raises ValueError; it is never rounded to a rational.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import binomial
 from .poly import (
     ExpPoly,
     Poly,
     _exact,
-    _rebuild,
+    _inexact,
     falling_factorial_transform,
     inverse_falling_factorial_transform,
 )
@@ -70,8 +70,10 @@ def compose(a: Poly, b: Poly, ctx: SscContext) -> Poly:
     """SSC of a and b at the context's ambient degree.
 
     Commutative and associative for a fixed context.  (x+1)^N is the
-    unit.  Exact over rationals; complex-double otherwise.
+    unit.
     """
+    if a._den is None or b._den is None:
+        _inexact("compose")
     n = ctx.ambient_degree
     la, lb = len(a._num), len(b._num)  # degree + 1; no trailing zeros
     if la > n + 1 or lb > n + 1:
@@ -83,18 +85,17 @@ def compose(a: Poly, b: Poly, ctx: SscContext) -> Poly:
             "ambiguous ambient degree: no operand has a nonzero coefficient "
             f"at x^{n}"
         )
-    if a._den is not None and b._den is not None:
-        # 1/C(n, j) = j! (n-j)! / n!: integer numerators over one denominator
-        f = [math.factorial(j) for j in range(n + 1)]
-        return _exact(
-            [x * y * f[j] * f[n - j] for j, (x, y) in enumerate(zip(a._num, b._num))],
-            a._den * b._den * f[n],
-        )
-    return Poly([a.coeff(j) * b.coeff(j) / binomial(n, j) for j in range(n + 1)])
+    # 1/C(n, j) = j! (n-j)! / n!: integer numerators over one denominator
+    f = [math.factorial(j) for j in range(n + 1)]
+    return _exact(
+        [x * y * f[j] * f[n - j] for j, (x, y) in enumerate(zip(a._num, b._num))],
+        a._den * b._den * f[n],
+    )
 
 
 def composition_factor(n: int, k: int, a) -> Poly:
-    """The degree n+k factor (x+1)^(n+k-1) (x+a), built coefficientwise.
+    """The degree n+k factor (x+1)^(n+k-1) (x+a) for rational a, built
+    coefficientwise.
 
     [x^s] = C(n+k,s) * ((n+k-s)a + s)/(n+k); the product form is used as
     an independent cross-check in the tests.  The coefficient at x^s
@@ -102,15 +103,11 @@ def composition_factor(n: int, k: int, a) -> Poly:
     """
     if n < 1 or k < 1:
         raise ValueError("composition_factor requires n >= 1 and k >= 1")
+    if not isinstance(a, (int, Fraction)):
+        _inexact("composition_factor")
     m = n + k
-    if isinstance(a, (int, Fraction)):
-        p, q = a.numerator, a.denominator
-        return _exact(
-            [math.comb(m, s) * ((m - s) * p + s * q) for s in range(m + 1)], m * q
-        )
-    return Poly(
-        [binomial(m, s) * ((m - s) * complex(a) + s) / m for s in range(m + 1)]
-    )
+    p, q = a.numerator, a.denominator
+    return _exact([math.comb(m, s) * ((m - s) * p + s * q) for s in range(m + 1)], m * q)
 
 
 def exp_compose(f: ExpPoly, g: ExpPoly) -> ExpPoly:
@@ -119,21 +116,25 @@ def exp_compose(f: ExpPoly, g: ExpPoly) -> ExpPoly:
     gamma_j(result) = gamma_j(f) * gamma_j(g) for every j.  With T the
     falling-factorial transform, T(P)(j) = gamma_j(e^x * P), so the
     result is e^x * R where T(R) and T(P) * T(Q) agree at every integer
-    j >= 0, hence T(R) = T(P) * T(Q).  Exact for rational P and Q,
-    complex doubles otherwise.
+    j >= 0, hence T(R) = T(P) * T(Q).
     """
     tf = falling_factorial_transform(f.poly)
     tg = falling_factorial_transform(g.poly)
     return ExpPoly(inverse_falling_factorial_transform(tf * tg))
 
 
-def exp_composition_factor(a) -> ExpPoly:
-    """The factor e^x (1 + x/a); its Taylor numerators are 1 + j/a."""
+def _inverse_parameter(a) -> Fraction:
+    """1/a for a nonzero rational factor parameter a."""
+    if not isinstance(a, (int, Fraction)):
+        _inexact("an exp factor")
     if a == 0:
         raise ValueError("kappa factor undefined at 0")
-    if isinstance(a, (int, Fraction)):
-        return ExpPoly(Poly([Fraction(1), Fraction(1) / Fraction(a)]))
-    return ExpPoly(Poly([1, 1 / complex(a)]))
+    return Fraction(a.denominator, a.numerator)
+
+
+def exp_composition_factor(a) -> ExpPoly:
+    """The factor e^x (1 + x/a); its Taylor numerators are 1 + j/a."""
+    return ExpPoly(Poly([1, _inverse_parameter(a)]))
 
 
 def exp_factor_step(p: Poly, a) -> Poly:
@@ -142,18 +143,12 @@ def exp_factor_step(p: Poly, a) -> Poly:
     composing e^x * p with e^x (1 + x/a) yields e^x * q where
     q = (1 + x/a) p + (x/a) p'.  Must agree exactly with exp_compose.
     """
-    if a == 0:
-        raise ValueError("kappa factor undefined at 0")
-    if isinstance(a, (int, Fraction)):
-        inv = Fraction(1) / Fraction(a)
-    else:
-        inv = 1 / complex(a)
-    return p + Poly.x() * (p + p.derivative()) * inv
+    return p + Poly.x() * (p + p.derivative()) * _inverse_parameter(a)
 
 
 def _drop_top(p: Poly, n: int) -> Poly:
     """p with its degree-n coefficient removed (degree <= n-1 remains)."""
-    return _rebuild(list(p._num[:n]), p._den)
+    return _exact(list(p._num[:n]), p._den)
 
 
 def derivative_identities_hold(a: Poly, b: Poly, ctx: SscContext) -> bool:

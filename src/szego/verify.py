@@ -736,13 +736,15 @@ def check_sign_experiments(
                 for j in range(nk + 1)
             ]
         )
-        zplus = shell * Poly([complex(0.0, float(eps)), 1])
-        zminus = shell * Poly([complex(0.0, -float(eps)), 1])
-        numeric = compose(zplus, zminus, ctx)
+        # the same in complex doubles: shell * (x +- i eps) has the
+        # coefficients s_(j-1) +- i eps s_j, so the pair composes to
+        # |s_(j-1) + i eps s_j|^2 / C(nk, j) at x^j
+        s = [0.0, *map(float, shell.coeffs), 0.0]
         drift = max(
-            abs(numeric.coeff(j) - complex(pert.coeff(j))) for j in range(nk + 1)
+            abs(abs(complex(s[j], float(eps) * s[j + 1])) ** 2 / binomial(nk, j) - float(v))
+            for j, v in enumerate(pert.coeffs)
         )
-        if drift > 1e-12 * max(1.0, max(abs(complex(v)) for v in pert.coeffs)):
+        if drift > 1e-12 * max(1.0, max(abs(float(v)) for v in pert.coeffs)):
             fail(k, "perturbed cross-check", drift=drift)
         quot, rem = divmod(pert, base)
         if not rem.is_zero or quot.degree != 2:
@@ -768,12 +770,11 @@ def check_sign_experiments(
         sturm_count(pert_exp, None, Fraction(0)) == 2 and pert_exp.constant != 0
     ):
         fail(None, "exp perturbed negativity", quadratic=_fmt(pert_exp.coeffs))
-    numeric_exp = exp_compose(
-        ExpPoly(Poly([complex(1.0, float(eps)), 1])),
-        ExpPoly(Poly([complex(1.0, -float(eps)), 1])),
-    ).poly
+    # gamma_j of e^x (x + 1 +- i eps) is j + 1 +- i eps, so the pair
+    # composes to gammas |j + 1 + i eps|^2, which fix a quadratic at j = 0..2
+    exp_pert = ExpPoly(pert_exp)
     drift_exp = max(
-        abs(numeric_exp.coeff(j) - complex(pert_exp.coeff(j))) for j in range(3)
+        abs(abs(complex(j + 1, float(eps))) ** 2 - float(exp_pert.gamma(j))) for j in range(3)
     )
     if drift_exp > 1e-12:
         fail(None, "exp perturbed cross-check", drift=drift_exp)
@@ -994,7 +995,8 @@ def run_suite(
     jobs: int = 1,
 ) -> list[CheckReport]:
     """Run the cells (all when names is None, else those matching the
-    given families / cell ids) in deterministic cell order.
+    given families / cell ids, or the one given as a bare string) in
+    deterministic cell order.
 
     At most min(jobs, cells, CPUs) worker processes run; an empty
     selection, trials < 1 and jobs < 1 are errors."""
@@ -1004,7 +1006,7 @@ def run_suite(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = _cell_specs(trials, seed)
     if names is not None:
-        wanted = set(names)
+        wanted = {names} if isinstance(names, str) else set(names)
         if not wanted:
             raise ValueError("no checks selected")
         if "all" not in wanted:

@@ -1,7 +1,6 @@
 """Tests for factor-offset decomposition, reconstruction, the induced
 affine coefficient maps, and the localization windows."""
 
-import dataclasses
 import math
 import random
 import time
@@ -380,7 +379,7 @@ def test_decomposition_json_round_trip():
         decomposition_from_json({"mode": "alien", "sigma": []})
 
 
-def test_recompose_demotes_float_and_complex_sigma():
+def test_recompose_against_the_homogenized_reference():
     # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j with sigma_0 = 1
     def reference(sigma, n, k):
         m = n + k
@@ -394,12 +393,8 @@ def test_recompose_demotes_float_and_complex_sigma():
     assert exact.is_exact
     assert list(exact.coeffs) == reference((F(1, 10), F(-3, 4)), 2, 1)
     for sigma in ((0.1, F(-3, 4)), (F(1, 10), -0.75 + 0j), (3 + 1j, 2 + 2j, F(-1, 3))):
-        n = len(sigma)
-        p = recompose(Decomposition(mode="finite", sigma=sigma, n=n, k=2))
-        assert not p.is_exact
-        want = reference(sigma, n, 2)
-        assert len(p.coeffs) == len(want)
-        assert all(abs(a - b) <= 1e-12 * (1 + abs(b)) for a, b in zip(p.coeffs, want))
+        with pytest.raises(ValueError, match="exact"):
+            recompose(Decomposition(mode="finite", sigma=sigma, n=len(sigma), k=2))
 
 
 def test_recompose_validation():
@@ -577,19 +572,27 @@ def test_exp_maps_are_signed_stirling_numbers_of_the_first_kind():
 
 
 def _probed_map(image, dim):
-    """The map probed from unit vectors: offset = image of 0, column l =
-    image of e_l minus the offset."""
-    offset = image([F(0)] * dim)
-    cols = []
-    for l in range(dim):
-        e = [F(0)] * dim
-        e[l] = F(1)
-        cols.append([a - b for a, b in zip(image(e), offset)])
+    """The map probed around b = (0, ..., 0, 1), whose last entry keeps a
+    normalized exp input of full degree: column l = image(b + e_l) -
+    image(b), and offset = image(b) - column dim."""
+    def at(l):
+        v = [F(0)] * (dim - 1) + [F(1)]
+        if l is not None:
+            v[l] += 1
+        return image(v)
+
+    base = at(None)
+    cols = [[a - b for a, b in zip(at(l), base)] for l in range(dim)]
+    offset = tuple(b - c for b, c in zip(base, cols[-1]))
     return tuple(tuple(col[j] for col in cols) for j in range(dim)), offset
 
 
+# the (n, k) of the finite maps checked against independent references
+_MAP_SIZES = [(1, 1), (2, 1), (3, 2), (5, 3), (8, 1), (6, 40)]
+
+
 def test_maps_equal_the_probed_maps_and_the_phi_matrix():
-    for n, k in [(1, 1), (2, 1), (3, 2), (5, 3), (8, 1), (6, 40)]:
+    for n, k in _MAP_SIZES:
         amap = decomposition_map("finite", n=n, k=k)
         image = lambda v: decompose_poly(v, n, k, want_roots=False).sigma
         assert (amap.matrix, amap.offset) == _probed_map(image, n)
@@ -600,29 +603,57 @@ def test_maps_equal_the_probed_maps_and_the_phi_matrix():
     for m in range(1, 7):
         for convention in (NORMALIZED, MONIC):
             amap = decomposition_map("exp", m=m, convention=convention)
-            image = lambda v: decompose_exp(
-                v, convention, want_roots=False, _require_full_degree=False
-            ).sigma
+            image = lambda v: decompose_exp(v, convention, want_roots=False).sigma
             assert (amap.matrix, amap.offset) == _probed_map(image, m)
 
 
-def test_decomposition_map_still_checks_the_decomposers(monkeypatch):
-    real_poly, real_exp = decompose_module.decompose_poly, decompose_module.decompose_exp
+def _taylor_inverse(gammas):
+    """Ascending coefficients of the P with gamma_j(e^x P) = gammas[j]:
+    gamma_j = sum_{i <= j} P_i j!/(j-i)! is triangular in P."""
+    p = []
+    for j, g in enumerate(gammas):
+        p.append((g - sum(c * math.perm(j, i) for i, c in enumerate(p))) / math.factorial(j))
+    return p
 
-    def shifted(dec):
-        return dataclasses.replace(dec, sigma=(dec.sigma[0] + 1,) + dec.sigma[1:])
 
-    monkeypatch.setattr(
-        decompose_module, "decompose_poly", lambda *a, **kw: shifted(real_poly(*a, **kw))
-    )
-    monkeypatch.setattr(
-        decompose_module, "decompose_exp", lambda *a, **kw: shifted(real_exp(*a, **kw))
-    )
-    with pytest.raises(InternalInconsistencyError):
-        decomposition_map("finite", n=3, k=2)
-    for convention in (NORMALIZED, MONIC):
-        with pytest.raises(InternalInconsistencyError):
-            decomposition_map("exp", m=3, convention=convention)
+def _composed_point(mode, dim, k, convention, rng):
+    """(c, sigma) for dim random rational factor offsets a_i, built from
+    the composition itself and not from the maps' matrices.
+
+    finite: the core of the SSC of the factors (x+1)^(dim+k-1) (x+a_i),
+    and the elementary symmetric values of the a_i.  exp: P from the
+    Taylor numerators gamma_j = prod (1 + j/a_i) (normalized) or
+    prod (j + a_i) (monic), and the symmetric values of the 1/a_i or a_i.
+    """
+    offsets = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) for _ in range(dim)]
+    if mode == "finite":
+        p = composition_factor(dim, k, offsets[0])
+        for a in offsets[1:]:
+            p = compose(p, composition_factor(dim, k, a), SscContext(dim + k))
+        return extract_core(p, dim, k), _elementary_symmetric(offsets)
+    if convention == NORMALIZED:
+        p = _taylor_inverse([math.prod(1 + j / a for a in offsets) for j in range(dim + 1)])
+        return tuple(p[1:]), _elementary_symmetric([1 / a for a in offsets])
+    p = _taylor_inverse([math.prod(j + a for a in offsets) for j in range(dim + 1)])
+    return tuple(p[-2::-1]), _elementary_symmetric(offsets)
+
+
+def test_decomposition_map_matches_the_composed_factors():
+    # dim + 1 affinely independent points fix an affine map of dimension dim
+    rng = random.Random(50)
+    cases = [("finite", n, k, None) for n, k in _MAP_SIZES]
+    cases += [("exp", m, None, conv) for m in range(1, 7) for conv in (NORMALIZED, MONIC)]
+    for mode, dim, k, convention in cases:
+        if mode == "finite":
+            amap = decomposition_map(mode, n=dim, k=k)
+        else:
+            amap = decomposition_map(mode, m=dim, convention=convention)
+        points = [_composed_point(mode, dim, k, convention, rng) for _ in range(dim + 1)]
+        for c, sigma in points:
+            assert amap.apply(c) == sigma, (mode, dim, k, convention)
+        base = points[0][0]
+        steps = [[x - y for x, y in zip(c, base)] for c, _ in points[1:]]
+        assert AffineMap(tuple(map(tuple, steps)), (F(0),) * dim).invertible
 
 
 def test_decomposition_map_rejects_bad_parameters():

@@ -95,21 +95,6 @@ def test_exact_compose_against_fraction_reference():
             assert got.is_exact and got == want and (got._num, got._den) == (want._num, want._den)
 
 
-def test_compose_with_an_inexact_operand_demotes():
-    exact = Poly([1, Fraction(1, 3), 2])
-    for other in (Poly([1.0, 2.0, 0.5]), Poly([1j, 1]), Poly([0.25, 0, 1j])):
-        for x, y in ((exact, other), (other, exact)):
-            got = compose(x, y, SscContext(2))
-            assert not got.is_exact
-            want = [complex(x.coeff(j)) * complex(y.coeff(j)) / binomial(2, j) for j in range(3)]
-            assert max(abs(got.coeff(j) - want[j]) for j in range(3)) < 1e-15
-    for x, y in ((Poly([1, 1]), Poly([1j, 1])), (Poly([1.0, 1.0]), Poly([1, 1]))):
-        with pytest.raises(AmbientDegreeError):
-            compose(x, y, SscContext(2))
-        with pytest.raises(ValueError, match="exceeds ambient degree 0: 1, 1"):
-            compose(x, y, SscContext(0))
-
-
 def test_commutative_and_associative():
     rng = random.Random(23)
     for _ in range(30):
@@ -132,6 +117,8 @@ def test_ambient_degree_must_be_witnessed():
     assert compose(low, full, ctx) == Poly([1, Fraction(1, 3)])
     with pytest.raises(ValueError):
         compose(Poly([0, 0, 0, 0, 1]), full, ctx)
+    with pytest.raises(ValueError, match="exceeds ambient degree 0: 1, 1"):
+        compose(low, low, SscContext(0))
 
 
 def test_padding_changes_the_composition():
@@ -164,10 +151,10 @@ def test_composition_factor_against_fraction_reference():
         want = Poly([binomial(m, s) * ((m - s) * Fraction(a) + s) / m for s in range(m + 1)])
         got = composition_factor(n, k, a)
         assert got.is_exact and (got._num, got._den) == (want._num, want._den)
+    # a float parameter is an error, never rounded to a rational
     for a in (0.5, -2.0):
-        p = composition_factor(2, 1, a)
-        assert not p.is_exact
-        assert max(abs(u - v) for u, v in zip(p.coeffs, (Poly([1, 1]) ** 2 * Poly([a, 1])).coeffs)) < 1e-14
+        with pytest.raises(ValueError, match="exact"):
+            composition_factor(2, 1, a)
 
 
 def test_exact_construction_skips_the_public_constructor(monkeypatch):
@@ -201,12 +188,6 @@ def test_composition_factor_coefficient_vanishing():
         assert p.coeff(s) == 0, s
         q = composition_factor(n, k, a_star + Fraction(1, 97))
         assert q.coeff(s) != 0, s
-
-
-def test_composition_factor_complex_parameter():
-    p = composition_factor(1, 1, 1j)
-    q = Poly([1, 1]) * Poly([1j, 1.0])
-    assert max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)) < 1e-14
 
 
 def test_exp_compose_worked_identities():
@@ -265,10 +246,8 @@ def test_exp_compose_against_the_interpolation_reference():
         assert exp_compose(f, g) == _reference_exp_compose(f, g)
     f = ExpPoly(Poly([complex(1.0, 0.5), -0.25, complex(0.0, 2.0)]))
     g = ExpPoly(Poly([0.5, complex(1.5, -1.0), 1.0, 0.75]))
-    got = exp_compose(f, g).poly
-    want = _reference_exp_compose(f, g).poly
-    assert not got.is_exact and got.degree == want.degree == 5
-    assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) < 1e-12
+    with pytest.raises(ValueError, match="exact"):
+        exp_compose(f, g)
 
 
 def test_exp_factor_and_incremental_step_agree():

@@ -448,6 +448,14 @@ def test_run_suite_rejects_an_empty_selection():
         run_suite(names=[], trials=1, seed=1)
 
 
+def test_run_suite_reads_a_bare_string_as_one_name():
+    one = run_suite("cone_exp", trials=1, seed=1)
+    assert [r.to_payload() for r in one] == [
+        r.to_payload() for r in run_suite(["cone_exp"], trials=1, seed=1)
+    ]
+    assert one and all(r.check_id.startswith("cone_exp[") for r in one)
+
+
 def test_run_suite_clamps_workers(monkeypatch):
     created = []
 
