@@ -25,14 +25,15 @@ where Qt(t) = prod_i (1 + t/a_i).  The falling-factorial transform T
 generates the same numerators, T(P)(j) = gamma_j, so Qt = T(P): the
 reciprocal-side symmetric values are sigma~_k = [t^k] T(P), the -a_i
 are the roots of T(P), and the map c -> sigma~ is the matrix of signed
-Stirling numbers of the first kind that T applies.  Each call checks
-T(P) against the gamma sums at t = 0..m as an internal cross-check.  A
-second, monic convention (factors written e^x(x + a_i), input monic) is
-provided along with an explicit converter; both describe the same
-factor multiset.
+Stirling numbers of the first kind that T applies.  A second, monic
+convention (factors written e^x(x + a_i), input monic) is provided
+along with an explicit converter; both describe the same factor
+multiset.
 
 sigma values are exact; the a_i themselves are an optional numerical
-enrichment via the root finder.
+enrichment via the root finder.  Every coefficient vector a caller
+passes in must hold ints and Fractions: a float or complex entry is a
+ValueError and is never rounded to a rational (``poly._rationals``).
 """
 
 from __future__ import annotations
@@ -52,15 +53,14 @@ from .poly import (
     _convolve,
     _exact,
     _horner,
-    _inexact,
     _monic_tail,
+    _rationals,
     falling_factorial_transform,
     inverse_falling_factorial_transform,
 )
-from .roots import aberth_roots
+from .roots import _det, aberth_roots
 
 __all__ = [
-    "InternalInconsistencyError",
     "DegreeDeficientError",
     "Decomposition",
     "AffineMap",
@@ -79,10 +79,6 @@ __all__ = [
 
 NORMALIZED = "normalized"
 MONIC = "monic"
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A structural identity the theory guarantees failed to hold."""
 
 
 class DegreeDeficientError(ValueError):
@@ -125,7 +121,7 @@ class AffineMap:
         denominator and reduced once."""
         if len(c) != self.dimension:
             raise ValueError("dimension mismatch")
-        u, lcm = _clear([Fraction(x) for x in c])
+        u, lcm = _clear(_rationals(c, "AffineMap.apply"))
         return tuple(
             Fraction(sum(map(operator.mul, row, u)) + off * lcm, den * lcm)
             for row, off, den in self._integer_rows
@@ -137,13 +133,11 @@ class AffineMap:
         each row of the matrix together with its offset entry."""
         out = []
         for row, off in zip(self.matrix, self.offset):
-            nums, den = _clear([Fraction(v) for v in row] + [Fraction(off)])
+            nums, den = _clear(_rationals([*row, off], "AffineMap"))
             out.append((nums[:-1], nums[-1], den))
         return tuple(out)
 
     def determinant(self) -> Fraction:
-        from .roots import _det
-
         rows = self._integer_rows
         den = math.prod(d for _, _, d in rows)
         return Fraction(_det([nums for nums, _, _ in rows]), den)
@@ -157,7 +151,7 @@ def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
     """(x+1)^k (x^n + c_1 x^{n-1} + ... + c_n) as an exact Poly."""
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    return Poly([1, 1]) ** k * _monic_tail([Fraction(x) for x in c])
+    return Poly([1, 1]) ** k * _monic_tail(_rationals(c, "padded_core"))
 
 
 def extract_core(p: Poly, n: int, k: int) -> tuple[Fraction, ...]:
@@ -173,21 +167,17 @@ def decompose_poly(
 ) -> Decomposition:
     """Factor-offset data for (x+1)^k (x^n + c_1 x^{n-1} + ... + c_n).
 
-    sigma_j are exact; the map c -> sigma is total and affine.  Q is
-    checked to be monic, a free end-to-end consistency check (its
-    failure would signal an implementation bug, not bad input).
+    sigma_j are exact; the map c -> sigma is total and affine.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    u, lcm = _clear([Fraction(x) for x in reversed(c)])
+    u, lcm = _clear(_rationals(reversed(c), "decompose_poly"))
     u.append(lcm)
     rows, den = _phi_matrix(n, k)
     q = [sum(map(operator.mul, row, u)) for row in rows]
-    scale = den * lcm
-    if q[n] != scale:
-        raise InternalInconsistencyError("factor-offset polynomial Q is not monic")
+    scale = den * lcm  # q[n]: row n of Phi is (0, ..., 0, den)
     sigma = tuple(Fraction(q[n - j], scale) for j in range(1, n + 1))
     roots = None
     if want_roots:
@@ -226,28 +216,6 @@ def _phi_matrix(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return rows, den // g
 
 
-def _exp_gamma_poly(p: Poly, m: int) -> Poly:
-    """The polynomial G with G(j) = gamma_j(e^x p) for all j >= 0, which
-    is the falling-factorial transform of p (deg p <= m).
-
-    Cross-checked against the gamma sums at j = 0..m, in integers: T
-    keeps the denominator of p, and a polynomial of degree <= m is fixed
-    by its values at m+1 nodes, so the check is as strong as comparing
-    G with the interpolant of the gammas.
-    """
-    g = falling_factorial_transform(p)
-    gammas = ExpPoly(p).gamma_numerators(m)
-    if (
-        g._den != p._den
-        or len(g._num) > m + 1
-        or any(_horner(g._num, j) != v for j, v in enumerate(gammas))
-    ):
-        raise InternalInconsistencyError(
-            "falling-factorial transform disagrees with the gamma values"
-        )
-    return g
-
-
 def decompose_exp(
     c: Sequence[Fraction],
     convention: str = NORMALIZED,
@@ -265,7 +233,7 @@ def decompose_exp(
     zero entry among the returned roots means the function also has a
     degree-deficient normalized form.
     """
-    cvec = [Fraction(x) for x in c]
+    cvec = _rationals(c, "decompose_exp")
     m = len(cvec)
     if m < 1:
         raise ValueError("need at least one coefficient")
@@ -274,23 +242,14 @@ def decompose_exp(
             raise DegreeDeficientError(
                 "degree deficient: top coefficient c_m must be nonzero"
             )
-        p = _exact(*_clear([1] + cvec))
-        g = _exp_gamma_poly(p, m)
-        if g.constant != 1:
-            raise InternalInconsistencyError("gamma_0 must equal 1")
-        sigma = tuple(g.coeff(j) for j in range(1, m + 1))
-        roots = tuple(-z for z in aberth_roots(g)) if want_roots and g.degree >= 1 else None
-        if want_roots and g.degree < 1:
-            roots = ()
+        g = falling_factorial_transform(_exact(*_clear([1] + cvec)))
+        sigma = g.coeffs[1:]
+    elif convention == MONIC:
+        g = falling_factorial_transform(_monic_tail(cvec))
+        sigma = g.coeffs[-2::-1]
     else:
-        if convention != MONIC:
-            raise ValueError(f"unknown convention {convention!r}")
-        p = _monic_tail(cvec)
-        g = _exp_gamma_poly(p, m)
-        if g.degree != m or g.lead != 1:
-            raise InternalInconsistencyError("transform of a monic input must be monic")
-        sigma = tuple(g.coeff(m - j) for j in range(1, m + 1))
-        roots = tuple(-z for z in aberth_roots(g)) if want_roots else None
+        raise ValueError(f"unknown convention {convention!r}")
+    roots = tuple(-z for z in aberth_roots(g)) if want_roots else None
     return Decomposition(
         mode="exp", sigma=sigma, m=m, convention=convention, roots=roots
     )
@@ -303,8 +262,7 @@ def recompose(dec: Decomposition):
     return the ExpPoly.  Round-trips exactly with the decomposers.  Every
     sigma_j must be an int or a Fraction.
     """
-    if not all(isinstance(v, (int, Fraction)) for v in dec.sigma):
-        _inexact("recompose")
+    _rationals(dec.sigma, "recompose")
     if dec.mode == "finite":
         n, k = dec.n, dec.k
         if n is None or k is None or len(dec.sigma) != n:
@@ -337,23 +295,22 @@ def exp_normalized_to_monic(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
     output (c'_1..c'_m) with P/c_m = x^m + c'_1 x^{m-1} + ... + c'_m.
     A vector reversal plus scaling; the factor multiset is unchanged.
     """
-    cvec = [Fraction(x) for x in c]
-    if not cvec or cvec[-1] == 0:
-        raise DegreeDeficientError("degree deficient: c_m must be nonzero")
-    top = cvec[-1]
-    full = [Fraction(1)] + cvec  # ascending coefficients of P
-    return tuple(v / top for v in reversed(full[:-1]))
+    return _reflect(c, "exp_normalized_to_monic", "degree deficient: c_m must be nonzero")
 
 
 def exp_monic_to_normalized(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Inverse converter; requires constant term c_m != 0 (else the
     function has P(0) = 0 and no normalized form)."""
-    cvec = [Fraction(x) for x in c]
+    return _reflect(c, "exp_monic_to_normalized", "no normalized form: constant term is zero")
+
+
+def _reflect(c: Sequence[Fraction], what: str, deficient: str) -> tuple[Fraction, ...]:
+    """(c_(m-1), ..., c_1, 1) / c_m, which is both converters: the map is
+    its own inverse."""
+    cvec = _rationals(c, what)
     if not cvec or cvec[-1] == 0:
-        raise DegreeDeficientError("no normalized form: constant term is zero")
-    const = cvec[-1]
-    asc = list(reversed(cvec)) + [Fraction(1)]  # ascending coefficients of P
-    return tuple(v / const for v in asc[1:])
+        raise DegreeDeficientError(deficient)
+    return tuple(Fraction(v, cvec[-1]) for v in [*cvec[-2::-1], 1])
 
 
 def decomposition_map(

@@ -110,9 +110,7 @@ class Poly:
     def monomial(cls, d: int, c: Fraction = 1) -> "Poly":
         if d < 0:
             raise ValueError("negative degree")
-        if not isinstance(c, (int, Fraction)):
-            _coerce([c])  # a TypeError for a type the constructor rejects
-            _inexact("monomial")
+        _rationals([c], "monomial")
         return _exact([0] * d + [c.numerator], c.denominator)
 
     @classmethod
@@ -120,10 +118,7 @@ class Poly:
         """lead * prod (x - r) for rational roots and lead, multiplied in
         integers: each root a/b multiplies the numerators by b x - a and
         the one running denominator by b."""
-        roots = list(roots)
-        if not all(isinstance(v, (int, Fraction)) for v in [lead, *roots]):
-            _coerce([lead, *roots])  # a TypeError for a type the constructor rejects
-            _inexact("from_roots")
+        lead, *roots = _rationals([lead, *roots], "from_roots")
         num = [lead.numerator]
         den = lead.denominator
         for r in roots:
@@ -293,6 +288,19 @@ def _inexact(what: str) -> NoReturn:
     Poly or a float/complex scalar.  Callers test ``_den is None`` (or
     the scalar's type) inline and call this only to raise."""
     raise ValueError(f"{what} requires exact polynomials and rational scalars")
+
+
+def _rationals(values: Iterable, what: str) -> list:
+    """values as a list of the same ints and Fractions, unconverted.  A
+    float or complex entry raises the ValueError of ``_inexact``, any
+    other type a TypeError."""
+    vals = list(values)
+    for v in vals:
+        if not isinstance(v, (int, Fraction)):
+            if isinstance(v, (float, complex)):
+                _inexact(what)
+            raise TypeError(f"{what}: unsupported value type {type(v).__name__}")
+    return vals
 
 
 def _exact(num: list, den: int = 1) -> Poly:
@@ -710,16 +718,16 @@ def iterate_falling_factorial_transform(p: Poly, nu: int) -> Poly:
 def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Nodes and values must be ints or Fractions (ValueError otherwise) and
-    the nodes pairwise distinct.  Newton divided differences in integers:
+    Nodes and values must be ints or Fractions (a float or complex is a
+    ValueError, another type a TypeError) and the nodes pairwise
+    distinct.  Newton divided differences in integers:
     every node and divided difference is a reduced numerator/denominator
     pair, and the nested Horner form t_0 + (x - x_0)(t_1 + (x - x_1)(...))
     is expanded as numerators over one denominator.
     """
     if not points:
         return Poly.zero()
-    if not all(isinstance(v, (int, Fraction)) for pt in points for v in pt):
-        _inexact("interpolation")
+    _rationals([v for pt in points for v in pt], "interpolation")
     xn = [p[0].numerator for p in points]
     xd = [p[0].denominator for p in points]
     tn = [p[1].numerator for p in points]

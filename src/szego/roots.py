@@ -35,6 +35,7 @@ from .poly import (
     _monic_poly,
     _monic_tail,
     _primitive_part,
+    _rationals,
     _remainder_sequence,
     _subtract,
 )
@@ -472,7 +473,7 @@ class RegionVerdict:
 
 def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     """Classify the monic polynomial x^n + c_1 x^{n-1} + ... + c_n."""
-    cvec = [Fraction(x) for x in c]
+    cvec = _rationals(c, "region_membership")
     n = len(cvec)
     p = _monic_tail(cvec)
 

@@ -42,7 +42,6 @@ __all__ = [
     "composition_factor",
     "exp_compose",
     "exp_composition_factor",
-    "exp_factor_step",
     "derivative_identities_hold",
 ]
 
@@ -123,27 +122,13 @@ def exp_compose(f: ExpPoly, g: ExpPoly) -> ExpPoly:
     return ExpPoly(inverse_falling_factorial_transform(tf * tg))
 
 
-def _inverse_parameter(a) -> Fraction:
-    """1/a for a nonzero rational factor parameter a."""
+def exp_composition_factor(a) -> ExpPoly:
+    """The factor e^x (1 + x/a); its Taylor numerators are 1 + j/a."""
     if not isinstance(a, (int, Fraction)):
         _inexact("an exp factor")
     if a == 0:
         raise ValueError("kappa factor undefined at 0")
-    return Fraction(a.denominator, a.numerator)
-
-
-def exp_composition_factor(a) -> ExpPoly:
-    """The factor e^x (1 + x/a); its Taylor numerators are 1 + j/a."""
-    return ExpPoly(Poly([1, _inverse_parameter(a)]))
-
-
-def exp_factor_step(p: Poly, a) -> Poly:
-    """One incremental composition step on the polynomial part:
-
-    composing e^x * p with e^x (1 + x/a) yields e^x * q where
-    q = (1 + x/a) p + (x/a) p'.  Must agree exactly with exp_compose.
-    """
-    return p + Poly.x() * (p + p.derivative()) * _inverse_parameter(a)
+    return ExpPoly(Poly([1, Fraction(a.denominator, a.numerator)]))
 
 
 def _drop_top(p: Poly, n: int) -> Poly:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-import szego.roots
+import szego.decompose
 from szego import CheckReport
 from szego.cli import main
 
@@ -181,14 +181,14 @@ def test_phi_exp(capsys):
 
 
 def test_phi_computes_the_determinant_once(monkeypatch, capsys):
-    real = szego.roots._det
+    real = szego.decompose._det
     calls = []
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(szego.roots, "_det", counting)
+    monkeypatch.setattr(szego.decompose, "_det", counting)
     rc = main(["phi", "--mode", "finite", "--n", "32", "--k", "2"])
     assert rc == 0
     assert calls == [32]

@@ -13,7 +13,6 @@ from szego import (
     Decomposition,
     DegreeDeficientError,
     ExpPoly,
-    InternalInconsistencyError,
     Poly,
     SscContext,
     cluster_roots,
@@ -29,6 +28,7 @@ from szego import (
     exp_monic_to_normalized,
     exp_normalized_to_monic,
     extract_core,
+    falling_factorial_transform,
     interpolate,
     localization_intervals,
     padded_core,
@@ -36,7 +36,7 @@ from szego import (
 )
 import szego.decompose as decompose_module
 from szego.decompose import MONIC, NORMALIZED
-from szego.poly import falling_factorial_poly
+from szego.exact import falling_factorial_coeffs
 
 F = Fraction
 
@@ -437,8 +437,8 @@ def test_phi_matches_the_padded_interpolation_reference():
         for k in (1, 2, 3, 7):
             ints = [rng.randint(-9, 9) for _ in range(n)]
             fracs = _rand_vec(rng, n, 40)
-            floats = [rng.uniform(-4, 4) for _ in range(n)]
-            for c in (ints, fracs, floats):
+            wide = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(n)]
+            for c in (ints, fracs, wide):
                 got = decompose_poly(c, n, k, want_roots=False).sigma
                 assert got == _reference_sigma(c, n, k), (n, k, c)
                 assert all(type(v) is F for v in got)
@@ -504,12 +504,13 @@ def test_phi_is_cheap_for_large_k_and_large_n():
     assert recompose(dec) == padded_core(c, 128, 2)
 
 
-def test_corrupted_phi_matrix_is_an_internal_inconsistency(monkeypatch):
-    rows, den = decompose_module._phi_matrix(3, 2)
-    bad = rows[:-1] + (rows[-1][:-1] + (rows[-1][-1] + 1,),)
-    monkeypatch.setattr(decompose_module, "_phi_matrix", lambda n, k: (bad, den))
-    with pytest.raises(InternalInconsistencyError):
-        decompose_poly([F(1), F(2), F(3)], 3, 2)
+def test_phi_last_row_is_the_monic_term():
+    # row n of Phi is (0, ..., 0, den), so Q is monic for every core and
+    # decompose_poly divides by den * lcm without reading q[n]
+    for n in range(1, 13):
+        for k in range(1, 13):
+            rows, den = decompose_module._phi_matrix(n, k)
+            assert rows[n] == (0,) * n + (den,), (n, k)
 
 
 def test_phi_cache_tells_k_apart():
@@ -524,28 +525,30 @@ def test_phi_cache_tells_k_apart():
 # -- exp mode on the falling-factorial transform, maps read off the matrices --
 
 
-@pytest.mark.parametrize("convention", [NORMALIZED, MONIC])
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda g: g + Poly.monomial(1, F(1, 3)),  # one coefficient shifted
-        lambda g: g + falling_factorial_poly(3),  # wrong only from j = m on
-        lambda g: g + falling_factorial_poly(4),  # right at j = 0..m, degree m+1
-        lambda g: g * 2,  # same numerators over half the (even) denominator
-    ],
-    ids=["shifted_coefficient", "last_node", "above_degree", "denominator"],
-)
-def test_corrupted_transform_is_an_internal_inconsistency(monkeypatch, convention, corrupt):
-    c = [F(1, 2), F(-3), F(2, 7)]  # P has denominator 14 in both conventions
-    decompose_exp(c, convention, want_roots=False)
-    real = decompose_module.falling_factorial_transform
-    monkeypatch.setattr(
-        decompose_module, "falling_factorial_transform", lambda p: corrupt(real(p))
-    )
-    with pytest.raises(InternalInconsistencyError):
-        decompose_exp(c, convention, want_roots=False)
-    with pytest.raises(InternalInconsistencyError):  # the check itself, not a later one
-        decompose_module._exp_gamma_poly(Poly([F(1)] + c), 3)
+# decompose_exp reads sigma straight off T(P); these pin what it relies on
+
+
+def test_transform_generates_the_gammas_on_the_monomial_basis():
+    # T and the gamma sums are both linear in P, so agreeing on each x^d
+    # at more nodes than the degree means agreeing on every P of degree <= 64
+    for d in range(65):
+        g = falling_factorial_transform(Poly.monomial(d))
+        want = ExpPoly(Poly.monomial(d)).gamma_numerators(2 * d + 1)
+        assert [g(j) for j in range(2 * d + 2)] == want, d
+
+
+def test_transform_keeps_the_denominator():
+    rng = random.Random(50)
+    for _ in range(40):
+        p = Poly(_rand_vec(rng, rng.randint(1, 16), 40) + [F(rng.randint(1, 9), 7)])
+        assert falling_factorial_transform(p)._den == p._den
+
+
+def test_stirling_rows_keep_the_constant_and_leading_coefficients():
+    # so T keeps P(0) = 1 (normalized) and the lead 1 (monic)
+    for d in range(1, 65):
+        row = falling_factorial_coeffs(d)
+        assert len(row) == d + 1 and row[0] == 0 and row[d] == 1, d
 
 
 def _stirling1_reference(m):

@@ -1,14 +1,17 @@
 """The exact-only contract: every arithmetic entry point refuses a complex
-Poly and a float or complex parameter or sigma with the one ValueError of
-``poly._inexact`` (never rounding a float to a rational), and a complex
+Poly and a float or complex parameter, sigma or coefficient with the one
+ValueError of ``poly._inexact`` (never rounding a float to a rational),
+an entry of any other non-rational type with a TypeError, and a complex
 Poly survives only as a container for the numerical root finder."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from szego import (
+    AffineMap,
     Decomposition,
     ExpPoly,
     Poly,
@@ -16,16 +19,22 @@ from szego import (
     aberth_roots,
     compose,
     composition_factor,
+    decompose_exp,
+    decompose_poly,
+    decomposition_map,
     exp_compose,
     exp_composition_factor,
-    exp_factor_step,
+    exp_monic_to_normalized,
+    exp_normalized_to_monic,
     falling_factorial_transform,
     hurwitz_determinants,
     interpolate,
     inverse_falling_factorial_transform,
     is_hyperbolic,
+    padded_core,
     poly_gcd,
     recompose,
+    region_membership,
     square_free_decomposition,
     sturm_count,
     taylor_window_bound,
@@ -70,8 +79,6 @@ INEXACT = {
     "composition_factor_complex": lambda: composition_factor(1, 1, 1j),
     "exp_compose": lambda: exp_compose(ExpPoly(E), ExpPoly(C)),
     "exp_composition_factor": lambda: exp_composition_factor(0.5),
-    "exp_factor_step_float": lambda: exp_factor_step(E, 0.5),
-    "exp_factor_step_complex_poly": lambda: exp_factor_step(C, 2),
     "recompose_float_sigma": lambda: recompose(_finite((0.1, Fraction(-3, 4)))),
     "recompose_complex_sigma": lambda: recompose(_finite((3 + 1j, 2 + 2j, Fraction(-1, 3)))),
     "recompose_exp_sigma": lambda: recompose(
@@ -85,10 +92,40 @@ INEXACT = {
     "hurwitz_determinants": lambda: hurwitz_determinants(C),
 }
 
+# the entry points that take a coefficient vector, checked by poly._rationals
+VECTOR_INPUT = {
+    "decompose_poly": lambda c: decompose_poly(c, 2, 1, want_roots=False),
+    "decompose_exp": lambda c: decompose_exp(c, want_roots=False),
+    "padded_core": lambda c: padded_core(c, 2, 1),
+    "region_membership": region_membership,
+    "affine_map_apply": decomposition_map("finite", n=2, k=1).apply,
+    "exp_normalized_to_monic": exp_normalized_to_monic,
+    "exp_monic_to_normalized": exp_monic_to_normalized,
+}
+INEXACT.update(
+    (f"{name}_{kind}", functools.partial(call, c))
+    for name, call in VECTOR_INPUT.items()
+    for kind, c in (("float", [1, 0.5]), ("complex", [1j, 1]))
+)
+INEXACT["affine_map_float_entry"] = lambda: AffineMap(((0.1,),), (0,)).apply([1])
+
+NON_NUMERIC = {
+    **{name: functools.partial(call, [1, "1/2"]) for name, call in VECTOR_INPUT.items()},
+    "from_roots": lambda: Poly.from_roots(["1/2"]),
+    "recompose": lambda: recompose(_finite(("1/2", 1))),
+    "interpolate": lambda: interpolate([(0, 1), (1, "1/2")]),
+}
+
 
 @pytest.mark.parametrize("call", INEXACT.values(), ids=list(INEXACT))
 def test_exact_only_entry_points_reject_inexact_input(call):
     with pytest.raises(ValueError, match=GUARD):
+        call()
+
+
+@pytest.mark.parametrize("call", NON_NUMERIC.values(), ids=list(NON_NUMERIC))
+def test_a_non_numeric_entry_is_a_type_error(call):
+    with pytest.raises(TypeError):
         call()
 
 
