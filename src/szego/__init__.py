@@ -66,9 +66,25 @@ from .ssc import (
     exp_compose,
     exp_composition_factor,
 )
-from .verify import CheckReport, available_checks, run_suite
 
 __version__ = "0.1.0"
+
+# The verification suites (and datetime with them) load on first use of
+# szego.verify or of a name below: compose, decompose, phi and xi-iterate
+# never need them.  The first use binds the names here, as an eager
+# import would have.
+_FROM_VERIFY = ("CheckReport", "available_checks", "run_suite")
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _FROM_VERIFY:
+        import importlib
+
+        verify = importlib.import_module(".verify", __name__)
+        globals().update({attr: getattr(verify, attr) for attr in _FROM_VERIFY})
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffineMap",

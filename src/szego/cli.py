@@ -34,7 +34,6 @@ from .exact import format_rational, parse_rational
 from .poly import ExpPoly, Poly, exp_poly_to_json, iterate_falling_factorial_transform, poly_from_json, poly_to_json
 from .roots import RootFindingError
 from .ssc import SscContext, compose, exp_compose
-from .verify import payload_csv_rows, reports_payload, run_suite
 
 DEFAULT_TRIALS = 500
 
@@ -114,7 +113,7 @@ def _write(text: str, path: Optional[str]) -> None:
         name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
         tmp = None
@@ -132,7 +131,10 @@ def _emit(obj, path: Optional[str]) -> None:
 
 def _emit_csv(payload: dict, path: Optional[str]) -> None:
     """The CSV summary of a verification report document."""
-    import csv  # only the CSV outputs need it; kept off the import of szego
+    # only the CSV outputs need these; kept off the import of szego
+    import csv
+
+    from .verify import payload_csv_rows
 
     buf = io.StringIO()
     csv.writer(buf).writerows(payload_csv_rows(payload))
@@ -247,6 +249,8 @@ def _split_suite_names(spec: str) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import reports_payload, run_suite  # the suites load only for verify
+
     seed = args.seed if args.seed is not None else _default_seed()
     names = None if args.suite == "all" else _split_suite_names(args.suite)
     reports = run_suite(names, trials=args.trials, seed=seed, jobs=args.jobs)

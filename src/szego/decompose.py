@@ -41,9 +41,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import binomial, falling_factorial_coeffs, format_rational, parse_rational
 from .poly import (
@@ -85,8 +84,7 @@ class DegreeDeficientError(ValueError):
     """Exp-mode normalized input with vanishing top coefficient."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Factor data for one composed polynomial or function.
 
     sigma holds exact symmetric values: in finite mode the elementary
@@ -105,16 +103,43 @@ class Decomposition:
     roots: Optional[tuple[complex, ...]] = None
 
 
-@dataclass(frozen=True)
 class AffineMap:
-    """Exact affine map c -> M c + offset on coefficient vectors."""
+    """Exact affine map c -> M c + offset on coefficient vectors.
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
+    Immutable, and compared and hashed by (matrix, offset).  The integer
+    rows behind apply and determinant are built on first use and kept."""
+
+    __slots__ = ("_matrix", "_offset", "_rows")
+
+    def __init__(
+        self, matrix: tuple[tuple[Fraction, ...], ...], offset: tuple[Fraction, ...]
+    ) -> None:
+        self._matrix = matrix
+        self._offset = offset
+        self._rows = None
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._matrix
+
+    @property
+    def offset(self) -> tuple[Fraction, ...]:
+        return self._offset
+
+    def __repr__(self) -> str:
+        return f"AffineMap(matrix={self._matrix!r}, offset={self._offset!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._matrix, self._offset) == (other._matrix, other._offset)
+
+    def __hash__(self) -> int:
+        return hash((self._matrix, self._offset))
 
     @property
     def dimension(self) -> int:
-        return len(self.offset)
+        return len(self._offset)
 
     def apply(self, c: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """M c + offset, each entry summed in integers over one
@@ -124,21 +149,22 @@ class AffineMap:
         u, lcm = _clear(_rationals(c, "AffineMap.apply"))
         return tuple(
             Fraction(sum(map(operator.mul, row, u)) + off * lcm, den * lcm)
-            for row, off, den in self._integer_rows
+            for row, off, den in self._integer_rows()
         )
 
-    @functools.cached_property
     def _integer_rows(self) -> tuple[tuple[list[int], int, int], ...]:
         """(row numerators, offset numerator, positive denominator) for
         each row of the matrix together with its offset entry."""
-        out = []
-        for row, off in zip(self.matrix, self.offset):
-            nums, den = _clear(_rationals([*row, off], "AffineMap"))
-            out.append((nums[:-1], nums[-1], den))
-        return tuple(out)
+        if self._rows is None:
+            out = []
+            for row, off in zip(self._matrix, self._offset):
+                nums, den = _clear(_rationals([*row, off], "AffineMap"))
+                out.append((nums[:-1], nums[-1], den))
+            self._rows = tuple(out)
+        return self._rows
 
     def determinant(self) -> Fraction:
-        rows = self._integer_rows
+        rows = self._integer_rows()
         den = math.prod(d for _, _, d in rows)
         return Fraction(_det([nums for nums, _, _ in rows]), den)
 

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import cmath
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import _roots_py as _kernel
 from .poly import (
     Poly,
     _derivative,
-    _exact,
     _exact_quotient,
     _gcd,
     _horner,
@@ -336,8 +334,7 @@ def place_positive_roots(p: Poly, breaks: Iterable) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class Hyperbolicity:
+class Hyperbolicity(NamedTuple):
     hyperbolic: bool
     distinct: bool
 
@@ -415,20 +412,56 @@ def hurwitz_determinants(p: Poly) -> list[Fraction]:
     if desc[0] <= 0:
         raise ValueError("leading coefficient must be positive")
     n = len(desc) - 1
-    # entry (i, j) is a_(2j - i) in 1-based Hurwitz indexing
-    hurwitz = [
-        [desc[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    minors = _hurwitz_pivots(desc)
+    if len(minors) < n:
+        # past a vanishing pivot the pass would need a row swap, which
+        # breaks the pivot-minor identity: take each later minor alone
+        hurwitz = _hurwitz_matrix(desc, n)
+        minors += [_det([row[:k] for row in hurwitz[:k]]) for k in range(len(minors) + 1, n + 1)]
+    return [Fraction(d, p._den**k) for k, d in enumerate(minors, 1)]
+
+
+def _hurwitz_matrix(desc: list[int], size: int) -> list[list[int]]:
+    """The leading size x size block of the Hurwitz matrix of a_0 .. a_n
+    (desc): entry (i, j) is a_(2j - i) in 1-based indexing."""
+    n = len(desc) - 1
     return [
-        Fraction(_det([row[:k] for row in hurwitz[:k]]), p._den**k) for k in range(1, n + 1)
+        [desc[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, size + 1)]
+        for i in range(1, size + 1)
     ]
+
+
+def _hurwitz_pivots(desc: list[int]) -> list[int]:
+    """Hurwitz minors of a_0 .. a_n (desc) from one fraction-free pass:
+    all n when Delta_1 .. Delta_(n-1) are nonzero, otherwise Delta_1 up
+    to the first that vanishes.
+
+    The last column of the Hurwitz matrix is a_n e_n, so the pass runs on
+    the leading (n-1) x (n-1) block and Delta_n = a_n Delta_(n-1)."""
+    n = len(desc) - 1
+    minors = _leading_minors(_hurwitz_matrix(desc, n - 1))
+    if n and all(minors):
+        minors.append(desc[n] * (minors[-1] if minors else 1))
+    return minors
+
+
+def _eliminate(rows: list[list[int]], col: int, prev: int) -> None:
+    """One fraction-free (Bareiss) step: clear column col below the
+    pivot rows[col][col].  Every update divides exactly by prev, the
+    pivot of the step before (1 for the first), so the entries stay
+    integer minors of the matrix."""
+    top = rows[col]
+    lead = top[col]
+    for r in range(col + 1, len(rows)):
+        a = rows[r][col]
+        rows[r] = [0] * (col + 1) + [
+            (lead * x - a * y) // prev for x, y in zip(rows[r][col + 1:], top[col + 1:])
+        ]
 
 
 def _det(mat: list[list[int]]) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination: every step divides exactly by the previous pivot, so
-    the entries stay integer minors of the matrix."""
+    elimination, swapping rows past a zero pivot."""
     rows = list(mat)
     sign = prev = 1
     for col in range(len(rows)):
@@ -438,15 +471,26 @@ def _det(mat: list[list[int]]) -> int:
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
-        top = rows[col]
-        lead = top[col]
-        for r in range(col + 1, len(rows)):
-            a = rows[r][col]
-            rows[r] = [0] * (col + 1) + [
-                (lead * x - a * y) // prev for x, y in zip(rows[r][col + 1:], top[col + 1:])
-            ]
-        prev = lead
+        _eliminate(rows, col, prev)
+        prev = rows[col][col]
     return sign * prev
+
+
+def _leading_minors(mat: list[list[int]]) -> list[int]:
+    """Leading principal minors of an integer matrix, up to and including
+    the first that vanishes: without row swaps, the k-th Bareiss pivot is
+    the k-th leading minor."""
+    rows = list(mat)
+    minors: list[int] = []
+    prev = 1
+    for col in range(len(rows)):
+        lead = rows[col][col]
+        minors.append(lead)
+        if not lead:
+            break
+        _eliminate(rows, col, prev)
+        prev = lead
+    return minors
 
 
 INSIDE = "inside"
@@ -454,8 +498,7 @@ OUTSIDE = "outside"
 BOUNDARY_OR_UNCERTAIN = "boundary_or_uncertain"
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
+class RegionVerdict(NamedTuple):
     """Membership report for the monic polynomial behind a (c_1..c_n) vector.
 
     right_halfplane is tri-state: the Hurwitz minors decide strict
@@ -490,12 +533,11 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     if refl[-1] < 0:
         refl = [-v for v in refl]
 
-    minors = hurwitz_determinants(_exact(refl, p._den))
+    # the signs of the minors are those of their integer numerators
+    minors = _hurwitz_pivots(refl[::-1])
     witnesses = None
-    if all(d > 0 for d in minors):
-        verdict = INSIDE
-    elif all(d != 0 for d in minors):
-        verdict = OUTSIDE
+    if len(minors) == n and minors[-1]:  # no minor vanishes
+        verdict = INSIDE if all(d > 0 for d in minors) else OUTSIDE
     else:
         witnesses = aberth_roots(p)
         tol = 1e-9  # relative margin a witness needs off the imaginary axis

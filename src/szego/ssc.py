@@ -23,7 +23,6 @@ parameter raises ValueError; it is never rounded to a rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (
@@ -50,19 +49,35 @@ class AmbientDegreeError(ValueError):
     """Raised when the composition's weight degree would be ambiguous."""
 
 
-@dataclass(frozen=True)
 class SscContext:
     """Carries the ambient degree N used for the binomial weights.
 
     N = 0 is permitted (composition of constants is plain multiplication);
-    the polynomial theory lives at N >= 1.
+    the polynomial theory lives at N >= 1.  Immutable, and compared and
+    hashed by N.
     """
 
-    ambient_degree: int
+    __slots__ = ("_n",)
 
-    def __post_init__(self):
-        if not isinstance(self.ambient_degree, int) or self.ambient_degree < 0:
+    def __init__(self, ambient_degree: int) -> None:
+        if not isinstance(ambient_degree, int) or ambient_degree < 0:
             raise ValueError("ambient degree must be a non-negative integer")
+        self._n = ambient_degree
+
+    @property
+    def ambient_degree(self) -> int:
+        return self._n
+
+    def __repr__(self) -> str:
+        return f"SscContext(ambient_degree={self._n!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._n == other._n
+
+    def __hash__(self) -> int:
+        return hash((self._n,))
 
 
 def compose(a: Poly, b: Poly, ctx: SscContext) -> Poly:

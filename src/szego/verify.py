@@ -26,7 +26,6 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -83,14 +82,40 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    trials: int
-    failures: list
-    seed: int
-    elapsed: float = 0.0  # set by _run_cell, the suite's one clock
-    notes: list = field(default_factory=list)
+    """One cell's outcome.  Mutable: _run_cell sets elapsed, and checks
+    append to notes, which is a fresh list for each report unless one
+    is given."""
+
+    __slots__ = ("check_id", "trials", "failures", "seed", "elapsed", "notes")
+
+    def __init__(
+        self,
+        check_id: str,
+        trials: int,
+        failures: list,
+        seed: int,
+        elapsed: float = 0.0,  # set by _run_cell, the suite's one clock
+        notes: Optional[list] = None,
+    ) -> None:
+        self.check_id = check_id
+        self.trials = trials
+        self.failures = failures
+        self.seed = seed
+        self.elapsed = elapsed
+        self.notes = [] if notes is None else notes
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"CheckReport({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @property
     def passed(self) -> bool:
@@ -129,7 +154,7 @@ def _run_trials(
         record = trial(_rng(seed, f"{check_id}:{t}"), t)
         if record is not None:
             failures.append({"trial": t, **record})
-    return CheckReport(check_id, trials, failures, seed, notes=notes or [])
+    return CheckReport(check_id, trials, failures, seed, notes=notes)
 
 
 def _fmt(values) -> list[str]:

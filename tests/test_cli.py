@@ -265,7 +265,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     def fake(names, trials=500, seed=42, jobs=1):
         return [CheckReport("fake_check", trials, [{"trial": 0}], seed, 0.0)]
 
-    monkeypatch.setattr("szego.cli.run_suite", fake)
+    monkeypatch.setattr("szego.verify.run_suite", fake)
     rc = main(["verify", "--suite", "all", "--trials", "5"])
     assert rc == 2
     captured = capsys.readouterr()
@@ -460,6 +460,22 @@ def test_seed_env_and_flag_precedence(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["reports"][0]["seed"] == 7
+
+
+def test_report_files_name_their_encoding(tmp_path):
+    # EncodingWarning flags an open() that falls back to the locale
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "szego.cli", "verify", "--suite", "cone_exp", "--trials", "1", "--seed", "1",
+            "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["reports"]
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8").startswith("check_id,")
 
 
 def test_bad_seed_env_is_reported():

@@ -63,3 +63,19 @@ def test_importing_the_cli_loads_no_pool_platform_or_csv():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_suites():
+    # the suites (and datetime) load on first use, through szego's
+    # module __getattr__; the record types need no dataclasses
+    probe = (
+        "import sys, szego.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'szego.verify', 'datetime'} & set(sys.modules))); "
+        "import szego; "
+        "print([callable(obj) for obj in "
+        "(szego.run_suite, szego.CheckReport, szego.available_checks, szego.verify.run_suite)])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "[True, True, True, True]"]

@@ -742,6 +742,47 @@ def test_hurwitz_minors_against_gaussian_reference():
     assert hurwitz_determinants(Poly([1, 0, 0, 0, 1]))[1] == 0
 
 
+def test_hurwitz_minors_from_one_pass_match_one_bareiss_per_minor():
+    """The pivots of one elimination, and Delta_n = a_n Delta_(n-1), give
+    the minors of a fresh _det per leading block, also when a minor
+    vanishes and the later ones come from _det again."""
+    from szego.roots import _det
+
+    def reference(p):
+        desc = p._num[::-1]
+        n = len(desc) - 1
+        return [
+            Fraction(
+                _det(
+                    [
+                        [desc[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, k + 1)]
+                        for i in range(1, k + 1)
+                    ]
+                ),
+                p._den**k,
+            )
+            for k in range(1, n + 1)
+        ]
+
+    rng = random.Random(64)
+    vanishing = later_nonzero = 0
+    for deg in range(1, 25):
+        polys = [_rand_poly(rng, deg)]
+        # sparse integer coefficients: minors vanish at every position
+        polys += [Poly([rng.choice([-1, 0, 0, 1, 2]) for _ in range(deg)] + [1]) for _ in range(3)]
+        if deg >= 2:
+            # a root pair +-i*sqrt(b) on the imaginary axis: Delta_(n-1) = 0
+            core = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg - 2)] + [1])
+            polys.append(core * Poly([rng.randint(1, 4), 0, 1]))
+        for p in polys:
+            want = reference(p)
+            assert hurwitz_determinants(p) == want, p
+            if 0 in want:
+                vanishing += 1
+                later_nonzero += any(want[want.index(0) + 1:])
+    assert vanishing >= 30 and later_nonzero >= 10
+
+
 def test_region_membership_strict_interior():
     # (x-1)(x-2)(x-3): all roots strictly right, alternating signs
     v = region_membership([Fraction(-6), Fraction(11), Fraction(-6)])

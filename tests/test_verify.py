@@ -1,6 +1,5 @@
 """Tests for the randomized verification checks and the suite runner."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -286,7 +285,7 @@ def test_seed_42_reports_match_the_golden_hash(trials):
 def _shifted_sigma(real):
     def fake(*args, **kwargs):
         dec = real(*args, **kwargs)
-        return dataclasses.replace(dec, sigma=(*dec.sigma[:-1], dec.sigma[-1] + 1))
+        return dec._replace(sigma=(*dec.sigma[:-1], dec.sigma[-1] + 1))
 
     return fake
 
@@ -296,7 +295,7 @@ def _negated_offsets(real):
     def fake(*args, **kwargs):
         dec = real(*args, **kwargs)
         sigma = tuple((-1) ** j * v for j, v in enumerate(dec.sigma, 1))
-        return dataclasses.replace(dec, sigma=sigma)
+        return dec._replace(sigma=sigma)
 
     return fake
 
