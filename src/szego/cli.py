@@ -30,7 +30,7 @@ from .decompose import (
     decomposition_to_json,
     recompose,
 )
-from .exact import format_rational, parse_rational
+from .exact import _json_field, _parse_rationals, format_rational, parse_rational
 from .poly import ExpPoly, Poly, exp_poly_to_json, iterate_falling_factorial_transform, poly_from_json, poly_to_json
 from .roots import RootFindingError
 from .ssc import SscContext, compose, exp_compose
@@ -76,9 +76,7 @@ def _parse_vector(text: str) -> list[Fraction]:
     """Rational vector from a comma list, inline JSON array, or .json file."""
     doc = _load_json_value(text)
     if doc is not None:
-        if not isinstance(doc, list):
-            raise ValueError("expected a JSON array of rational strings")
-        return [parse_rational(str(v)) for v in doc]
+        return _parse_rationals(doc, "a coefficient vector")
     parts = [tok.strip() for tok in text.split(",")]
     if not any(parts):
         raise ValueError("empty coefficient list")
@@ -91,9 +89,7 @@ def _parse_poly(text: str) -> Poly:
     if doc is not None:
         if isinstance(doc, dict) and "exp_poly" in doc:
             doc = doc["exp_poly"]
-        if isinstance(doc, dict):
-            return poly_from_json(doc)
-        raise ValueError("expected a polynomial JSON object")
+        return poly_from_json(doc)
     return Poly(_parse_vector(text))
 
 
@@ -212,8 +208,6 @@ def _cmd_phi(args) -> int:
 
 def _cmd_xi_iterate(args) -> int:
     p = _parse_poly(args.poly)
-    if not p.is_exact:
-        raise ValueError("iteration needs exact rational coefficients")
     if args.nu < 0:
         raise ValueError("--nu must be >= 0")
     q = iterate_falling_factorial_transform(p, args.nu)
@@ -270,8 +264,17 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "reports" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("reports"), list):
         raise ValueError("not a verification report document")
+    for rep in payload["reports"]:  # the keys its CSV row reads
+        _json_field(rep, "check_id", str, "a string")
+        _json_field(rep, "failures", list, "an array")
+        for key in ("trials", "seed"):
+            _json_field(rep, key, int, "an integer")
+    metadata = payload.get("metadata", {})
+    elapsed = metadata.get("elapsed_seconds", {}) if isinstance(metadata, dict) else None
+    if not isinstance(elapsed, dict) or not all(isinstance(v, (int, float)) for v in elapsed.values()):
+        raise ValueError("'metadata' must map 'elapsed_seconds' to seconds per check")
     _emit_csv(payload, args.csv)
     return 0
 

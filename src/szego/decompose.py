@@ -44,7 +44,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import binomial, falling_factorial_coeffs, format_rational, parse_rational
+from .exact import _json_field, _parse_rationals, binomial, falling_factorial_coeffs, format_rational
 from .poly import (
     ExpPoly,
     Poly,
@@ -107,16 +107,21 @@ class AffineMap:
     """Exact affine map c -> M c + offset on coefficient vectors.
 
     Immutable, and compared and hashed by (matrix, offset).  The integer
-    rows behind apply and determinant are built on first use and kept."""
+    rows behind apply and determinant are built with the map: row j is
+    (offset_j, M_j1, ..., M_jn) as numerators over one common positive
+    denominator, so a float or complex entry is a ValueError here."""
 
-    __slots__ = ("_matrix", "_offset", "_rows")
+    __slots__ = ("_matrix", "_offset", "_rows", "_den")
 
     def __init__(
         self, matrix: tuple[tuple[Fraction, ...], ...], offset: tuple[Fraction, ...]
     ) -> None:
         self._matrix = matrix
         self._offset = offset
-        self._rows = None
+        rows = [(off, *row) for off, row in zip(offset, matrix)]
+        nums, self._den = _clear(_rationals([v for row in rows for v in row], "AffineMap"))
+        it = iter(nums)
+        self._rows = tuple(tuple(next(it) for _ in row) for row in rows)
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -142,35 +147,29 @@ class AffineMap:
         return len(self._offset)
 
     def apply(self, c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """M c + offset, each entry summed in integers over one
-        denominator and reduced once."""
+        """M c + offset."""
         if len(c) != self.dimension:
             raise ValueError("dimension mismatch")
-        u, lcm = _clear(_rationals(c, "AffineMap.apply"))
-        return tuple(
-            Fraction(sum(map(operator.mul, row, u)) + off * lcm, den * lcm)
-            for row, off, den in self._integer_rows()
-        )
-
-    def _integer_rows(self) -> tuple[tuple[list[int], int, int], ...]:
-        """(row numerators, offset numerator, positive denominator) for
-        each row of the matrix together with its offset entry."""
-        if self._rows is None:
-            out = []
-            for row, off in zip(self._matrix, self._offset):
-                nums, den = _clear(_rationals([*row, off], "AffineMap"))
-                out.append((nums[:-1], nums[-1], den))
-            self._rows = tuple(out)
-        return self._rows
+        return _apply(self._rows, self._den, c, "AffineMap.apply")
 
     def determinant(self) -> Fraction:
-        rows = self._integer_rows()
-        den = math.prod(d for _, _, d in rows)
-        return Fraction(_det([nums for nums, _, _ in rows]), den)
+        # each row's content comes out before Bareiss, which keeps its minors small
+        contents = [math.gcd(*row[1:]) or 1 for row in self._rows]
+        prim = [[v // g for v in row[1:]] for row, g in zip(self._rows, contents)]
+        return Fraction(math.prod(contents) * _det(prim), self._den**self.dimension)
 
     @property
     def invertible(self) -> bool:
         return self.determinant() != 0
+
+
+def _apply(rows, den: int, c: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
+    """Entry j is (row_j[0] + sum_l row_j[l] c_l) / den, for integer rows
+    over one positive denominator: c is cleared once, each entry is one
+    integer dot product, and each Fraction is reduced once."""
+    u, lcm = _clear([1, *_rationals(c, what)])
+    den *= lcm
+    return tuple(Fraction(sum(map(operator.mul, row, u)), den) for row in rows)
 
 
 def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
@@ -195,34 +194,28 @@ def decompose_poly(
 
     sigma_j are exact; the map c -> sigma is total and affine.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    u, lcm = _clear(_rationals(reversed(c), "decompose_poly"))
-    u.append(lcm)
-    rows, den = _phi_matrix(n, k)
-    q = [sum(map(operator.mul, row, u)) for row in rows]
-    scale = den * lcm  # q[n]: row n of Phi is (0, ..., 0, den)
-    sigma = tuple(Fraction(q[n - j], scale) for j in range(1, n + 1))
+    sigma = _apply(*_phi_rows(n, k), c, "decompose_poly")
     roots = None
     if want_roots:
-        roots = tuple(-z for z in aberth_roots(_exact(q, scale)))
+        roots = tuple(-z for z in aberth_roots(_monic_tail(sigma)))
     return Decomposition(mode="finite", sigma=sigma, n=n, k=k, roots=roots)
 
 
-_PHI_CACHE_SIZE = 64
+@functools.lru_cache(maxsize=64)
+def _phi_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Phi_{n,k} as integer rows over one positive denominator (n, k >= 1).
 
-
-@functools.lru_cache(maxsize=_PHI_CACHE_SIZE)
-def _phi_matrix(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Phi_{n,k} as integer rows over one positive denominator.
-
-    Entry [j][i] is [t^j] Q_i(t) of the module docstring's closed form,
-    so Q = sum_i u_i Q_i for the ascending core coefficients u.  Column
-    i+1 follows from column i by one multiplication by (m-i) t - i and
-    one exact division by (k+i+1) - (n-i-1) t, O(n) each.
+    Row j-1 is sigma_j = [t^(n-j)] Q as (offset, coefficient of c_1, ...,
+    coefficient of c_n): Q = sum_i u_i Q_i (module docstring) and c_l =
+    u_(n-l), with c_0 = 1, so entry l is [t^(n-j)] Q_(n-l).  Q is monic
+    ([t^n] Q_i is 1 for i = n, else 0), so no row holds t^n.  Column i+1
+    follows from column i by one multiplication by (m-i) t - i and one
+    exact division by (k+i+1) - (n-i-1) t, O(n) each.
     """
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     m = n + k
     col = [1]
     for b in range(n):
@@ -238,8 +231,8 @@ def _phi_matrix(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         cols.append(col)
     den = math.perm(m, n)  # m!/k!
     g = math.gcd(den, *[v for col in cols for v in col])
-    rows = tuple(tuple(col[j] // g for col in cols) for j in range(n + 1))
-    return rows, den // g
+    cols.reverse()
+    return tuple(tuple(col[n - j] // g for col in cols) for j in range(1, n + 1)), den // g
 
 
 def decompose_exp(
@@ -349,56 +342,39 @@ def decomposition_map(
 ) -> AffineMap:
     """The exact affine map c -> sigma for the requested decomposition.
 
-    Read off the exact matrices: Phi_{n,k} from ``_phi_matrix`` in
+    Read off the exact integer rows: Phi_{n,k} from ``_phi_rows`` in
     finite mode, and in exp mode the signed Stirling numbers of the first
     kind s(d, j) that the falling-factorial transform applies.  The tests
     check both against maps built from composed factors.
     """
-    # entry(j, l) is the coefficient of c_l in sigma_j, where c_0 = 1
-    # stands for the fixed coefficient of the input, so l = 0 is the offset
+    # rows[j-1][l] is the coefficient of c_l in sigma_j over den; c_0 = 1 is
+    # the fixed coefficient of the input, so l = 0 is the offset
     if mode == "finite":
         if n is None or k is None:
             raise ValueError("finite mode needs n and k")
-        if n < 1 or k < 1:
-            raise ValueError("need n >= 1 and k >= 1")
-        dim = n
-        rows, den = _phi_matrix(n, k)
-
-        def entry(j: int, l: int) -> Fraction:
-            # sigma_j = q_(n-j) / den; c_l is the core coefficient u_(n-l)
-            return Fraction(rows[n - j][n - l], den)
-
+        rows, den = _phi_rows(n, k)
     elif mode == "exp":
         if m is None:
             raise ValueError("exp mode needs m")
         if m < 1:
             raise ValueError("need m >= 1")
-        dim = m
-
-        def stirling1(d: int, j: int) -> Fraction:
-            row = falling_factorial_coeffs(d)
-            return Fraction(row[j] if j < len(row) else 0)
-
+        # s[d][j] = s(d, j), zero-padded to j <= m
+        s = [falling_factorial_coeffs(d) + (0,) * (m - d) for d in range(m + 1)]
+        span = range(1, m + 1)
         if convention == NORMALIZED:
             # sigma~_j = [t^j] T(sum_l c_l x^l) = sum_l s(l, j) c_l
-            def entry(j: int, l: int) -> Fraction:
-                return stirling1(l, j)
-
+            rows = [[s[l][j] for l in range(m + 1)] for j in span]
         elif convention == MONIC:
-            # sigma_j = [t^(m-j)] T(sum_l c_l x^(m-l))
-            def entry(j: int, l: int) -> Fraction:
-                return stirling1(m - l, m - j)
-
+            # sigma_j = [t^(m-j)] T(sum_l c_l x^(m-l)) = sum_l s(m-l, m-j) c_l
+            rows = [[s[m - l][m - j] for l in range(m + 1)] for j in span]
         else:
             raise ValueError(f"unknown convention {convention!r}")
-
+        den = 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    span = range(1, dim + 1)
     return AffineMap(
-        matrix=tuple(tuple(entry(j, l) for l in span) for j in span),
-        offset=tuple(entry(j, 0) for j in span),
+        matrix=tuple(tuple(Fraction(v, den) for v in row[1:]) for row in rows),
+        offset=tuple(Fraction(row[0], den) for row in rows),
     )
 
 
@@ -439,22 +415,25 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> Decomposition:
-    if not isinstance(obj, dict) or "mode" not in obj or "sigma" not in obj:
-        raise ValueError("expected an object with 'mode' and 'sigma'")
-    sigma = tuple(parse_rational(s) for s in obj["sigma"])
+    """The inverse of decomposition_to_json.  A missing or ill-typed key
+    is a ValueError."""
+    mode = _json_field(obj, "mode", str, "a string")
+    sigma = tuple(_parse_rationals(obj.get("sigma"), "'sigma'"))
     roots = None
-    if "roots" in obj and obj["roots"] is not None:
-        roots = tuple(complex(r["re"], r["im"]) for r in obj["roots"])
-    if obj["mode"] == "finite":
-        return Decomposition(
-            mode="finite", sigma=sigma, n=obj["n"], k=obj["k"], roots=roots
+    if obj.get("roots") is not None:
+        roots = tuple(
+            complex(*(_json_field(r, part, (int, float), "a number") for part in ("re", "im")))
+            for r in _json_field(obj, "roots", list, "an array")
         )
-    if obj["mode"] == "exp":
+    if mode == "finite":
+        n, k = (_json_field(obj, key, int, "an integer") for key in ("n", "k"))
+        return Decomposition(mode="finite", sigma=sigma, n=n, k=k, roots=roots)
+    if mode == "exp":
         return Decomposition(
             mode="exp",
             sigma=sigma,
-            m=obj["m"],
+            m=_json_field(obj, "m", int, "an integer"),
             convention=obj.get("convention", NORMALIZED),
             roots=roots,
         )
-    raise ValueError(f"unknown mode {obj['mode']!r}")
+    raise ValueError(f"unknown mode {mode!r}")

@@ -42,6 +42,26 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}: {exc}") from None
 
 
+def _parse_rationals(values, what: str) -> list[Fraction]:
+    """A JSON array of "p"/"p/q" strings and integers as rationals; any
+    other value, a bool or a float included, is a ValueError naming what."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be an array of rational strings or integers")
+    for v in values:
+        if not isinstance(v, str) and type(v) is not int:
+            raise ValueError(f"{what}: {v!r} is neither a rational string nor an integer")
+    return [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
+
+
+def _json_field(obj, key: str, types, kind: str):
+    """obj[key] of a JSON object obj, of one of types and not a bool;
+    anything else, a missing key included, is a ValueError."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"expected an object whose {key!r} is {kind}")
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational: "p" for integers, else "p/q"."""
     q = Fraction(q)

@@ -33,7 +33,7 @@ import numbers
 from fractions import Fraction
 from typing import Iterable, NoReturn, Optional, Sequence
 
-from .exact import falling_factorial_coeffs, format_rational, parse_rational, stirling2_row
+from .exact import _json_field, _parse_rationals, falling_factorial_coeffs, format_rational, stirling2_row
 
 NEG_INF = float("-inf")
 
@@ -774,12 +774,7 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(obj: dict) -> Poly:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ValueError("expected an object with a 'coeffs' array")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list):
-        raise ValueError("'coeffs' must be an array of rational strings")
-    return Poly([parse_rational(c) for c in coeffs])
+    return Poly(_parse_rationals(obj.get("coeffs") if isinstance(obj, dict) else None, "'coeffs'"))
 
 
 def exp_poly_to_json(f: ExpPoly) -> dict:
@@ -787,6 +782,4 @@ def exp_poly_to_json(f: ExpPoly) -> dict:
 
 
 def exp_poly_from_json(obj: dict) -> ExpPoly:
-    if not isinstance(obj, dict) or "exp_poly" not in obj:
-        raise ValueError("expected an object with an 'exp_poly' member")
-    return ExpPoly(poly_from_json(obj["exp_poly"]))
+    return ExpPoly(poly_from_json(_json_field(obj, "exp_poly", dict, "an object")))

@@ -73,15 +73,19 @@ class RootFindingError(RuntimeError):
         self.residuals = tuple(residuals)
 
 
-def aberth_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> tuple[complex, ...]:
+_TOL = 1e-12
+_MAX_ITER = 400
+
+
+def aberth_roots(p: Poly) -> tuple[complex, ...]:
     """All complex roots of p (degree >= 1), deterministically ordered.
 
     Exact zero roots are split off first (they are visible as leading
     zero coefficients), which keeps clusters at the origin exact.  Every
-    other root z is returned with |p(z)| <= tol * sum |c_i| |z|^i: it is
+    other root z is returned with |p(z)| <= _TOL * sum |c_i| |z|^i: it is
     an exact root of p with each coefficient perturbed by a relative
-    amount of at most tol.  RootFindingError is raised when that is not
-    reached in max_iter sweeps.  The returned tuple is sorted by (real,
+    amount of at most _TOL.  RootFindingError is raised when that is not
+    reached in _MAX_ITER sweeps.  The returned tuple is sorted by (real,
     imaginary).  ValueError is raised when a coefficient is not finite,
     overflows a double or the leading one underflows to zero.
     """
@@ -104,10 +108,10 @@ def aberth_roots(p: Poly, tol: float = 1e-12, max_iter: int = 400) -> tuple[comp
     if len(rest) == 2:
         roots.append(-rest[0] / rest[1])
     elif len(rest) > 2:
-        found, residuals, _, ok = _kernel.solve(rest, tol, max_iter)
+        found, residuals, _, ok = _kernel.solve(rest, _TOL, _MAX_ITER)
         if not ok:
             raise RootFindingError(
-                f"root iteration did not converge in {max_iter} sweeps "
+                f"root iteration did not converge in {_MAX_ITER} sweeps "
                 f"(max residual {max(residuals):.3e})",
                 found,
                 residuals,

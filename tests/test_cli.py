@@ -514,3 +514,82 @@ def test_main_calls_carry_no_state(monkeypatch, capsys):
     monkeypatch.setenv("SZEGO_SEED", "12")
     assert main(verify) == 0
     assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == 12
+
+
+_ROW = {"check_id": "c", "trials": 1, "failures": [], "seed": 1}
+_FINITE = {"mode": "finite", "sigma": ["1"], "n": 1, "k": 1}
+
+# (argv, report document) of inputs that are JSON but not a valid value;
+# "{report}" in argv stands for the path of the document written to disk
+MALFORMED = {
+    "poly_bool_coeff": (["xi-iterate", "--poly", '{"coeffs": [1, true]}', "--nu", "1"], None),
+    "poly_null_coeff": (["xi-iterate", "--poly", '{"coeffs": [null]}', "--nu", "1"], None),
+    "poly_not_an_object": (["xi-iterate", "--poly", "[1, 2]", "--nu", "1"], None),
+    "poly_float_coeff": (
+        ["compose", "--a", '{"coeffs": [1.5]}', "--b", "1,1", "--ambient", "1"], None
+    ),
+    "vector_float": (["decompose", "--mode", "exp", "--c", "[1.5]", "--no-roots"], None),
+    "vector_bool": (["decompose", "--mode", "exp", "--c", "[false]", "--no-roots"], None),
+    "vector_nested": (["decompose", "--mode", "exp", "--c", "[[1]]", "--no-roots"], None),
+    "sigma_list_mode": (["compose", "--from-sigma", json.dumps({**_FINITE, "mode": ["finite"]})], None),
+    "sigma_missing_k": (["compose", "--from-sigma", json.dumps({**_FINITE, "k": None})], None),
+    "sigma_without_k": (
+        ["compose", "--from-sigma", '{"mode": "finite", "sigma": ["1"], "n": 1}'], None
+    ),
+    "sigma_string_n": (["compose", "--from-sigma", json.dumps({**_FINITE, "n": "1"})], None),
+    "sigma_bool_k": (["compose", "--from-sigma", json.dumps({**_FINITE, "k": True})], None),
+    "sigma_float_entry": (
+        ["compose", "--from-sigma", '{"mode": "exp", "sigma": [0.5], "m": 1}'], None
+    ),
+    "sigma_not_an_array": (["compose", "--from-sigma", json.dumps({**_FINITE, "sigma": "1"})], None),
+    "exp_without_m": (["compose", "--from-sigma", '{"mode": "exp", "sigma": ["1"]}'], None),
+    "root_without_im": (
+        ["compose", "--from-sigma", json.dumps({**_FINITE, "roots": [{"re": 1.0}]})], None
+    ),
+    "root_string_part": (
+        ["compose", "--from-sigma", json.dumps({**_FINITE, "roots": [{"re": 1, "im": "0"}]})],
+        None,
+    ),
+    "roots_not_an_array": (["compose", "--from-sigma", json.dumps({**_FINITE, "roots": 1})], None),
+    "report_row_without_trials": (
+        ["report", "--input", "{report}"],
+        {"reports": [{k: v for k, v in _ROW.items() if k != "trials"}]},
+    ),
+    "report_row_string_seed": (["report", "--input", "{report}"], {"reports": [{**_ROW, "seed": "1"}]}),
+    "report_row_not_an_object": (["report", "--input", "{report}"], {"reports": [1]}),
+    "report_rows_not_an_array": (["report", "--input", "{report}"], {"reports": {}}),
+    "report_metadata_not_an_object": (
+        ["report", "--input", "{report}"], {"reports": [_ROW], "metadata": []}
+    ),
+    "report_elapsed_not_a_number": (
+        ["report", "--input", "{report}"],
+        {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": [1]}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, report", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_json_input_fails_cleanly(argv, report, tmp_path):
+    path = tmp_path / "report.json"
+    if report is not None:
+        path.write_text(json.dumps(report), encoding="utf-8")
+    proc = run_cli(*[a.replace("{report}", str(path)) for a in argv])
+    assert proc.returncode == 1, proc.stdout
+    assert "szego: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_vectors_take_integers_and_rational_strings(capsys):
+    assert main(["xi-iterate", "--poly", '{"coeffs": [1, 2]}', "--nu", "1"]) == 0
+    assert capsys.readouterr().out == "1,2\n"
+    assert main(["compose", "--a", '{"coeffs": [1, "1/2"]}', "--b", "2,1", "--ambient", "1"]) == 0
+    composed = json.loads(capsys.readouterr().out)
+    assert main(["compose", "--a", "1,1/2", "--b", "2,1", "--ambient", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == composed
+    decompose = ["decompose", "--mode", "exp", "--no-roots", "--c"]
+    assert main(decompose + ['[1, "1/2"]']) == 0
+    sigma = json.loads(capsys.readouterr().out)["sigma"]
+    assert main(decompose + ["1,1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == sigma
+    assert main(["compose", "--from-sigma", json.dumps({**_FINITE, "sigma": [1]})]) == 0
+    assert json.loads(capsys.readouterr().out) == {"coeffs": ["1", "2", "1"]}

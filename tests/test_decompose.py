@@ -495,7 +495,7 @@ def test_phi_is_cheap_for_large_k_and_large_n():
     amap = decomposition_map("finite", n=4, k=10**4)
     assert time.perf_counter() - t0 < 2.0
     assert amap.invertible
-    decompose_module._phi_matrix.cache_clear()
+    decompose_module._phi_rows.cache_clear()
     rng = random.Random(49)
     c = _rand_vec(rng, 128)
     t0 = time.perf_counter()
@@ -504,13 +504,31 @@ def test_phi_is_cheap_for_large_k_and_large_n():
     assert recompose(dec) == padded_core(c, 128, 2)
 
 
+def _closed_form_column(n, k, i):
+    """Q_i(t) = k!/m! prod_{a<i} ((m-a) t - a) prod_{b<n-i} ((m-b) - b t)."""
+    m = n + k
+    q = Poly([F(math.factorial(k), math.factorial(m))])
+    for a in range(i):
+        q = q * Poly([-a, m - a])
+    for b in range(n - i):
+        q = q * Poly([m - b, -b])
+    return q
+
+
 def test_phi_last_row_is_the_monic_term():
-    # row n of Phi is (0, ..., 0, den), so Q is monic for every core and
-    # decompose_poly divides by den * lcm without reading q[n]
+    # [t^n] of the closed form is 1 for the core x^n and 0 for every other
+    # core monomial, so Q is monic, _phi_rows leaves that row out, and
+    # row j-1 reads sigma_j = [t^(n-j)] Q as (offset, c_1, ..., c_n)
     for n in range(1, 13):
         for k in range(1, 13):
-            rows, den = decompose_module._phi_matrix(n, k)
-            assert rows[n] == (0,) * n + (den,), (n, k)
+            rows, den = decompose_module._phi_rows(n, k)
+            cols = [_closed_form_column(n, k, i) for i in range(n + 1)]
+            assert [q.coeff(n) for q in cols] == [0] * n + [1], (n, k)
+            assert den > 0 and math.gcd(den, *[v for row in rows for v in row]) == 1
+            assert rows == tuple(
+                tuple(cols[n - l].coeff(n - j) * den for l in range(n + 1))
+                for j in range(1, n + 1)
+            ), (n, k)
 
 
 def test_phi_cache_tells_k_apart():
@@ -599,10 +617,9 @@ def test_maps_equal_the_probed_maps_and_the_phi_matrix():
         amap = decomposition_map("finite", n=n, k=k)
         image = lambda v: decompose_poly(v, n, k, want_roots=False).sigma
         assert (amap.matrix, amap.offset) == _probed_map(image, n)
-        rows, den = decompose_module._phi_matrix(n, k)
-        span = range(1, n + 1)
-        assert amap.offset == tuple(F(rows[n - j][n], den) for j in span)
-        assert amap.matrix == tuple(tuple(F(rows[n - j][n - l], den) for l in span) for j in span)
+        rows, den = decompose_module._phi_rows(n, k)
+        assert amap.offset == tuple(F(row[0], den) for row in rows)
+        assert amap.matrix == tuple(tuple(F(v, den) for v in row[1:]) for row in rows)
     for m in range(1, 7):
         for convention in (NORMALIZED, MONIC):
             amap = decomposition_map("exp", m=m, convention=convention)
@@ -702,3 +719,43 @@ def test_affine_map_apply_matches_the_fraction_sum_reference():
         for _ in range(10):
             c = _rand_vec(rng, amap.dimension, 50)
             assert amap.apply(c) == _reference_apply(amap, c)
+
+
+def _reference_det(matrix):
+    """Determinant by Gaussian elimination in Fractions, with row swaps."""
+    rows = [[F(v) for v in row] for row in matrix]
+    det = F(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def test_affine_map_determinant_matches_fraction_elimination():
+    rng = random.Random(84)
+
+    def entry():
+        return rng.choice([0, rng.randint(-9, 9), F(rng.randint(-99, 99), rng.randint(1, 40))])
+
+    for _ in range(80):
+        dim = rng.randint(1, 6)
+        # rows with a common factor, and now and then a zero or repeated row
+        matrix = [[F(entry()) * f for _ in range(dim)] for f in rng.choices(range(1, 13), k=dim)]
+        shape = rng.randrange(3)
+        if shape == 1:
+            matrix[rng.randrange(dim)] = [F(0)] * dim
+        elif shape == 2:
+            matrix[rng.randrange(dim)] = [v * rng.randint(-5, 5) for v in matrix[0]]
+        amap = AffineMap(tuple(map(tuple, matrix)), tuple(F(entry()) for _ in range(dim)))
+        assert amap.determinant() == _reference_det(amap.matrix)
+    for n, k in _MAP_SIZES:
+        amap = decomposition_map("finite", n=n, k=k)
+        assert amap.determinant() == _reference_det(amap.matrix), (n, k)

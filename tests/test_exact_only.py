@@ -107,13 +107,16 @@ INEXACT.update(
     for name, call in VECTOR_INPUT.items()
     for kind, c in (("float", [1, 0.5]), ("complex", [1j, 1]))
 )
-INEXACT["affine_map_float_entry"] = lambda: AffineMap(((0.1,),), (0,)).apply([1])
+# an AffineMap clears its entries to integer rows when it is built
+INEXACT["affine_map_float_entry"] = lambda: AffineMap(((0.1,),), (0,))
+INEXACT["affine_map_float_offset"] = lambda: AffineMap(((Fraction(1),),), (0.5,))
 
 NON_NUMERIC = {
     **{name: functools.partial(call, [1, "1/2"]) for name, call in VECTOR_INPUT.items()},
     "from_roots": lambda: Poly.from_roots(["1/2"]),
     "recompose": lambda: recompose(_finite(("1/2", 1))),
     "interpolate": lambda: interpolate([(0, 1), (1, "1/2")]),
+    "affine_map_entry": lambda: AffineMap(((Fraction(1),),), ("1/2",)),
 }
 
 
