@@ -12,6 +12,7 @@ import pytest
 
 import szego.verify
 from szego import (
+    AffineMap,
     CheckReport,
     Poly,
     SscContext,
@@ -26,7 +27,7 @@ from szego import (
 )
 from szego.cli import main
 from szego.poly import _monic_tail
-from szego.roots import place_positive_roots
+from szego.roots import Hyperbolicity, place_positive_roots
 from szego.verify import (
     _cell_specs,
     _distinct_windows,
@@ -319,6 +320,18 @@ def _never(real):
     return lambda *args, **kwargs: False
 
 
+def _never_hyperbolic(real):
+    return lambda *args, **kwargs: Hyperbolicity(False, False)
+
+
+def _shifted_last_offset(real):
+    def fake(*args, **kwargs):
+        amap = real(*args, **kwargs)
+        return AffineMap(amap.matrix, (*amap.offset[:-1], amap.offset[-1] + 1))
+
+    return fake
+
+
 # id -> (binding in szego.verify, wrapper of the real binding or None,
 #        the check run, sha256 of json.dumps(report.to_payload(), sort_keys=True))
 # No record prints a float root: every value in them is exact.
@@ -397,6 +410,16 @@ FAILURE_RECORD_CASES = {
         "derivative_identities_hold", _never,
         lambda: check_derivative_identities(trials=4, seed=42),
         "ff394fcb196010f0ba550d636efd1ae183eab1ea17e1f29ac922c3f5cdff362b",
+    ),
+    "hyperbolization_never_hyperbolic": (
+        "is_hyperbolic", _never_hyperbolic,
+        lambda: check_hyperbolization(trials=6, seed=42),
+        "d489d459f4cdbe086cdba5739bb21175c6afcf5f3566886ef390f27e3cecea4a",
+    ),
+    "hyperbolization_shifted_offset": (
+        "decomposition_map", _shifted_last_offset,
+        lambda: check_hyperbolization(trials=6, seed=42),
+        "9d9811326d0062f6bcf0cfade774f782eccd3570ec5c0b1560c9a34d143b3d09",
     ),
     "root_multiplicity": (
         "compose", _plus_constant,
