@@ -44,7 +44,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import _json_field, _parse_rationals, binomial, falling_factorial_coeffs, format_rational
+from .exact import _json_field, _parse_rationals, falling_factorial_coeffs, format_rational
 from .poly import (
     ExpPoly,
     Poly,
@@ -289,11 +289,14 @@ def recompose(dec: Decomposition):
         m = n + k
         # homogenized evaluation avoids the node pole at s = n+k:
         # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j, summed
-        # in integers over the common denominator of the sigma_j
+        # in integers over the common denominator of the sigma_j, with
+        # C(m, s+1) = C(m, s) (m-s)/(s+1) carried along
         nums, den = _clear([*reversed(dec.sigma), 1])
-        return _exact(
-            [_horner(nums, s, m - s) * binomial(m, s) for s in range(m + 1)], m**n * den
-        )
+        out, c = [], 1
+        for s in range(m + 1):
+            out.append(_horner(nums, s, m - s) * c)
+            c = c * (m - s) // (s + 1)
+        return _exact(out, m**n * den)
     if dec.mode == "exp":
         if dec.m is None or len(dec.sigma) != dec.m:
             raise ValueError("malformed exp decomposition")

@@ -17,7 +17,9 @@ then stores the polynomial as a plain tuple of complex doubles.  Such
 a polynomial is only a container for the numerical root finder: it
 can be observed (``coeffs``, ``degree``, ``==``, ``to_complex`` ...)
 but every arithmetic operation, like every operation given a float or
-complex scalar, raises the one ValueError of ``_inexact``.
+complex scalar, raises the one ValueError of ``_inexact``.  Every
+coefficient or scalar a caller passes goes through ``_rationals``, so
+any other non-rational type is a TypeError.
 
 The falling-factorial transform implemented here substitutes the
 degree-d falling factorial x(x-1)...(x-d+1) for each monomial x^d.  Its
@@ -29,7 +31,6 @@ j! * [x^j](e^x P), i.e. it generates the Taylor numerators of e^x * P.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from typing import Iterable, NoReturn, Optional, Sequence
 
@@ -53,21 +54,6 @@ __all__ = [
 ]
 
 
-def _coerce(values: Iterable) -> tuple[list, bool]:
-    """Normalize scalars: Fraction/int stay exact; one float/complex
-    makes them all complex (the root finder's container)."""
-    raw = list(values)
-    exact = True
-    for v in raw:
-        if isinstance(v, (float, complex)):
-            exact = False
-        elif not isinstance(v, (Fraction, int, numbers.Integral)):
-            raise TypeError(f"unsupported coefficient type {type(v).__name__}")
-    if exact:
-        return [v if type(v) is Fraction else Fraction(v) for v in raw], True
-    return [complex(v) for v in raw], False
-
-
 class Poly:
     """Immutable dense polynomial, coefficients ascending by power.
 
@@ -81,16 +67,21 @@ class Poly:
     __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        vals, exact = _coerce(coeffs)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        self._coeffs = tuple(vals)
-        if exact:
-            num, self._den = _clear(vals)
-            self._num = tuple(num)
-        else:
-            self._num = self._coeffs
+        vals = list(coeffs)
+        exact = _rationals([v for v in vals if not isinstance(v, (float, complex))], "Poly")
+        if len(exact) < len(vals):  # a float or complex entry
+            vals = [complex(v) for v in vals]
+            while vals and not vals[-1]:
+                vals.pop()
+            self._num = self._coeffs = tuple(vals)
             self._den = None
+            return
+        # clearing reduced Fractions leaves gcd(den, *num) == 1
+        num, self._den = _clear(exact)
+        while num and not num[-1]:
+            num.pop()
+        self._num = tuple(num)
+        self._coeffs = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -260,8 +251,9 @@ class Poly:
         return _monic_poly(list(self._num))
 
     def __call__(self, x: Fraction) -> Fraction:
-        if self._den is None or not isinstance(x, (int, Fraction)):
+        if self._den is None:
             _inexact("evaluation")
+        _rationals([x], "evaluation")
         num = self._num
         if not num:
             return Fraction(0)
@@ -285,8 +277,8 @@ _new = object.__new__
 
 def _inexact(what: str) -> NoReturn:
     """The one error of every exact-only operation that meets a complex
-    Poly or a float/complex scalar.  Callers test ``_den is None`` (or
-    the scalar's type) inline and call this only to raise."""
+    Poly or a float/complex scalar.  Callers test ``_den is None`` inline
+    and ``_rationals`` tests scalars; both call this only to raise."""
     raise ValueError(f"{what} requires exact polynomials and rational scalars")
 
 
@@ -707,12 +699,18 @@ def inverse_falling_factorial_transform(q: Poly) -> Poly:
 
 
 def iterate_falling_factorial_transform(p: Poly, nu: int) -> Poly:
-    """nu-fold application of the transform (nu >= 0)."""
+    """nu-fold application of the transform (nu >= 0), in closed form.
+
+    T is unitriangular, so N = T - I lowers the degree and
+    T^nu p = sum_{i <= min(nu, deg p)} C(nu, i) N^i p: deg p + 1 exact
+    transforms at most, whatever nu is."""
     if nu < 0:
         raise ValueError("iteration count must be >= 0")
-    for _ in range(nu):
-        p = falling_factorial_transform(p)
-    return p
+    out, term = Poly.zero(), p
+    for i in range(min(len(p._num), nu + 1)):
+        out = out + term * math.comb(nu, i)
+        term = falling_factorial_transform(term) - term
+    return out
 
 
 def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:

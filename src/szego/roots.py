@@ -18,7 +18,6 @@ _roots_py.
 from __future__ import annotations
 
 import cmath
-import numbers
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -169,10 +168,7 @@ def cluster_roots(
 def _endpoint(x) -> Optional[tuple[int, int]]:
     if x is None:
         return None
-    if not isinstance(x, numbers.Rational):
-        raise ValueError(
-            f"Sturm endpoints must be exact rationals or None, not {type(x).__name__}"
-        )
+    _rationals([x], "Sturm counting")
     return x.numerator, x.denominator
 
 

@@ -16,8 +16,9 @@ transform and its inverse, exact, with no interpolation and no
 truncated series arithmetic.
 
 Everything here is exact: operands are exact polynomials and factor
-parameters are ints or Fractions.  A complex operand or a float/complex
-parameter raises ValueError; it is never rounded to a rational.
+parameters are ints or Fractions (``poly._rationals``).  A complex
+operand or a float/complex parameter raises ValueError, never rounded
+to a rational, and a parameter of any other type a TypeError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .poly import (
     Poly,
     _exact,
     _inexact,
+    _rationals,
     falling_factorial_transform,
     inverse_falling_factorial_transform,
 )
@@ -117,8 +119,7 @@ def composition_factor(n: int, k: int, a) -> Poly:
     """
     if n < 1 or k < 1:
         raise ValueError("composition_factor requires n >= 1 and k >= 1")
-    if not isinstance(a, (int, Fraction)):
-        _inexact("composition_factor")
+    _rationals([a], "composition_factor")
     m = n + k
     p, q = a.numerator, a.denominator
     return _exact([math.comb(m, s) * ((m - s) * p + s * q) for s in range(m + 1)], m * q)
@@ -139,8 +140,7 @@ def exp_compose(f: ExpPoly, g: ExpPoly) -> ExpPoly:
 
 def exp_composition_factor(a) -> ExpPoly:
     """The factor e^x (1 + x/a); its Taylor numerators are 1 + j/a."""
-    if not isinstance(a, (int, Fraction)):
-        _inexact("an exp factor")
+    _rationals([a], "an exp factor")
     if a == 0:
         raise ValueError("kappa factor undefined at 0")
     return ExpPoly(Poly([1, Fraction(a.denominator, a.numerator)]))

@@ -161,19 +161,13 @@ def _fmt(values) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-def _rand_fraction(rng: random.Random, bound: int = 10, max_den: int = 8) -> Fraction:
+def _rand_fraction(
+    rng: random.Random, bound: int = 10, max_den: int = 8, *, low: Optional[int] = None
+) -> Fraction:
+    """p/q with 1 <= q <= max_den and low <= p <= bound q; low defaults to
+    -bound q, and low = 0 or 1 draws a nonnegative or positive value."""
     den = rng.randint(1, max_den)
-    return Fraction(rng.randint(-bound * den, bound * den), den)
-
-
-def _rand_nonneg(rng: random.Random, bound: int = 10, max_den: int = 8) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(0, bound * den), den)
-
-
-def _rand_positive(rng: random.Random, bound: int = 10, max_den: int = 8) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(1, bound * den), den)
+    return Fraction(rng.randint(-bound * den if low is None else low, bound * den), den)
 
 
 def _rand_nonzero(rng: random.Random, bound: int = 6, max_den: int = 8) -> Fraction:
@@ -194,7 +188,7 @@ def _rand_monic(rng: random.Random, deg: int, bound: int = 6) -> Poly:
 
 def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[Fraction, ...]:
     # coordinates (-1)^i u_i with u_i >= 0: the alternating-sign cone
-    return tuple((-1) ** i * _rand_nonneg(rng, bound) for i in range(1, n + 1))
+    return tuple((-1) ** i * _rand_fraction(rng, bound, low=0) for i in range(1, n + 1))
 
 
 def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
@@ -295,7 +289,7 @@ def check_interval_localization(
         nu = rng.randint(nu_min, n)
         pos: list[Fraction] = []
         while len(pos) < nu:
-            r = _rand_positive(rng, 6)
+            r = _rand_fraction(rng, 6, low=1)
             if r not in pos:
                 pos.append(r)
         core = Poly.from_roots(pos)
@@ -303,11 +297,11 @@ def check_interval_localization(
         while rest > 0:
             if rest >= 2 and rng.random() < 0.5:
                 # x^2 + p x + q with p, q >= 0 has no positive root
-                q, p = _rand_nonneg(rng, 6), _rand_nonneg(rng, 6)
+                q, p = _rand_fraction(rng, 6, low=0), _rand_fraction(rng, 6, low=0)
                 core = core * _monic_tail([p, q])
                 rest -= 2
             else:
-                core = core * _monic_tail([_rand_nonneg(rng, 6)])
+                core = core * _monic_tail([_rand_fraction(rng, 6, low=0)])
                 rest -= 1
         audited = sturm_count(core, Fraction(0), None)
         if audited != nu:
@@ -346,7 +340,7 @@ def _planted_hyperbolic(rng: random.Random, m: int, bound: int = 2) -> Poly:
         if roots and rng.random() < 0.25:
             roots.append(rng.choice(roots))
         else:
-            r = _rand_positive(rng, bound, 4)
+            r = _rand_fraction(rng, bound, 4, low=1)
             roots.append(r if rng.random() < 0.6 else -r)
     return Poly.from_roots(roots)
 
@@ -436,7 +430,7 @@ def check_transform_positivity(
             if roots and rng.random() < 0.3:
                 roots.append(rng.choice(roots))
             else:
-                roots.append(_rand_positive(rng, 6))
+                roots.append(_rand_fraction(rng, 6, low=1))
         p = Poly.from_roots(roots)
         q = falling_factorial_transform(p)
         hyp = is_hyperbolic(q)
@@ -799,7 +793,7 @@ def check_sign_experiments(
         n = rng.randint(2, 4)
         kk = rng.randint(1, 3)
         total = n + kk
-        avals = [_rand_positive(rng, 6) for _ in range(n)]
+        avals = [_rand_fraction(rng, 6, low=1) for _ in range(n)]
         pol = composition_factor(n, kk, avals[0])
         for av in avals[1:]:
             pol = compose(pol, composition_factor(n, kk, av), SscContext(total))
@@ -824,79 +818,63 @@ def check_hyperbolization(trials: int = 50, seed: int = 42) -> CheckReport:
     points for up to 400 steps and record how fast iterates become
     hyperbolic; exactly verify the two-coefficient exp closed form and
     its first hyperbolic index."""
-    n, k, nu_max = 2, 1, 400
+    n, k, nu_max, cap = 2, 1, 400, 2000
     check_id = f"hyperbolization[n={n},k={k}]"
-    failures: list = []
-    notes: list = []
-
     amap = decomposition_map("finite", n=n, k=k)
-    first = []
-    unresolved = 0
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:{t}")
+    emap = decomposition_map("exp", m=2, convention=NORMALIZED)
+    first: list = []
+
+    def finite_trial(rng: random.Random, t: int) -> None:
         vec = _cone_point(rng, n, 6)
-        found = None
         for nu in range(nu_max + 1):
             if is_hyperbolic(_monic_tail(vec)).hyperbolic:
-                found = nu
+                first.append(nu)
                 break
             vec = amap.apply(vec)
-        if found is None:
-            unresolved += 1
-        else:
-            first.append(found)
-    notes.append(
-        {
-            "stage": "finite iteration",
-            "resolved": len(first),
-            "unresolved_within_nu_max": unresolved,
-            "max_first_hyperbolic": max(first) if first else None,
-        }
-    )
 
-    emap = decomposition_map("exp", m=2, convention=NORMALIZED)
-    cap = 2000
-    for t in range(trials):
-        rng = _rng(seed, f"{check_id}:exp:{t}")
+    def exp_trial(rng: random.Random, t: int) -> Optional[dict]:
         aa = _rand_fraction(rng, 8)
-        bb = _rand_positive(rng, 5)
+        bb = _rand_fraction(rng, 5, low=1)
         s0 = next(
             (s for s in range(cap + 1) if (aa - s * bb) ** 2 >= 4 * bb), None
         )
         vec = (aa, bb)
         s_iter = None
-        closed_ok = True
         for s in range(cap + 1):
             if vec != (aa - s * bb, bb):
-                closed_ok = False
-                failures.append(
-                    {
-                        "trial": t,
-                        "stage": "exp closed form",
-                        "a": format_rational(aa),
-                        "b": format_rational(bb),
-                        "s": s,
-                        "observed": _fmt(vec),
-                        "expected": _fmt((aa - s * bb, bb)),
-                    }
-                )
-                break
+                return {
+                    "stage": "exp closed form",
+                    "a": format_rational(aa),
+                    "b": format_rational(bb),
+                    "s": s,
+                    "observed": _fmt(vec),
+                    "expected": _fmt((aa - s * bb, bb)),
+                }
             if is_hyperbolic(Poly([Fraction(1), vec[0], vec[1]])).hyperbolic:
                 s_iter = s
                 break
             vec = emap.apply(vec)
-        if closed_ok and (s0 is None or s_iter != s0):
-            failures.append(
-                {
-                    "trial": t,
-                    "stage": "first hyperbolic index",
-                    "a": format_rational(aa),
-                    "b": format_rational(bb),
-                    "closed_form": s0,
-                    "iterated": s_iter,
-                }
-            )
-    return CheckReport(check_id, trials, failures, seed, notes=notes)
+        if s0 is None or s_iter != s0:
+            return {
+                "stage": "first hyperbolic index",
+                "a": format_rational(aa),
+                "b": format_rational(bb),
+                "closed_form": s0,
+                "iterated": s_iter,
+            }
+        return None
+
+    _run_trials(check_id, trials, seed, finite_trial)
+    notes = [
+        {
+            "stage": "finite iteration",
+            "resolved": len(first),
+            "unresolved_within_nu_max": trials - len(first),
+            "max_first_hyperbolic": max(first) if first else None,
+        }
+    ]
+    exp = _run_trials(f"{check_id}:exp", trials, seed, exp_trial)
+    return CheckReport(check_id, trials, exp.failures, seed, notes=notes)
 
 
 # -- composition calculus -----------------------------------------------------

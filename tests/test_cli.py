@@ -16,7 +16,7 @@ from szego import CheckReport
 from szego.cli import main
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("SZEGO_SEED", None)
     if env_extra:
@@ -26,6 +26,7 @@ def run_cli(*argv, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return proc
 
@@ -424,6 +425,15 @@ def test_subprocess_worked_example():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["sigma"] == ["0", "0"]
+
+
+def test_subprocess_xi_iterate_at_a_billion_steps_ends():
+    # the closed form costs deg p + 1 transforms, not nu
+    proc = run_cli("xi-iterate", "--poly", "1,2,3,1", "--nu", "1000000000", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    coeffs = proc.stdout.strip().split(",")
+    # T keeps the lead and the constant term; [x^2] drops by 3 nu
+    assert coeffs[0] == coeffs[-1] == "1" and coeffs[2] == str(3 - 3 * 10**9)
 
 
 def test_subprocess_usage_error_code():

@@ -101,6 +101,14 @@ def test_recompose_round_trip_finite():
         assert recompose(dec) == padded_core(c, n, k)
 
 
+def test_recompose_at_large_k():
+    # the binomial weights C(n+k, s) come from one running product
+    c = (F(1, 3), F(-2, 5), F(7, 2))
+    for k in (1, 2, 700):
+        dec = decompose_poly(c, 3, k, want_roots=False)
+        assert recompose(dec) == padded_core(c, 3, k)
+
+
 def test_recompose_from_offsets_directly():
     # sigma chosen first, polynomial second: both directions agree.
     # sigma = (3, 2) are the symmetric values of the offsets {1, 2}

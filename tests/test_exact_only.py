@@ -31,6 +31,7 @@ from szego import (
     interpolate,
     inverse_falling_factorial_transform,
     is_hyperbolic,
+    iterate_falling_factorial_transform,
     padded_core,
     poly_gcd,
     recompose,
@@ -71,6 +72,7 @@ INEXACT = {
     "gamma_numerators": lambda: ExpPoly(C).gamma_numerators(3),
     "transform": lambda: falling_factorial_transform(C),
     "inverse_transform": lambda: inverse_falling_factorial_transform(C),
+    "iterate_transform": lambda: iterate_falling_factorial_transform(C, 2),
     "interpolate": lambda: interpolate([(0, 1), (1, 0.5)]),
     "poly_gcd": lambda: poly_gcd(E, C),
     "compose": lambda: compose(E, Poly([1.0, 2.0, 0.5]), SscContext(2)),
@@ -90,6 +92,10 @@ INEXACT = {
     "is_hyperbolic": lambda: is_hyperbolic(C),
     "taylor_window_bound": lambda: taylor_window_bound(C),
     "hurwitz_determinants": lambda: hurwitz_determinants(C),
+    "sturm_count_float_endpoint": lambda: sturm_count(E, 0.5),
+    "place_positive_roots_float_break": lambda: place_positive_roots(
+        Poly.from_roots([1, 2]), [0, 0.5, None]
+    ),
 }
 
 # the entry points that take a coefficient vector, checked by poly._rationals
@@ -117,6 +123,15 @@ NON_NUMERIC = {
     "recompose": lambda: recompose(_finite(("1/2", 1))),
     "interpolate": lambda: interpolate([(0, 1), (1, "1/2")]),
     "affine_map_entry": lambda: AffineMap(((Fraction(1),),), ("1/2",)),
+    "constructor": lambda: Poly([1, "1/2"]),
+    "constructor_beside_a_float": lambda: Poly([0.5, "2"]),
+    "call": lambda: E("1/2"),
+    "composition_factor": lambda: composition_factor(2, 1, "1/2"),
+    "exp_composition_factor": lambda: exp_composition_factor("1/2"),
+    "sturm_count_endpoint": lambda: sturm_count(E, "1/2"),
+    "place_positive_roots_break": lambda: place_positive_roots(
+        Poly.from_roots([1, 2]), [0, "1/2", None]
+    ),
 }
 
 

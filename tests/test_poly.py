@@ -324,6 +324,18 @@ def test_iterated_transform():
         iterate_falling_factorial_transform(p, -1)
 
 
+def test_iterated_transform_closed_form_matches_stepping():
+    rng = random.Random(21)
+    for _ in range(60):
+        p = _rand_poly(rng, rng.randint(0, 7))
+        nu = rng.randint(0, 12)
+        stepped = p
+        for _ in range(nu):
+            stepped = falling_factorial_transform(stepped)
+        assert iterate_falling_factorial_transform(p, nu) == stepped
+    assert iterate_falling_factorial_transform(Poly.zero(), 10**9) == Poly.zero()
+
+
 def test_interpolate_worked_and_random():
     assert interpolate([(0, 1), (1, 3), (2, 7)]) == Poly([1, 1, 1])
     assert interpolate([]) == Poly.zero()

@@ -496,7 +496,7 @@ def test_place_positive_roots_validation():
         place_positive_roots(Poly.from_roots([1, 5]), [0, 3, 3, None])
     with pytest.raises(ValueError, match="end before"):
         place_positive_roots(p, [0, 1])
-    with pytest.raises(ValueError, match="exact rationals"):
+    with pytest.raises(ValueError, match="requires exact polynomials and rational scalars"):
         place_positive_roots(p, [0, 1.5, None])
     with pytest.raises(ValueError):
         place_positive_roots(Poly([0.5, 1.0]), [0, None])
