@@ -207,10 +207,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_xi_iterate(args) -> int:
-    p = _parse_poly(args.poly)
-    if args.nu < 0:
-        raise ValueError("--nu must be >= 0")
-    q = iterate_falling_factorial_transform(p, args.nu)
+    q = iterate_falling_factorial_transform(_parse_poly(args.poly), args.nu)
     text = ",".join(format_rational(c) for c in q.coeffs) if q.coeffs else "0"
     sys.stdout.write(text + "\n")
     if args.out:

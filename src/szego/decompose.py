@@ -172,16 +172,27 @@ def _apply(rows, den: int, c: Sequence[Fraction], what: str) -> tuple[Fraction, 
     return tuple(Fraction(sum(map(operator.mul, row, u)), den) for row in rows)
 
 
+def _binomial_row(k: int) -> list[int]:
+    """C(k, 0), ..., C(k, k), the coefficients of (x+1)^k, by the running
+    product C(k, s+1) = C(k, s) (k-s) / (s+1)."""
+    row, c = [], 1
+    for s in range(k + 1):
+        row.append(c)
+        c = c * (k - s) // (s + 1)
+    return row
+
+
 def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
     """(x+1)^k (x^n + c_1 x^{n-1} + ... + c_n) as an exact Poly."""
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    return Poly([1, 1]) ** k * _monic_tail(_rationals(c, "padded_core"))
+    core = _monic_tail(_rationals(c, "padded_core"))
+    return _exact(_convolve(_binomial_row(k), core._num), core._den)
 
 
 def extract_core(p: Poly, n: int, k: int) -> tuple[Fraction, ...]:
     """Inverse of padded_core: divide out (x+1)^k, return (c_1..c_n)."""
-    q, rem = divmod(p, Poly([1, 1]) ** k)
+    q, rem = divmod(p, _exact(_binomial_row(k)))
     if not rem.is_zero or q.degree != n or q.lead != 1:
         raise ValueError("polynomial is not (x+1)^k times a monic degree-n core")
     return tuple(reversed(q.coeffs[:-1]))
@@ -289,13 +300,9 @@ def recompose(dec: Decomposition):
         m = n + k
         # homogenized evaluation avoids the node pole at s = n+k:
         # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j, summed
-        # in integers over the common denominator of the sigma_j, with
-        # C(m, s+1) = C(m, s) (m-s)/(s+1) carried along
+        # in integers over the common denominator of the sigma_j
         nums, den = _clear([*reversed(dec.sigma), 1])
-        out, c = [], 1
-        for s in range(m + 1):
-            out.append(_horner(nums, s, m - s) * c)
-            c = c * (m - s) // (s + 1)
+        out = [_horner(nums, s, m - s) * c for s, c in enumerate(_binomial_row(m))]
         return _exact(out, m**n * den)
     if dec.mode == "exp":
         if dec.m is None or len(dec.sigma) != dec.m:

@@ -215,8 +215,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square after the top bit
+                base = base * base
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:

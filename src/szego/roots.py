@@ -165,6 +165,16 @@ def cluster_roots(
 # standing for a/b; None stands for -infinity as lo and +infinity as hi.
 
 
+def _exact_integers(p: Poly, what: str) -> list[int]:
+    """The primitive integer list of p, where every exact root query
+    starts: a complex or zero p is a ValueError, a constant gives [+-1]."""
+    if p._den is None:
+        _inexact(what)
+    if not p._num:
+        raise ValueError(f"{what} requires a nonzero polynomial")
+    return _primitive_part(list(p._num))
+
+
 def _endpoint(x) -> Optional[tuple[int, int]]:
     if x is None:
         return None
@@ -241,13 +251,10 @@ def _square_free_factors(v: list[int]) -> list[tuple[list[int], int]]:
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's decomposition p = lead * prod f_i^i with f_i square-free,
     pairwise coprime, monic; only nonconstant f_i are returned."""
-    if p._den is None:
-        _inexact("square-free decomposition")
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
+    v = _exact_integers(p, "square-free decomposition")
+    if len(v) == 1:
         return []
-    return [(_monic_poly(f), i) for f, i in _square_free_factors(_primitive_part(list(p._num)))]
+    return [(_monic_poly(f), i) for f, i in _square_free_factors(v)]
 
 
 def sturm_count(
@@ -265,16 +272,12 @@ def sturm_count(
     distinct roots are counted; multiplicity=True weights each by its
     order, using the square-free decomposition.
     """
-    if p._den is None:
-        _inexact("Sturm counting")
-    if p.is_zero:
-        raise ValueError("zero polynomial has no root count")
+    v = _exact_integers(p, "Sturm counting")
     a, b = _endpoint(lo), _endpoint(hi)
-    if p.degree == 0:
+    if len(v) == 1:
         return 0
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
-    v = _primitive_part(list(p._num))
     if multiplicity:
         return sum(mult * _count_distinct(f, a, b) for f, mult in _square_free_factors(v))
     return _count_distinct(v, a, b)
@@ -294,18 +297,15 @@ def place_positive_roots(p: Poly, breaks: Iterable) -> list[tuple[int, int]]:
     Sturm chain per square-free factor is read at each break, and the
     breaks are read only until every root is placed.
     """
-    if p._den is None:
-        _inexact("root placement")
-    if p.is_zero:
-        raise ValueError("root placement requires a nonzero polynomial")
+    v = _exact_integers(p, "root placement")
     it = iter(breaks)
     if next(it, None) != 0:
         raise ValueError("the first break must be 0")
     ends: list = [(0, 1)]  # breaks read so far, as endpoints
     out: list[tuple[int, int]] = []
-    if p.degree < 1:
+    if len(v) == 1:
         return out
-    for f, mult in _square_free_factors(_primitive_part(list(p._num))):
+    for f, mult in _square_free_factors(v):
         chain = _sturm_chain(f)
         below = _variations(chain, ends[0], 1)
         left = below - _variations(chain, None, 1)  # roots in (0, oo)
@@ -350,13 +350,10 @@ def is_hyperbolic(p: Poly) -> Hyperbolicity:
     distinct iff the only factor is p itself with multiplicity 1.
     Constants (degree 0) are vacuously hyperbolic with distinct roots.
     """
-    if p._den is None:
-        _inexact("the hyperbolicity test")
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
+    v = _exact_integers(p, "the hyperbolicity test")
+    if len(v) == 1:
         return Hyperbolicity(True, True)
-    factors = _square_free_factors(_primitive_part(list(p._num)))
+    factors = _square_free_factors(v)
     real = all(_count_distinct(f, None, None) == len(f) - 1 for f, _ in factors)
     return Hyperbolicity(real, len(factors) == 1 and factors[0][1] == 1)
 
@@ -383,13 +380,8 @@ def taylor_window_bound(p: Poly) -> int:
     safely beyond, so indices 0..N carry all sign changes of the full
     infinite sequence.
     """
-    if p._den is None:
-        _inexact("the Taylor window bound")
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    q = p.monic()
-    m = q.degree
-    return sum(abs(c) for c in q._num[:-1]) // q._den + m + 1  # floor(d) + m + 1
+    v = _exact_integers(p, "the Taylor window bound")
+    return sum(map(abs, v[:-1])) // abs(v[-1]) + len(v)  # floor(d) + m + 1
 
 
 # -- half-plane membership ----------------------------------------------------
@@ -502,10 +494,10 @@ class RegionVerdict(NamedTuple):
     """Membership report for the monic polynomial behind a (c_1..c_n) vector.
 
     right_halfplane is tri-state: the Hurwitz minors decide strict
-    interior and strict exterior exactly; vanishing minors (imaginary
-    axis roots) fall back to a numerically refined
-    'boundary_or_uncertain'.  The region itself is closed, so a
-    boundary verdict is consistent with membership.
+    interior and strict exterior exactly; vanishing minors (a root with
+    Re <= 0) fall back to numerical witness roots, which answer
+    'outside' or 'boundary_or_uncertain'.  The region itself is closed,
+    so a boundary verdict is consistent with membership.
     """
 
     in_sign_cone: bool
@@ -522,7 +514,7 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
 
     # (-1)^j c_j >= 0, read from the numerators of c_1 .. c_n (den > 0)
     cone = all(v <= 0 if j % 2 else v >= 0 for j, v in enumerate(p._num[-2::-1], 1))
-    hyp = is_hyperbolic(p).hyperbolic if n >= 1 else True
+    hyp = is_hyperbolic(p).hyperbolic
 
     if n == 0:
         return RegionVerdict(cone, hyp, INSIDE)
@@ -539,12 +531,10 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     if len(minors) == n and minors[-1]:  # no minor vanishes
         verdict = INSIDE if all(d > 0 for d in minors) else OUTSIDE
     else:
+        # a vanishing minor: q is not Hurwitz-stable, so p has a root with
+        # Re <= 0 and is never inside; a witness tells if one is clearly left
         witnesses = aberth_roots(p)
         tol = 1e-9  # relative margin a witness needs off the imaginary axis
-        if all(z.real > tol * max(1.0, abs(z)) for z in witnesses):
-            verdict = INSIDE
-        elif any(z.real < -tol * max(1.0, abs(z)) for z in witnesses):
-            verdict = OUTSIDE
-        else:
-            verdict = BOUNDARY_OR_UNCERTAIN
+        left = any(z.real < -tol * max(1.0, abs(z)) for z in witnesses)
+        verdict = OUTSIDE if left else BOUNDARY_OR_UNCERTAIN
     return RegionVerdict(cone, hyp, verdict, witnesses)

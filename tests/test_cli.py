@@ -118,6 +118,34 @@ def test_compose_needs_ambient(capsys):
     assert "ambient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compose", "--ambient", "1"], "compose needs --a and --b (or --from-sigma)"),
+        (["compose", "--from-sigma", "1,2"], "--from-sigma takes a decomposition JSON"),
+        (["phi", "--mode", "finite", "--n", "2"], "finite mode needs --n and --k"),
+        (["phi", "--mode", "exp"], "exp mode needs --m"),
+        (["decompose", "--mode", "exp", "--c", " , "], "empty coefficient list"),
+        (["xi-iterate", "--poly", "1,1", "--nu", "-1"], "iteration count must be >= 0"),
+    ],
+    ids=[
+        "compose_no_operands",
+        "from_sigma_not_json",
+        "phi_finite_no_k",
+        "phi_exp_no_m",
+        "decompose_blank_list",
+        "xi_iterate_negative_nu",
+    ],
+)
+def test_command_errors_exit_one(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line, no usage text and no traceback
+    assert captured.err.startswith(f"szego: error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_compose_rejects_float_coefficients(capsys):
     rc = main(["compose", "--a", "1.5,1", "--b", "1,1", "--ambient", "1"])
     assert rc == 1
@@ -595,6 +623,9 @@ def test_json_vectors_take_integers_and_rational_strings(capsys):
     assert main(["compose", "--a", '{"coeffs": [1, "1/2"]}', "--b", "2,1", "--ambient", "1"]) == 0
     composed = json.loads(capsys.readouterr().out)
     assert main(["compose", "--a", "1,1/2", "--b", "2,1", "--ambient", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == composed
+    exp_doc = '{"exp_poly": {"coeffs": ["1", "1/2"]}}'
+    assert main(["compose", "--a", exp_doc, "--b", "2,1", "--ambient", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == composed
     decompose = ["decompose", "--mode", "exp", "--no-roots", "--c"]
     assert main(decompose + ['[1, "1/2"]']) == 0

@@ -67,6 +67,19 @@ def test_padded_core_and_extract_core():
         extract_core(Poly([1, 2, 1]), 2, 1)
 
 
+def test_padded_core_and_extract_core_at_a_large_shell(monkeypatch):
+    # (x+1)^k is the binomial row, never a power of the Poly x + 1
+    def no_power(self, e):
+        raise AssertionError("Poly.__pow__ called")
+
+    monkeypatch.setattr(Poly, "__pow__", no_power)
+    c, k = (F(1, 3), F(-2, 5), F(7, 2)), 2000
+    p = padded_core(c, 3, k)
+    assert p == recompose(decompose_poly(c, 3, k, want_roots=False))
+    assert p.degree == 3 + k and p.constant == F(7, 2)
+    assert extract_core(p, 3, k) == c
+
+
 def test_decompose_worked_zero_offsets():
     # (x+1)(x^2 + x/3) is the self-composition of (x+1)^2 x: offsets 0, 0
     dec = decompose_poly([F(1, 3), F(0)], 2, 1)

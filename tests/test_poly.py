@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import szego.poly
 from szego import (
     ExpPoly,
     Poly,
@@ -110,6 +111,21 @@ def test_power_and_from_roots():
     assert p(1) == 0 and p(2) == 0 and p(3) == 0
     with pytest.raises(ValueError):
         Poly([1, 1]) ** -1
+
+
+@pytest.mark.parametrize("e", [1, 2, 8, 2000])
+def test_power_squares_only_while_bits_remain(e, monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return convolve(a, b)
+
+    convolve = szego.poly._convolve
+    monkeypatch.setattr(szego.poly, "_convolve", counting)
+    assert Poly.x() ** e == Poly.monomial(e)
+    # one product per set bit and one square per bit below the top one
+    assert len(calls) == bin(e).count("1") + e.bit_length() - 1
 
 
 def test_derivative_product_rule():

@@ -822,6 +822,51 @@ def test_region_membership_outside_with_zero_minor():
     assert v.witness_roots is not None
 
 
+def test_region_membership_vanishing_minors_answer_outside_or_boundary():
+    # a root at 0, an imaginary pair or a pair z, -z makes a Hurwitz minor
+    # vanish (Orlando's formula); the witness fallback then answers OUTSIDE
+    # exactly when a root lies left of the axis, and never INSIDE
+    rng = random.Random(35)
+    for t in range(60):
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        r = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        kind = t % 3
+        p = [Poly.x(), Poly([a * a, 0, 1]), Poly([-a * a, 0, 1])][kind]
+        p = p * (Poly.from_roots([r]) if t % 2 else Poly([r * r + a, -2 * r, 1]))
+        left = t % 4 == 0
+        if left:
+            p = p * Poly([r, 1])
+        n = p.degree
+        v = region_membership([p.coeff(n - j) for j in range(1, n + 1)])
+        assert v.witness_roots is not None, p
+        want = OUTSIDE if left or kind == 2 else BOUNDARY_OR_UNCERTAIN
+        assert v.right_halfplane == want, p
+
+
+@pytest.mark.parametrize(
+    "query, what",
+    [
+        (square_free_decomposition, "square-free decomposition"),
+        (sturm_count, "Sturm counting"),
+        (lambda p: place_positive_roots(p, [0, None]), "root placement"),
+        (is_hyperbolic, "the hyperbolicity test"),
+        (taylor_window_bound, "the Taylor window bound"),
+    ],
+    ids=[
+        "square_free_decomposition",
+        "sturm_count",
+        "place_positive_roots",
+        "is_hyperbolic",
+        "taylor_window_bound",
+    ],
+)
+def test_root_queries_share_one_exact_entry(query, what):
+    with pytest.raises(ValueError, match=f"^{what} requires a nonzero polynomial$"):
+        query(Poly([]))
+    with pytest.raises(ValueError, match=f"^{what} requires exact polynomials and"):
+        query(Poly([0.5, 1]))
+
+
 def test_region_containments_random():
     # hyperbolic + sign cone implies the closed half-plane region, which
     # in turn implies the sign cone

@@ -203,6 +203,10 @@ def test_halfplane_check_scan_counts():
     # both verdicts occur along the scan through the witness point
     assert note["scan_inside"] > 0 and note["scan_outside"] > 0
     assert note["scan_inside"] + note["scan_outside"] + note["scan_uncertain"] == 41
+    # the scanned witness (a, b) lies on the source surface c_3 = a b and
+    # on the image surface c_3 = (a + 3)(b + a + 1)
+    a, b = Fraction(-2), Fraction(1, 3)
+    assert a * b == (a + 3) * (b + a + 1) == Fraction(-2, 3)
 
 
 def test_sign_experiments_pass():
