@@ -617,6 +617,26 @@ def test_malformed_json_input_fails_cleanly(argv, report, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_bad_seed_env_exits_one_in_process(monkeypatch, capsys):
+    monkeypatch.setenv("SZEGO_SEED", "abc")
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "szego: error: SZEGO_SEED must be an integer, got 'abc'\n"
+
+
+def test_report_with_non_numeric_elapsed_exits_one(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    doc = {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": "fast"}}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "szego: error: 'metadata' must map 'elapsed_seconds' to seconds per check\n"
+    )
+
+
 def test_json_vectors_take_integers_and_rational_strings(capsys):
     assert main(["xi-iterate", "--poly", '{"coeffs": [1, 2]}', "--nu", "1"]) == 0
     assert capsys.readouterr().out == "1,2\n"

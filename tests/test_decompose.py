@@ -780,3 +780,33 @@ def test_affine_map_determinant_matches_fraction_elimination():
     for n, k in _MAP_SIZES:
         amap = decomposition_map("finite", n=n, k=k)
         assert amap.determinant() == _reference_det(amap.matrix), (n, k)
+
+
+_FINITE_MAP = decomposition_map("finite", n=2, k=1)
+
+
+@pytest.mark.parametrize(
+    "value, same, other",
+    [
+        (
+            _FINITE_MAP,
+            AffineMap(_FINITE_MAP.matrix, _FINITE_MAP.offset),
+            decomposition_map("finite", n=2, k=2),
+        ),
+        (SscContext(3), SscContext(3), SscContext(4)),
+        (
+            ExpPoly(Poly([1, Fraction(1, 2)])),
+            ExpPoly(Poly([Fraction(2, 2), Fraction(1, 2)])),
+            ExpPoly(Poly([1, Fraction(1, 3)])),
+        ),
+    ],
+    ids=["AffineMap", "SscContext", "ExpPoly"],
+)
+def test_value_types_compare_hash_and_print_by_value(value, same, other):
+    assert value is not same
+    assert value == same and hash(value) == hash(same)
+    assert value != other and len({value, same, other}) == 2
+    assert value != value.__class__.__name__  # other types are never equal
+    names = {"AffineMap": AffineMap, "SscContext": SscContext, "ExpPoly": ExpPoly,
+             "Poly": Poly, "Fraction": Fraction}
+    assert eval(repr(value), names) == value

@@ -200,7 +200,7 @@ def _assert_gcd_with_cofactors(a, b, want=None):
         assert Poly(g) * Poly(qa) == Poly(pa) and Poly(g) * Poly(qb) == Poly(pb)
 
 
-def test_poly_gcd_against_euclid_reference():
+def test_poly_gcd_against_euclid_reference(monkeypatch):
     rng = random.Random(71)
     for _ in range(60):
         common = Poly.from_roots(
@@ -244,6 +244,15 @@ def test_poly_gcd_against_euclid_reference():
     assert poly_gcd(Poly.zero(), b) == b.monic()
     assert poly_gcd(b, Poly.zero()) == b.monic()
     assert poly_gcd(Poly([5]), b) == Poly.one()
+    # with one point GCDHEU gives up on its own: the content of
+    # gcd(v(xi), v'(xi)) exceeds the first xi, and the remainder sequence
+    # answers instead
+    v = Poly.from_roots([r for r in range(-24, 25) if r])
+    pv, pdv = (_primitive_part(list(p._num)) for p in (v, v.derivative()))
+    assert _heu_gcd(pv, pdv) is not None
+    monkeypatch.setattr(szego.poly, "_HEU_POINTS", 1)
+    assert _heu_gcd(pv, pdv) is None
+    _assert_gcd_with_cofactors(v, v.derivative(), Poly.one())
 
 
 def test_exp_poly_gamma_values():

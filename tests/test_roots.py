@@ -1,6 +1,8 @@
 """Tests for exact root counting, the numerical root finder, sign data,
 and the coefficient-space region classifier."""
 
+import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +17,8 @@ from szego import (
     RootFindingError,
     aberth_roots,
     cluster_roots,
+    decompose_exp,
+    decompose_poly,
     hurwitz_determinants,
     is_hyperbolic,
     kernel_backend,
@@ -99,7 +103,7 @@ def _reference_solve(coeffs, tol, max_iter):
             "kernel needs degree >= 1 and nonzero leading and constant coefficients"
         )
     moduli = [abs(c) for c in coeffs]
-    z = _roots_py._starts(moduli)
+    z = _roots_py._starts(coeffs)
 
     iterations = 0
     converged = False
@@ -193,14 +197,76 @@ def test_kernel_output_is_bit_identical_to_the_reference(monkeypatch):
 
 
 def test_kernel_starts_on_the_newton_polygon():
-    # roots of size 1..12 inside a Cauchy circle of radius about 1.3e9
+    # roots of size 1..12 inside a Cauchy circle of radius about 1.3e9:
+    # 7 sweeps (13 with Bini's fixed angles)
     wilkinson = Poly.from_roots([-j for j in range(1, 13)]).to_complex()
-    # 24 roots of modulus 1.78 inside a Cauchy circle of radius 1e6 + 1
+    # 24 roots of modulus 1.78 inside a Cauchy circle of radius 1e6 + 1: 4 sweeps
     binomial = [1e6 + 0j] + [0j] * 23 + [1 + 0j]
-    for coeffs in (wilkinson, binomial):
+    for coeffs, sweeps in ((wilkinson, 9), (binomial, 6)):
         _, _, iterations, ok = _roots_py.solve(list(coeffs), 1e-12, 400)
         assert ok
-        assert iterations <= 30
+        assert iterations <= sweeps
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_starts_of_one_edge_are_the_rotated_binomial_roots(n):
+    turn = cmath.exp(-1j * _roots_py._ROTATION)
+    for c in (3 - 4j, -2 + 0j, 1e-5j, -7e4 - 7e4j):
+        starts = _roots_py._starts([-c] + [0j] * (n - 1) + [1 + 0j])
+        # n distinct roots of x^n = c, each turned by the fixed rotation
+        assert len({(round(w.real, 6), round(w.imag, 6)) for w in starts}) == n
+        for w in starts:
+            assert (w * turn) ** n == pytest.approx(c, rel=1e-12)
+
+
+def test_starts_stay_finite_at_the_ends_of_the_float_range():
+    directions = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
+    values = [5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, 1e308]
+    coeffs = [complex(a * v, b * v) for v in values for a, b in directions]
+    overflowing = 0
+    for c0, c1 in itertools.product(coeffs, coeffs):
+        # the quotient -c0/c1 overflows or is NaN on many of these pairs
+        overflowing += not cmath.isfinite(-c0 / c1)
+        for n in (1, 3):
+            starts = _roots_py._starts([c0] + [0j] * (n - 1) + [c1])
+            assert len(starts) == n
+            assert all(map(cmath.isfinite, starts)), (c0, c1)
+    assert overflowing > 100
+
+
+def _kernel_sweeps(monkeypatch, call):
+    """Sweeps of the one kernel call that call makes on each of 40 seeded
+    vectors of 32 rationals."""
+    sweeps = []
+    solve = _roots_py.solve
+
+    def counted(coeffs, tol, max_iter):
+        out = solve(coeffs, tol, max_iter)
+        sweeps.append(out[2])
+        return out
+
+    monkeypatch.setattr(_roots_py, "solve", counted)
+    for seed in range(40):
+        rng = random.Random(seed)
+        c = []
+        for _ in range(32):
+            den = rng.randint(1, 8)
+            c.append(Fraction(rng.randint(-10 * den, 10 * den), den))
+        call(c)
+    assert len(sweeps) == 40
+    return sweeps
+
+
+def test_factor_offsets_converge_in_few_sweeps(monkeypatch):
+    # T(P) of a monic e^x P at m = 24 has its roots near the positive real
+    # axis: at most 11 sweeps here, 16 each with Bini's fixed angles
+    sweeps = _kernel_sweeps(monkeypatch, lambda c: decompose_exp(c[:24], "monic"))
+    assert max(sweeps) <= 12
+    # Q(t) of decompose_poly at n = 32, k = 2: at most 15 sweeps and 10.5 on
+    # average here, 20 and 16.7 with Bini's fixed angles
+    sweeps = _kernel_sweeps(monkeypatch, lambda c: decompose_poly(c, 32, 2))
+    assert max(sweeps) <= 16
+    assert sum(sweeps) <= 12 * len(sweeps)
 
 
 def test_aberth_locates_the_roots_of_wilkinson_type_products():
@@ -485,6 +551,9 @@ def test_place_positive_roots_reads_an_endless_iterator_only_as_needed():
     assert read == [0, 1, 2, 3, 4]  # 7/2 < 4 closes the last window needed
     read.clear()
     assert place_positive_roots(Poly([1, 0, 1]), integers()) == []
+    assert read == [0]
+    read.clear()
+    assert place_positive_roots(Poly([Fraction(-3, 2)]), integers()) == []
     assert read == [0]
 
 
@@ -789,6 +858,14 @@ def test_region_membership_strict_interior():
     assert v.in_sign_cone and v.hyperbolic
     assert v.right_halfplane == INSIDE
     assert v.witness_roots is None  # decided by exact minors
+
+
+def test_region_membership_of_the_constant_one():
+    # x^0 = 1 has no root, so it lies in every region
+    v = region_membership(())
+    assert v.in_sign_cone and v.hyperbolic
+    assert v.right_halfplane == INSIDE
+    assert v.witness_roots is None
 
 
 def test_region_membership_strict_exterior():
