@@ -23,6 +23,7 @@ from typing import Optional
 
 from .decompose import (
     AffineMap,
+    _phi_determinant,
     decompose_exp,
     decompose_poly,
     decomposition_from_json,
@@ -180,8 +181,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _map_to_json(amap: AffineMap, header: dict) -> dict:
-    det = amap.determinant()
+def _map_to_json(amap: AffineMap, det: Fraction, header: dict) -> dict:
     return {
         **header,
         "matrix": [[format_rational(v) for v in row] for row in amap.matrix],
@@ -196,13 +196,15 @@ def _cmd_phi(args) -> int:
         if args.n is None or args.k is None:
             raise ValueError("finite mode needs --n and --k")
         amap = decomposition_map("finite", n=args.n, k=args.k)
+        det = _phi_determinant(args.n, args.k)
         header = {"mode": "finite", "n": args.n, "k": args.k}
     else:
         if args.m is None:
             raise ValueError("exp mode needs --m")
         amap = decomposition_map("exp", m=args.m, convention=args.convention)
+        det = amap.determinant()
         header = {"mode": "exp", "m": args.m, "convention": args.convention}
-    _emit(_map_to_json(amap, header), args.out)
+    _emit(_map_to_json(amap, det, header), args.out)
     return 0
 
 

@@ -246,6 +246,24 @@ def _phi_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(col[n - j] // g for col in cols) for j in range(1, n + 1)), den // g
 
 
+def _phi_determinant(n: int, k: int) -> Fraction:
+    """det Phi_{n,k} = prod_{i=1}^{n-1} (m/(m-i))^(n-i), m = n+k.
+
+    Proof.  For core coefficients u and coefficients q of Q, the
+    homogenised identity (module docstring) at s = 0..n reads W q = D B u:
+    B is the lower unitriangular convolution by (x+1)^k, D = m^n
+    diag(1/C(m, s)) and W[s][j] = s^j (m-s)^(n-j).  Row s of W over
+    (m-s)^n is Vandermonde in x_s = s/(m-s), x_t - x_s = m (t-s) /
+    ((m-s)(m-t)), and each s lies in n pairs, so det W = m^(n(n+1)/2)
+    prod_{j<=n} j!.  With C(m, s) s! = m (m-1) ... (m-s+1), det(W^-1 D B)
+    is m^(n(n+1)/2) / prod_{i<n} (m-i)^(n-i).  Only u_n feeds q_n, with
+    weight 1 (Q is monic), and c and sigma are u and q without that
+    corner, both reversed; neither step changes the determinant.
+    """
+    m = n + k
+    return Fraction(m ** (n * (n - 1) // 2), math.prod((m - i) ** (n - i) for i in range(1, n)))
+
+
 def decompose_exp(
     c: Sequence[Fraction],
     convention: str = NORMALIZED,

@@ -194,8 +194,6 @@ class Poly:
         if isinstance(other, Poly):
             if den is None or other._den is None:
                 _inexact("multiplication")
-            if not (self._num and other._num):
-                return _exact([])
             return _exact(_convolve(self._num, other._num), den * other._den)
         if isinstance(other, (int, Fraction)):
             if den is None:
@@ -227,8 +225,6 @@ class Poly:
             _inexact("division")
         if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self._num) < len(other._num):
-            return Poly.zero(), self
         quot, rem, scale = _divide(self._num, other._num)
         den = scale * self._den
         return _exact([c * other._den for c in quot], den), _exact(rem, den)
@@ -362,8 +358,8 @@ def _add(p: Poly, q: Poly, sign: int) -> Poly:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Integer coefficients of the product of two nonzero integer
-    polynomials."""
+    """Integer coefficients of the product of two integer polynomials; a
+    zero (empty) factor gives zeros, which ``_exact`` trims."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -374,7 +370,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """(q, r, s) with a = (q / s) b + r / s over the rationals, for integer
-    lists with len(a) >= len(b) >= 1; s is a positive integer.
+    lists with len(b) >= 1; s is a positive integer.  A shorter a gives
+    q = [], r = a and s = 1.
 
     Eliminating the top coefficient c of r replaces r by
     (lb/g) r - (c/g) x^k b with lb = lc(b) and g = gcd(c, lb), so only

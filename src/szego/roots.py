@@ -404,37 +404,22 @@ def hurwitz_determinants(p: Poly) -> list[Fraction]:
     if desc[0] <= 0:
         raise ValueError("leading coefficient must be positive")
     n = len(desc) - 1
-    minors = _hurwitz_pivots(desc)
-    if len(minors) < n:
-        # past a vanishing pivot the pass would need a row swap, which
-        # breaks the pivot-minor identity: take each later minor alone
-        hurwitz = _hurwitz_matrix(desc, n)
-        minors += [_det([row[:k] for row in hurwitz[:k]]) for k in range(len(minors) + 1, n + 1)]
+    hurwitz = _hurwitz_matrix(desc)
+    minors = _leading_minors(hurwitz)
+    # past a vanishing pivot the pass would need a row swap, which breaks
+    # the pivot-minor identity: take each later minor alone
+    minors += [_det([row[:k] for row in hurwitz[:k]]) for k in range(len(minors) + 1, n + 1)]
     return [Fraction(d, p._den**k) for k, d in enumerate(minors, 1)]
 
 
-def _hurwitz_matrix(desc: list[int], size: int) -> list[list[int]]:
-    """The leading size x size block of the Hurwitz matrix of a_0 .. a_n
-    (desc): entry (i, j) is a_(2j - i) in 1-based indexing."""
+def _hurwitz_matrix(desc: list[int]) -> list[list[int]]:
+    """The n x n Hurwitz matrix of a_0 .. a_n (desc): entry (i, j) is
+    a_(2j - i) in 1-based indexing."""
     n = len(desc) - 1
     return [
-        [desc[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, size + 1)]
-        for i in range(1, size + 1)
+        [desc[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
+        for i in range(1, n + 1)
     ]
-
-
-def _hurwitz_pivots(desc: list[int]) -> list[int]:
-    """Hurwitz minors of a_0 .. a_n (desc) from one fraction-free pass:
-    all n when Delta_1 .. Delta_(n-1) are nonzero, otherwise Delta_1 up
-    to the first that vanishes.
-
-    The last column of the Hurwitz matrix is a_n e_n, so the pass runs on
-    the leading (n-1) x (n-1) block and Delta_n = a_n Delta_(n-1)."""
-    n = len(desc) - 1
-    minors = _leading_minors(_hurwitz_matrix(desc, n - 1))
-    if n and all(minors):
-        minors.append(desc[n] * (minors[-1] if minors else 1))
-    return minors
 
 
 def _eliminate(rows: list[list[int]], col: int, prev: int) -> None:
@@ -516,9 +501,6 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     cone = all(v <= 0 if j % 2 else v >= 0 for j, v in enumerate(p._num[-2::-1], 1))
     hyp = is_hyperbolic(p).hyperbolic
 
-    if n == 0:
-        return RegionVerdict(cone, hyp, INSIDE)
-
     # reflect: q(x) = +-p(-x) with positive leading coefficient; roots of
     # p lie strictly in the right half-plane iff q is Hurwitz-stable
     refl = [-v if i % 2 else v for i, v in enumerate(p._num)]
@@ -526,9 +508,9 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
         refl = [-v for v in refl]
 
     # the signs of the minors are those of their integer numerators
-    minors = _hurwitz_pivots(refl[::-1])
+    minors = _leading_minors(_hurwitz_matrix(refl[::-1]))
     witnesses = None
-    if len(minors) == n and minors[-1]:  # no minor vanishes
+    if len(minors) == n and all(minors):  # no minor vanishes
         verdict = INSIDE if all(d > 0 for d in minors) else OUTSIDE
     else:
         # a vanishing minor: q is not Hurwitz-stable, so p has a root with

@@ -210,6 +210,7 @@ def test_phi_exp(capsys):
 
 
 def test_phi_computes_the_determinant_once(monkeypatch, capsys):
+    # finite mode prints the closed-form product; only exp mode runs Bareiss
     real = szego.decompose._det
     calls = []
 
@@ -218,11 +219,15 @@ def test_phi_computes_the_determinant_once(monkeypatch, capsys):
         return real(rows)
 
     monkeypatch.setattr(szego.decompose, "_det", counting)
-    rc = main(["phi", "--mode", "finite", "--n", "32", "--k", "2"])
-    assert rc == 0
-    assert calls == [32]
-    out = json.loads(capsys.readouterr().out)
-    assert out["invertible"] is (out["determinant"] != "0")
+    for argv, expected in [
+        (["--mode", "finite", "--n", "32", "--k", "2"], []),
+        (["--mode", "exp", "--m", "32"], [32]),
+    ]:
+        calls.clear()
+        assert main(["phi", *argv]) == 0
+        assert calls == expected, argv
+        out = json.loads(capsys.readouterr().out)
+        assert out["invertible"] is (out["determinant"] != "0")
 
 
 def test_xi_iterate_worked(capsys):
@@ -462,6 +467,14 @@ def test_subprocess_xi_iterate_at_a_billion_steps_ends():
     coeffs = proc.stdout.strip().split(",")
     # T keeps the lead and the constant term; [x^2] drops by 3 nu
     assert coeffs[0] == coeffs[-1] == "1" and coeffs[2] == str(3 - 3 * 10**9)
+
+
+def test_subprocess_phi_at_n_60_ends():
+    # the determinant is a product, not a Bareiss pass over a 60 x 60 map
+    proc = run_cli("phi", "--mode", "finite", "--n", "60", "--k", "1", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert len(out["matrix"]) == 60 and out["invertible"] is True
 
 
 def test_subprocess_usage_error_code():

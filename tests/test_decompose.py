@@ -782,6 +782,13 @@ def test_affine_map_determinant_matches_fraction_elimination():
         assert amap.determinant() == _reference_det(amap.matrix), (n, k)
 
 
+def test_phi_determinant_is_the_closed_form_product():
+    for n in range(1, 11):
+        for k in range(1, 11):
+            bareiss = decomposition_map("finite", n=n, k=k).determinant()
+            assert decompose_module._phi_determinant(n, k) == bareiss, (n, k)
+
+
 _FINITE_MAP = decomposition_map("finite", n=2, k=1)
 
 

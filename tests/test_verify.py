@@ -14,6 +14,7 @@ import szego.verify
 from szego import (
     AffineMap,
     CheckReport,
+    ExpPoly,
     Poly,
     SscContext,
     available_checks,
@@ -68,6 +69,22 @@ def test_check_report_payload_shape():
     assert "elapsed" not in payload  # timing stays out of comparable output
     bad = CheckReport("demo", 10, [{"trial": 3}], 42, 0.5)
     assert not bad.passed
+    # value semantics: repr round-trips, every field counts, no hash
+    assert eval(repr(rep)) == rep
+    fields = dict(
+        check_id="demo", trials=10, failures=[], seed=42, elapsed=0.5, notes=[{"hint": 1}]
+    )
+    changed = dict(
+        check_id="other", trials=11, failures=[{"trial": 3}], seed=43, elapsed=0.25, notes=[]
+    )
+    assert CheckReport(**fields) == rep
+    for name, other in changed.items():
+        assert rep != CheckReport(**{**fields, name: other}), name
+    assert rep != "CheckReport"
+    with pytest.raises(TypeError):
+        hash(rep)
+    a, b = CheckReport("demo", 1, [], 1), CheckReport("demo", 1, [], 1)
+    assert a.notes == b.notes == [] and a.notes is not b.notes
 
 
 def test_cone_checks_pass():
@@ -316,6 +333,18 @@ def _plus_constant(real):
     return lambda *args, **kwargs: real(*args, **kwargs) + Poly([1])
 
 
+def _plus_constant_exp(real):
+    return lambda *args, **kwargs: ExpPoly(real(*args, **kwargs).poly + Poly([1]))
+
+
+def _plus_subleading(real):
+    def fake(*args, **kwargs):
+        q = real(*args, **kwargs)
+        return q + Poly.monomial(q.degree - 1)
+
+    return fake
+
+
 def _negated(real):
     return lambda *args, **kwargs: [-v for v in real(*args, **kwargs)]
 
@@ -390,6 +419,11 @@ FAILURE_RECORD_CASES = {
         lambda: suite_alternation_iteration(trials=2, seed=42),
         "0a608aa8a2ed600435d7c89428d222e36bbc5e774d8405f1ad4442c7239971ff",
     ),
+    "alternation_iteration_subleading": (
+        "falling_factorial_transform", _plus_subleading,
+        lambda: suite_alternation_iteration(trials=2, seed=42),
+        "0dacb144b83d21269104461835df37aac05de5fb1c095002df0b10117c6b7371",
+    ),
     "alternation_iteration_cap": (
         None, None,
         lambda: suite_alternation_iteration(trials=2, seed=42, max_nu=3),
@@ -409,6 +443,21 @@ FAILURE_RECORD_CASES = {
         "hurwitz_determinants", _negated,
         lambda: check_sign_experiments(k_values=(1, 2), seed=42),
         "7b1947a9f2db54b53b8f0baa19f7f691586796866ef5da083f67d1550a75a4f4",
+    ),
+    "sign_experiments_identities": (
+        "compose", _plus_constant,
+        lambda: check_sign_experiments(k_values=(1, 2), seed=42),
+        "7d73e2119881128f396c3558b2daa2761ee91448f8335f7b055b579b8691b7bb",
+    ),
+    "sign_experiments_negativity": (
+        "sturm_count", _off_by(1),
+        lambda: check_sign_experiments(k_values=(1, 2), seed=42),
+        "d7ae55a26637966c8dc956b51d239c4ed1aa89db2a3ab7ba461051cbc62c5696",
+    ),
+    "sign_experiments_exp_identities": (
+        "exp_compose", _plus_constant_exp,
+        lambda: check_sign_experiments(k_values=(1, 2), seed=42),
+        "5220fd7d37ed5d5180d291c5e68d7ad11d33523ad6408d365738a8a580c2528e",
     ),
     "derivative_identities": (
         "derivative_identities_hold", _never,
@@ -439,7 +488,19 @@ def test_failure_and_note_records_are_pinned(case, monkeypatch):
     if binding is not None:
         real = getattr(szego.verify, binding)
         monkeypatch.setattr(szego.verify, binding, wrap(real))
-    payload = run().to_payload()
+    _assert_pinned(run().to_payload(), digest)
+
+
+def test_sign_experiments_pins_the_exp_cross_check_record(monkeypatch):
+    # ExpPoly.gamma is a method, not a binding in szego.verify
+    real = ExpPoly.gamma
+    monkeypatch.setattr(ExpPoly, "gamma", lambda self, j: real(self, j) + 1)
+    payload = check_sign_experiments(k_values=(1, 2), seed=42).to_payload()
+    assert "exp perturbed cross-check" in [f["part"] for f in payload["failures"]]
+    _assert_pinned(payload, "2a51b504db4f730742c35f586c4040e6085f1725f91d060daa6bbe5e16e4a756")
+
+
+def _assert_pinned(payload, digest):
     assert payload["failures"] or payload["notes"]
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:400]
