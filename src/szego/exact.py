@@ -4,8 +4,8 @@ composition formulas need.
 Rationals are ``fractions.Fraction``: already normalized to lowest terms
 with a positive denominator, hashable, and exact under field operations.
 This module adds the string form used by the JSON interfaces ("p" or
-"p/q") plus checked binomial coefficients and the rows of both Stirling
-triangles, which carry the falling-factorial transform and its inverse.
+"p/q") plus checked binomial coefficients and the rows of the Stirling
+triangle of the first kind, which carry the falling-factorial transform.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "format_rational",
     "binomial",
     "falling_factorial_coeffs",
-    "stirling2_row",
 ]
 
 
@@ -83,35 +82,15 @@ def binomial(n: int, s: int) -> int:
     return math.comb(n, s)
 
 
-# Rows of the two Stirling triangles, extended on demand and kept for the
-# life of the process: row d of the first kind holds the monomial
-# coefficients of the falling factorial x(x-1)...(x-d+1), row d of the
-# second kind the falling-factorial coefficients of x^d.  Rows 0..d hold
-# about d^2 / 2 integers of up to about d log2(d) bits each, a few
-# hundred kilobytes at d = 64.  A table is extended on a copy and then
+# Rows of the signed Stirling triangle of the first kind, extended on
+# demand and kept for the life of the process: row d holds the monomial
+# coefficients of the falling factorial x(x-1)...(x-d+1).  Rows 0..d
+# hold about d^2 / 2 integers of up to about d log2(d) bits each, a few
+# hundred kilobytes at d = 64.  The table is extended on a copy and then
 # published by one assignment, so concurrent callers never see a row
-# out of place.
-_STIRLING_ROWS: dict[int, list[tuple[int, ...]]] = {1: [(1,)], 2: [(1,)]}
-
-
-def _stirling_row(kind: int, d: int, step) -> tuple[int, ...]:
-    rows = _STIRLING_ROWS[kind]
-    if d >= len(rows):
-        rows = list(rows)
-        while len(rows) <= d:
-            rows.append(step(rows[-1], len(rows) - 1))
-        _STIRLING_ROWS[kind] = rows
-    return rows[d]
-
-
-def _next_first_kind(prev: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # s(i+1, k) = s(i, k-1) - i s(i, k): row i times (x - i)
-    return tuple(a - i * b for a, b in zip((0,) + prev, prev + (0,)))
-
-
-def _next_second_kind(prev: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # S(i+1, k) = k S(i, k) + S(i, k-1)
-    return tuple(k * a + b for k, (a, b) in enumerate(zip(prev + (0,), (0,) + prev)))
+# out of place.  The inverse transform needs no table: it takes Newton
+# coefficients at the nodes 0, 1, 2, ... by synthetic division.
+_STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
 def falling_factorial_coeffs(j: int) -> tuple[int, ...]:
@@ -122,18 +101,14 @@ def falling_factorial_coeffs(j: int) -> tuple[int, ...]:
     s(i+1, k) = s(i, k-1) - i s(i, k), i.e. multiplying row i by (x - i).
     Rows are cached.
     """
+    global _STIRLING1_ROWS
     if j < 0:
         raise ValueError(f"falling_factorial_coeffs: negative j = {j}")
-    return _stirling_row(1, j, _next_first_kind)
-
-
-def stirling2_row(d: int) -> tuple[int, ...]:
-    """Stirling numbers of the second kind S(d, 0..d), so that
-    x^d = sum_k S(d, k) x(x-1)...(x-k+1).
-
-    From the recurrence S(i+1, k) = k S(i, k) + S(i, k-1).  Rows are
-    cached.
-    """
-    if d < 0:
-        raise ValueError(f"stirling2_row: negative d = {d}")
-    return _stirling_row(2, d, _next_second_kind)
+    rows = _STIRLING1_ROWS
+    if j >= len(rows):
+        rows = list(rows)
+        while len(rows) <= j:
+            i, prev = len(rows) - 1, rows[-1]
+            rows.append(tuple(a - i * b for a, b in zip((0,) + prev, prev + (0,))))
+        _STIRLING1_ROWS = rows
+    return rows[j]

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NoReturn, Optional, Sequence
 
-from .exact import _json_field, _parse_rationals, falling_factorial_coeffs, format_rational, stirling2_row
+from .exact import _json_field, _parse_rationals, falling_factorial_coeffs, format_rational
 
 NEG_INF = float("-inf")
 
@@ -618,10 +618,6 @@ class ExpPoly:
     def poly(self) -> Poly:
         return self._poly
 
-    @property
-    def is_exact(self) -> bool:
-        return self._poly.is_exact
-
     def gamma(self, j: int) -> Fraction:
         """j! * [x^j] (e^x * P), via sum_i P_i * j(j-1)...(j-i+1).
 
@@ -662,38 +658,47 @@ def falling_factorial_poly(d: int) -> Poly:
     return _exact(list(falling_factorial_coeffs(d)))
 
 
-def _stirling_product(p: Poly, row) -> Poly:
-    """The polynomial with coefficients out_k = sum_d p_d row(d)[k]: an
-    integer unitriangular matrix applied to the numerators of p.  Its
-    inverse is integer too, so gcd(den, out) = gcd(den, num) = 1 and the
-    denominator is unchanged."""
-    if p._den is None:
-        _inexact("the falling-factorial transform")
-    vals = p._num
-    out = [0] * len(vals)
-    for d, c in enumerate(vals):
-        if c:
-            for k, s in enumerate(row(d)):
-                if s:
-                    out[k] += c * s
-    return _exact(out, p._den)
-
-
 def falling_factorial_transform(p: Poly) -> Poly:
     """Replace each monomial x^d by the degree-d falling factorial.
 
     Linear, degree-preserving, and unitriangular on coefficients, hence
     invertible; leading and constant coefficients are unchanged.  The
     image evaluated at integers j >= 0 gives gamma(j) of e^x * p.
-    Applied as rows of signed Stirling numbers of the first kind.
+    Applied to the numerators as rows of signed Stirling numbers of the
+    first kind; the integer inverse keeps gcd(den, num) = 1, so the
+    denominator is unchanged.
     """
-    return _stirling_product(p, falling_factorial_coeffs)
+    if p._den is None:
+        _inexact("the falling-factorial transform")
+    vals = p._num
+    out = [0] * len(vals)
+    for d, c in enumerate(vals):
+        if c:
+            for k, s in enumerate(falling_factorial_coeffs(d)):
+                if s:
+                    out[k] += c * s
+    return _exact(out, p._den)
 
 
 def inverse_falling_factorial_transform(q: Poly) -> Poly:
-    """Inverse transform: x^k = sum_d S(k, d) x(x-1)...(x-d+1) with S the
-    Stirling numbers of the second kind."""
-    return _stirling_product(q, stirling2_row)
+    """Inverse transform: the coefficients c_k of q in the falling
+    factorials, q = sum_k c_k x(x-1)...(x-k+1), i.e. q's Newton
+    coefficients at the nodes 0, 1, 2, ....
+
+    Synthetic division of q's numerators: dividing q_i by x - i leaves
+    the quotient q_(i+1) and the remainder q_i(i) = c_i, all in
+    integers, so the denominator is unchanged.
+    """
+    if q._den is None:
+        _inexact("the falling-factorial transform")
+    num = list(q._num)
+    top = len(num) - 1
+    for i in range(1, top):
+        # num[i:] holds q_i; Horner from the top leaves q_i(i) at num[i]
+        # and the quotient q_(i+1) above it
+        for k in range(top - 1, i - 1, -1):
+            num[k] += i * num[k + 1]
+    return _exact(num, q._den)
 
 
 def iterate_falling_factorial_transform(p: Poly, nu: int) -> Poly:

@@ -127,6 +127,14 @@ def test_compose_needs_ambient(capsys):
         (["phi", "--mode", "exp"], "exp mode needs --m"),
         (["decompose", "--mode", "exp", "--c", " , "], "empty coefficient list"),
         (["xi-iterate", "--poly", "1,1", "--nu", "-1"], "iteration count must be >= 0"),
+        (
+            ["decompose", "--mode", "exp", "--c", "[0.5]"],
+            "a coefficient vector: 0.5 is neither a rational string nor an integer",
+        ),
+        (
+            ["decompose", "--mode", "exp", "--c", "[true]"],
+            "a coefficient vector: True is neither a rational string nor an integer",
+        ),
     ],
     ids=[
         "compose_no_operands",
@@ -135,6 +143,8 @@ def test_compose_needs_ambient(capsys):
         "phi_exp_no_m",
         "decompose_blank_list",
         "xi_iterate_negative_nu",
+        "decompose_float_entry",
+        "decompose_bool_entry",
     ],
 )
 def test_command_errors_exit_one(argv, message, capsys):

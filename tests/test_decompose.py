@@ -425,6 +425,8 @@ def test_recompose_validation():
         recompose(Decomposition(mode="exp", sigma=(F(1),), m=2, convention=NORMALIZED))
     with pytest.raises(ValueError):
         recompose(Decomposition(mode="alien", sigma=()))
+    with pytest.raises(ValueError, match="unknown convention"):
+        recompose(Decomposition(mode="exp", sigma=(F(1),), m=1, convention="alien"))
 
 
 # -- Phi_{n,k}: the cached integer matrix -------------------------------------

@@ -8,8 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from szego import binomial, exact, format_rational, parse_rational
-from szego.exact import falling_factorial_coeffs, stirling2_row
+from szego import (
+    Poly,
+    binomial,
+    exact,
+    falling_factorial_transform,
+    format_rational,
+    inverse_falling_factorial_transform,
+    parse_rational,
+)
+from szego.exact import falling_factorial_coeffs
 
 
 def test_parse_rational_accepts_integers_and_fractions():
@@ -78,62 +86,101 @@ def test_falling_factorial_coeffs_evaluate_to_falling_products():
             assert value == expected, (d, j)
 
 
+def _inverse_of_monomial(d):
+    return tuple(inverse_falling_factorial_transform(Poly.monomial(d)).coeffs)
+
+
 def test_stirling2_rows_small_cases():
-    assert stirling2_row(0) == (1,)
-    assert stirling2_row(1) == (0, 1)
+    # the inverse transform of x^d is row d of the second kind, S(d, 0..d)
+    assert _inverse_of_monomial(0) == (1,)
+    assert _inverse_of_monomial(1) == (0, 1)
     # x^3 = x(x-1)(x-2) + 3 x(x-1) + x
-    assert stirling2_row(3) == (0, 1, 3, 1)
-    assert stirling2_row(4) == (0, 1, 7, 6, 1)
-    with pytest.raises(ValueError):
-        stirling2_row(-1)
+    assert _inverse_of_monomial(3) == (0, 1, 3, 1)
+    assert _inverse_of_monomial(4) == (0, 1, 7, 6, 1)
+    assert inverse_falling_factorial_transform(Poly.zero()) == Poly.zero()
 
 
 def test_stirling_rows_are_cached():
     assert falling_factorial_coeffs(12) is falling_factorial_coeffs(12)
-    assert stirling2_row(12) is stirling2_row(12)
 
 
 def test_monomials_expand_in_falling_factorials_up_to_degree_48():
-    # x^d = sum_k S(d, k) x(x-1)...(x-k+1), compared coefficientwise
+    # x^d = sum_k S(d, k) x(x-1)...(x-k+1), with S(d, k) from the closed
+    # form k! S(d, k) = sum_i (-1)^i C(k, i) (k - i)^d
     for d in range(49):
+        row = _inverse_of_monomial(d)
+        assert len(row) == d + 1, d
+        for k, s in enumerate(row):
+            closed = sum((-1) ** i * math.comb(k, i) * (k - i) ** d for i in range(k + 1))
+            assert s * math.factorial(k) == closed, (d, k)
         total = [0] * (d + 1)
-        for k, s in enumerate(stirling2_row(d)):
+        for k, s in enumerate(row):
             for i, c in enumerate(falling_factorial_coeffs(k)):
                 total[i] += s * c
         assert total == [0] * d + [1], d
-        # and the rows agree with the closed form of S(d, k)
-        for k, s in enumerate(stirling2_row(d)):
-            closed = sum((-1) ** i * math.comb(k, i) * (k - i) ** d for i in range(k + 1))
-            assert s * math.factorial(k) == closed, (d, k)
 
 
 def test_stirling_matrices_are_inverse_up_to_degree_48():
-    # sum_k s(d, k) S(k, j) = [d == j]
+    # T^-1(T(p)) = p on monomials and on random exact polynomials
     for d in range(49):
-        first = falling_factorial_coeffs(d)
-        for j in range(d + 1):
-            total = sum(first[k] * stirling2_row(k)[j] for k in range(j, d + 1))
-            assert total == (d == j), (d, j)
+        x_d = Poly.monomial(d)
+        assert inverse_falling_factorial_transform(falling_factorial_transform(x_d)) == x_d, d
+    rng = random.Random(25)
+    for _ in range(200):
+        p = Poly([Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6)) for _ in range(rng.randint(0, 48))])
+        back = inverse_falling_factorial_transform(falling_factorial_transform(p))
+        assert (back._num, back._den) == (p._num, p._den)
+
+
+def _ref_stirling2_rows(top):
+    # S(i+1, k) = k S(i, k) + S(i, k-1), independent of the code under test
+    rows = [[1]]
+    for _ in range(top):
+        prev = rows[-1] + [0]
+        rows.append([k * prev[k] + (prev[k - 1] if k else 0) for k in range(len(prev))])
+    return rows
+
+
+def test_inverse_transform_matches_the_second_kind_recurrence():
+    # x^d = sum_k S(d, k) x(x-1)...(x-k+1), so T^-1(q)_k = sum_d q_d S(d, k)
+    rows = _ref_stirling2_rows(64)
+    rng = random.Random(2025)
+    cases = [[], [0], [5], [Fraction(-7, 3)], [0, 0, 0]]
+    for _ in range(1000):
+        degree = rng.randint(0, 64)
+        bits = rng.choice([4, 30, 120])
+        cases.append(
+            [Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2 ** (bits // 2))) for _ in range(degree + 1)]
+        )
+    for coeffs in cases:
+        # on the integer numerators over q's denominator, which the
+        # integer unitriangular inverse keeps
+        q = Poly(coeffs)
+        want = [0] * len(q._num)
+        for d, c in enumerate(q._num):
+            for k, s in enumerate(rows[d]):
+                want[k] += c * s
+        got = inverse_falling_factorial_transform(q)
+        assert (got._num, got._den) == (tuple(want), q._den)
 
 
 def test_stirling_rows_stay_in_place_under_concurrent_extension(monkeypatch):
-    # threads that extend the same fresh tables at once must never leave a
+    # threads that extend the same fresh table at once must never leave a
     # row at the wrong index
-    want1 = [falling_factorial_coeffs(d) for d in range(80)]
-    want2 = [stirling2_row(d) for d in range(80)]
+    want = [falling_factorial_coeffs(d) for d in range(80)]
     wrong = []
 
     def work(seed):
         rng = random.Random(seed)
         for d in rng.sample(range(80), 80):
-            if falling_factorial_coeffs(d) != want1[d] or stirling2_row(d) != want2[d]:
+            if falling_factorial_coeffs(d) != want[d]:
                 wrong.append(d)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(5):
-            monkeypatch.setattr(exact, "_STIRLING_ROWS", {1: [(1,)], 2: [(1,)]})
+            monkeypatch.setattr(exact, "_STIRLING1_ROWS", [(1,)])
             threads = [threading.Thread(target=work, args=(10 * round_ + i,)) for i in range(6)]
             for t in threads:
                 t.start()

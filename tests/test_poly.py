@@ -55,6 +55,16 @@ def test_exactness_tracking():
         Poly(["1/2", 3])
 
 
+def test_non_polynomial_operands_are_not_implemented():
+    # integers are not polynomials here: only * takes a scalar
+    p = Poly([1, 2])
+    assert (p == 1) is False
+    assert p != 1
+    for op in (lambda: p + 1, lambda: p - 1, lambda: p * "x", lambda: divmod(p, 2)):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_basic_observers():
     p = Poly([5, 0, 7])
     assert p.degree == 2

@@ -12,6 +12,7 @@ import pytest
 
 import szego.verify
 from szego import (
+    INSIDE,
     AffineMap,
     CheckReport,
     ExpPoly,
@@ -198,6 +199,11 @@ def test_alternation_rejects_low_degree():
         check_alternation_iteration(Poly([0.5, 0, 1]))
 
 
+def test_eventual_hyperbolicity_rejects_a_constant():
+    with pytest.raises(ValueError, match="degree >= 1"):
+        check_eventual_hyperbolicity(Poly([3]))
+
+
 def test_eventual_hyperbolicity_worked():
     # x^2 - x + 1: first qualifying iterate is the second transform
     rep = check_eventual_hyperbolicity(Poly([1, -1, 1]))
@@ -337,12 +343,33 @@ def _plus_constant_exp(real):
     return lambda *args, **kwargs: ExpPoly(real(*args, **kwargs).poly + Poly([1]))
 
 
+def _remainder_plus_one(real):
+    def fake(*args):
+        quot, rem = real(*args)
+        return quot, rem + Poly([1])
+
+    return fake
+
+
 def _plus_subleading(real):
     def fake(*args, **kwargs):
         q = real(*args, **kwargs)
         return q + Poly.monomial(q.degree - 1)
 
     return fake
+
+
+def _frozen_linear_term(real):
+    # keeps the constant term and the subleading law, freezes c at x^1
+    def fake(q):
+        image = real(q)
+        return image + Poly.monomial(1, q.coeff(1) - image.coeff(1))
+
+    return fake
+
+
+def _always_inside(real):
+    return lambda *args, **kwargs: real(*args, **kwargs)._replace(right_halfplane=INSIDE)
 
 
 def _negated(real):
@@ -365,8 +392,9 @@ def _shifted_last_offset(real):
     return fake
 
 
-# id -> (binding in szego.verify, wrapper of the real binding or None,
-#        the check run, sha256 of json.dumps(report.to_payload(), sort_keys=True))
+# id -> (binding in szego.verify, or an (owner, attribute) pair, wrapper
+#        of the real binding or None, the check run,
+#        sha256 of json.dumps(report.to_payload(), sort_keys=True))
 # No record prints a float root: every value in them is exact.
 FAILURE_RECORD_CASES = {
     "cone_finite": (
@@ -424,6 +452,11 @@ FAILURE_RECORD_CASES = {
         lambda: suite_alternation_iteration(trials=2, seed=42),
         "0dacb144b83d21269104461835df37aac05de5fb1c095002df0b10117c6b7371",
     ),
+    "alternation_iteration_ratio_growth": (
+        "falling_factorial_transform", _frozen_linear_term,
+        lambda: check_alternation_iteration(Poly([1, 1, 0, 1])),
+        "9df79dd6f295474f0590e09e5326c67ed842c8efc7423e2b93139ec05c2d52d9",
+    ),
     "alternation_iteration_cap": (
         None, None,
         lambda: suite_alternation_iteration(trials=2, seed=42, max_nu=3),
@@ -439,6 +472,11 @@ FAILURE_RECORD_CASES = {
         lambda: check_halfplane_not_invariant(trials=4, seed=42),
         "771dcba11d805acf876758c7e7ee21b01550e404a6677a2dedb99b39810bd09d",
     ),
+    "halfplane_not_invariant_scan": (
+        "region_membership", _always_inside,
+        lambda: check_halfplane_not_invariant(trials=4, seed=42),
+        "547274150b2170ca45c705e216ac4fbc61e86197739a2fdc075afb07a7015f0f",
+    ),
     "sign_experiments": (
         "hurwitz_determinants", _negated,
         lambda: check_sign_experiments(k_values=(1, 2), seed=42),
@@ -448,6 +486,11 @@ FAILURE_RECORD_CASES = {
         "compose", _plus_constant,
         lambda: check_sign_experiments(k_values=(1, 2), seed=42),
         "7d73e2119881128f396c3558b2daa2761ee91448f8335f7b055b579b8691b7bb",
+    ),
+    "sign_experiments_multiplicity": (
+        (Poly, "__divmod__"), _remainder_plus_one,
+        lambda: check_sign_experiments(k_values=(1, 2), seed=42),
+        "a3eeb4f24e452b47e2585f1107c890fa435a65b1fbe1dd0a17663c71e97eda02",
     ),
     "sign_experiments_negativity": (
         "sturm_count", _off_by(1),
@@ -486,8 +529,8 @@ FAILURE_RECORD_CASES = {
 def test_failure_and_note_records_are_pinned(case, monkeypatch):
     binding, wrap, run, digest = FAILURE_RECORD_CASES[case]
     if binding is not None:
-        real = getattr(szego.verify, binding)
-        monkeypatch.setattr(szego.verify, binding, wrap(real))
+        owner, name = binding if isinstance(binding, tuple) else (szego.verify, binding)
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     _assert_pinned(run().to_payload(), digest)
 
 
