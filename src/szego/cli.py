@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -217,35 +218,12 @@ def _cmd_xi_iterate(args) -> int:
     return 0
 
 
-def _split_suite_names(spec: str) -> list[str]:
-    """Comma-split that keeps commas inside [...] cell parameters intact,
-    so single cells like cone_finite[n=1,k=2] remain selectable."""
-    out: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    for ch in spec:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            tok = "".join(buf).strip()
-            if tok:
-                out.append(tok)
-            buf = []
-        else:
-            buf.append(ch)
-    tok = "".join(buf).strip()
-    if tok:
-        out.append(tok)
-    return out
-
-
 def _cmd_verify(args) -> int:
     from .verify import reports_payload, run_suite  # the suites load only for verify
 
     seed = args.seed if args.seed is not None else _default_seed()
-    names = None if args.suite == "all" else _split_suite_names(args.suite)
+    # commas inside [...] belong to a cell id such as cone_finite[n=1,k=2]
+    names = [t.strip() for t in re.split(r",(?![^\[]*\])", args.suite) if t.strip()]
     reports = run_suite(names, trials=args.trials, seed=seed, jobs=args.jobs)
     payload = reports_payload(reports)
     _emit(payload, args.out)

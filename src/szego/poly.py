@@ -26,6 +26,7 @@ degree-d falling factorial x(x-1)...(x-d+1) for each monomial x^d.  Its
 defining property, used throughout the package: for any polynomial P,
 the transformed polynomial evaluated at the integer j equals
 j! * [x^j](e^x P), i.e. it generates the Taylor numerators of e^x * P.
+``ExpPoly`` reads its gammas off T(P), which it builds once per instance.
 """
 
 from __future__ import annotations
@@ -587,59 +588,48 @@ def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     return g, qa, [c * k for c in qb] if k > 1 else qb
 
 
-def _gamma_sum(num: Sequence, j: int):
-    """sum_i num_i * j(j-1)...(j-i+1); terms with i > j vanish."""
-    acc = 0
-    ff = 1  # falling product of length i evaluated at j
-    for i, c in enumerate(num):
-        if i > 0:
-            ff *= j - (i - 1)
-            if not ff:
-                break
-        acc += c * ff
-    return acc
-
-
 class ExpPoly:
     """The entire function e^x * P for a polynomial P.
 
     ``gamma(j)`` returns j! times the j-th Taylor coefficient at 0; these
     numerators are the natural coordinates for composing such functions.
+    They are read off the falling-factorial transform, gamma(j) = T(P)(j);
+    ``_image`` caches T(P), built on the first gamma query.
     """
 
-    __slots__ = ("_poly",)
+    __slots__ = ("_poly", "_image")
 
     def __init__(self, poly: Poly):
         if not isinstance(poly, Poly):
             poly = Poly(poly)
         self._poly = poly
+        self._image = None
 
     @property
     def poly(self) -> Poly:
         return self._poly
 
-    def gamma(self, j: int) -> Fraction:
-        """j! * [x^j] (e^x * P), via sum_i P_i * j(j-1)...(j-i+1).
+    def _image_numerators(self) -> tuple:
+        """T(P)'s integer numerators; T keeps P's denominator."""
+        if self._image is None:
+            self._image = falling_factorial_transform(self._poly)
+        return self._image._num
 
-        Sums integer numerators and divides by the common denominator
-        once; terms with i > j vanish.
-        """
+    def gamma(self, j: int) -> Fraction:
+        """j! * [x^j] (e^x * P) = T(P)(j), by Horner over the integer
+        numerators of T(P) and one division by P's denominator."""
         if j < 0:
             raise ValueError("negative Taylor index")
-        p = self._poly
-        if p._den is None:
-            _inexact("gamma")
-        return Fraction(_gamma_sum(p._num, j), p._den)
+        return Fraction(_horner(self._image_numerators(), j), self._poly._den)
 
     def gamma_numerators(self, N: int) -> list[int]:
         """[gamma(0), ..., gamma(N)] times the positive denominator of
-        P: integer sums, with the signs of the gammas."""
+        P: the numerators of T(P) evaluated at 0..N, with the signs of
+        the gammas."""
         if N < 0:
             raise ValueError("negative Taylor index")
-        p = self._poly
-        if p._den is None:
-            _inexact("gamma")
-        return [_gamma_sum(p._num, j) for j in range(N + 1)]
+        num = self._image_numerators()
+        return [_horner(num, j) for j in range(N + 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):

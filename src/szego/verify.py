@@ -975,9 +975,9 @@ def run_suite(
     seed: int = 42,
     jobs: int = 1,
 ) -> list[CheckReport]:
-    """Run the cells (all when names is None, else those matching the
-    given families / cell ids, or the one given as a bare string) in
-    deterministic cell order.
+    """Run the cells (all when names is None or holds "all", else those
+    matching the given families / cell ids, or the one given as a bare
+    string) in deterministic cell order; an unknown name is an error.
 
     At most min(jobs, cells, CPUs) worker processes run; an empty
     selection, trials < 1 and jobs < 1 are errors."""
@@ -990,14 +990,14 @@ def run_suite(
         wanted = {names} if isinstance(names, str) else set(names)
         if not wanted:
             raise ValueError("no checks selected")
+        known = {"all"} | {s[0] for s in specs} | {_family(s[0]) for s in specs}
+        unknown = wanted - known
+        if unknown:
+            raise ValueError(
+                f"unknown checks: {sorted(unknown)}; "
+                f"available: {', '.join(available_checks())}"
+            )
         if "all" not in wanted:
-            known = {s[0] for s in specs} | {_family(s[0]) for s in specs}
-            unknown = wanted - known
-            if unknown:
-                raise ValueError(
-                    f"unknown checks: {sorted(unknown)}; "
-                    f"available: {', '.join(available_checks())}"
-                )
             specs = [s for s in specs if s[0] in wanted or _family(s[0]) in wanted]
     workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:

@@ -299,6 +299,42 @@ def test_verify_unknown_suite(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_all_beside_an_unknown_name_is_an_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "all,bogus", "--trials", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("szego: error:") and "bogus" in err
+    assert not out.exists()
+
+
+def test_verify_selects_cells_whose_ids_hold_commas(capsys):
+    spec = "cone_finite[n=1,k=2], derivative_identities"
+    assert main(["verify", "--suite", spec, "--trials", "1"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["check_id"] for r in reports] == ["cone_finite[n=1,k=2]", "derivative_identities"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "[",
+        "]",
+        "cone_finite[n=1,k=2",
+        "cone_finite[n=1,k=2]]",
+        "[derivative_identities",
+        "derivative_identities]",
+        "cone_exp,[",
+        "],cone_exp",
+        "cone_finite[n=1],k=2]",
+    ],
+)
+def test_verify_specs_with_stray_brackets_are_errors(spec, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", spec, "--trials", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("szego: error:")
+    assert not out.exists()
+
+
 def test_verify_rejects_zero_jobs(capsys):
     rc = main(["verify", "--suite", "derivative_identities", "--trials", "1", "--jobs", "0"])
     assert rc == 1
@@ -485,6 +521,20 @@ def test_subprocess_phi_at_n_60_ends():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert len(out["matrix"]) == 60 and out["invertible"] is True
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_subprocess_phi_past_the_int_to_str_limit_exits_one(tmp_path):
+    # at k = 1 the determinant's reduced numerator first passes CPython's
+    # 4,300-digit int-to-str limit at n = 70
+    out = tmp_path / "F"
+    proc = run_cli(
+        "phi", "--mode", "finite", "--n", "70", "--k", "1", "--out", str(out),
+        env_extra={"PYTHONINTMAXSTRDIGITS": "4300"}, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("szego: error:") and proc.stderr.count("\n") == 1
+    assert not out.exists() and not list(tmp_path.iterdir())
 
 
 def test_subprocess_usage_error_code():

@@ -570,11 +570,12 @@ def test_phi_cache_tells_k_apart():
 
 
 def test_transform_generates_the_gammas_on_the_monomial_basis():
-    # T and the gamma sums are both linear in P, so agreeing on each x^d
-    # at more nodes than the degree means agreeing on every P of degree <= 64
+    # gamma_j(e^x x^d) = j!/(j-d)!; T and the gammas are both linear in P,
+    # so agreeing on each x^d at more nodes than the degree means agreeing
+    # on every P of degree <= 64
     for d in range(65):
         g = falling_factorial_transform(Poly.monomial(d))
-        want = ExpPoly(Poly.monomial(d)).gamma_numerators(2 * d + 1)
+        want = [math.perm(j, d) for j in range(2 * d + 2)]
         assert [g(j) for j in range(2 * d + 2)] == want, d
 
 

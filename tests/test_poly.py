@@ -2,6 +2,7 @@
 falling-factorial transform."""
 
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -333,9 +334,8 @@ def test_transform_evaluates_to_gamma_at_integers():
     for _ in range(20):
         p = _rand_poly(rng, rng.randint(0, 5))
         q = falling_factorial_transform(p)
-        f = ExpPoly(p)
         for j in range(8):
-            assert q(Fraction(j)) == f.gamma(j)
+            assert q(Fraction(j)) == _ref_gamma(list(p.coeffs), j)
 
 
 def test_inverse_transform_round_trip():
@@ -503,6 +503,14 @@ def _ref_interpolate(points):
     return out
 
 
+def _ref_gamma(a, j):
+    """j! [x^j] (e^x P) as the falling-product sum sum_i a_i j!/(j-i)!."""
+    return sum(
+        (c * Fraction(math.factorial(j), math.factorial(j - i)) for i, c in enumerate(a) if i <= j),
+        Fraction(0),
+    )
+
+
 def _random_coeffs(rng, kind, degree):
     if kind == "zero":
         return [0] * rng.randint(0, 2)
@@ -565,6 +573,42 @@ def test_integer_core_against_fraction_reference():
         _assert_canonical(falling_factorial_transform(a), _ref_transform(fa))
         _assert_canonical(inverse_falling_factorial_transform(a), _ref_inverse_transform(fa))
         assert a.to_complex() == [complex(c) for c in fa]
+
+
+def test_gamma_against_the_falling_product_sum_up_to_degree_48():
+    # the ladder's shape: gamma(0..2d+1) of one ExpPoly per degree d
+    rng = random.Random(86)
+    for d in range(-1, 49):
+        kind = "zero" if d < 0 else ("int", "small", "large")[d % 3]
+        fa = _ref_trim(_random_coeffs(rng, kind, max(d, 0)))
+        top = 2 * max(d, 0) + 1
+        want = [_ref_gamma(fa, j) for j in range(top + 1)]
+        f = ExpPoly(Poly(fa))
+        got = [f.gamma(j) for j in range(top + 1)]
+        assert all(type(v) is Fraction for v in got) and got == want, d
+        den = math.lcm(*[c.denominator for c in fa])
+        for g in (f, ExpPoly(Poly(fa))):  # the transform built, and fresh
+            nums = g.gamma_numerators(top)
+            assert all(type(v) is int for v in nums) and nums == [v * den for v in want], d
+
+
+def test_exp_poly_builds_its_transform_once_and_stays_the_same_value(monkeypatch):
+    p = Poly([Fraction(1, 3), -2, 0, Fraction(5, 7)])
+    want = [_ref_gamma(list(p.coeffs), j) for j in range(10)]
+    calls = []
+    real = szego.poly.falling_factorial_transform
+    monkeypatch.setattr(
+        szego.poly, "falling_factorial_transform", lambda q: calls.append(q) or real(q)
+    )
+    built, fresh = ExpPoly(p), ExpPoly(p)
+    assert [built.gamma(j) for j in range(10)] == want
+    assert built.gamma_numerators(9) == [v * 21 for v in want]
+    assert calls == [p]
+    assert built == fresh and hash(built) == hash(fresh)
+    for f in (built, fresh):
+        back = pickle.loads(pickle.dumps(f))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert [back.gamma(j) for j in range(10)] == want
 
 
 def test_interpolate_against_lagrange_reference():
@@ -679,5 +723,5 @@ def test_transform_round_trips_up_to_degree_48():
         assert falling_factorial_transform(inverse_falling_factorial_transform(p)) == p
         # the image at integers gives the Taylor numerators
         image = falling_factorial_transform(p)
-        f = ExpPoly(p)
-        assert all(image(j) == f.gamma(j) for j in range(0, 2 * d + 2, max(1, d // 4)))
+        fa = list(p.coeffs)
+        assert all(image(j) == _ref_gamma(fa, j) for j in range(0, 2 * d + 2, max(1, d // 4)))
