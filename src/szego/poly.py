@@ -144,14 +144,22 @@ class Poly:
 
     def coeff(self, i: int) -> Fraction | complex:
         if 0 <= i < len(self._num):
-            return self.coeffs[i]
+            return self._entry(i)
         return Fraction(0) if self._den is not None else 0j
 
     @property
     def lead(self) -> Fraction | complex:
         if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._entry(-1)
+
+    def _entry(self, i: int) -> Fraction | complex:
+        """coeffs[i] for an index into _num, without building the whole
+        tuple when it is not cached yet."""
+        c = self._coeffs
+        if c is None:
+            return Fraction(self._num[i], self._den)
+        return c[i]
 
     @property
     def constant(self) -> Fraction | complex:
@@ -322,8 +330,16 @@ def _clear(values: Sequence) -> tuple[list[int], int]:
 
 def _horner(num: Sequence, a, b=1):
     """sum_i num_i a^i b^(deg-i), which is b^deg times the polynomial with
-    ascending coefficients num evaluated at a/b (0 for empty num)."""
+    ascending coefficients num evaluated at a/b (0 for empty num).
+
+    At b = 1 (an integer point: Sturm reads at integer breaks, GCDHEU
+    points, the gammas of ``ExpPoly``) this is plain Horner, with no
+    scale carried."""
     acc = 0
+    if b == 1:
+        for c in reversed(num):
+            acc = acc * a + c
+        return acc
     scale = 1
     for c in reversed(num):
         acc = acc * a + c * scale
@@ -425,12 +441,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # lists (ascending, no trailing zeros) instead of Fraction Polys, with
 # denominators cleared once.
 #
-# Sturm chains are remainder sequences: each step takes a pseudo-remainder,
-# which is the Euclidean remainder times a positive integer, and the
-# integer content is divided out after every step (the primitive remainder
-# sequence of Collins 1967 and Brown-Traub 1971).  Every scale factor is
-# positive, so each list has the signs of the Fraction polynomial it
-# stands for, and Sturm sign counts carry over unchanged.
+# Sturm chains are remainder sequences: each step takes the pseudo-remainder
+# lc(b)^(d+1) a - q b of a by b, d = deg a - deg b, which is the Euclidean
+# remainder times lc(b)^(d+1), and divides out its integer content (the
+# primitive remainder sequence of Collins 1967 and Brown-Traub 1971).  The
+# sign of lc(b)^(d+1) is taken back out with the content, so each list is
+# the Fraction polynomial it stands for times a positive number: it has the
+# same signs, and Sturm sign counts carry over unchanged.  A positive scale
+# does not change a primitive part, so the chain does not depend on how the
+# pseudo-remainder was formed.
 #
 # gcds go through _gcd: the heuristic _heu_gcd (GCDHEU) reads the gcd off
 # one big-integer gcd and returns the cofactors with it, and the remainder
@@ -464,48 +483,49 @@ def _subtract(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """a mod b times a positive rational, as a primitive integer list
-    ([] when b divides a).
-
-    Eliminating the top coefficient c of r replaces r by
-    |lc(b)| * r - c * x^s * b, all in integers, so the remainder comes out
-    times a power of |lc(b)|; a top coefficient that is already zero
-    costs no multiplication.
-    """
-    if b[-1] < 0:
-        b = [-c for c in b]
-    lb = b[-1]
-    low = b[:-1]
-    db = len(low)
-    r = list(a)
-    for top in range(len(r) - 1, db - 1, -1):
-        c = r.pop()
-        if not c:
-            continue
-        if lb != 1:
-            r = [lb * v for v in r]
-        s = top - db
-        for j, bj in enumerate(low):
-            r[s + j] -= c * bj
-    while r and not r[-1]:
-        r.pop()
-    return _primitive_part(r) if r else r
-
-
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
-    """[a, b, r_2, ..., r_m]: r_{i+1} is minus the primitive pseudo-remainder
-    of r_{i-1} by r_i, and the sequence stops before the first zero.
+    """[a, b, r_2, ..., r_m] for nonzero integer lists: r_{i+1} is the
+    primitive integer list with the signs of -(r_{i-1} mod r_i), and the
+    sequence stops before the first zero remainder.
 
     With b = a' this is the Sturm chain of a up to positive factors; its
     last entry is always gcd(a, b) up to a nonzero constant.
+
+    Each step forms the pseudo-remainder r = s a - q b, s = lc(b)^(d+1) for
+    d = deg a - deg b, and appends r divided by -sgn(s) times its content.
+    At d = 1 (the first step of a Sturm chain, and every step while each
+    remainder is one degree lower) q = q1 x + q0 comes from the top two
+    coefficients of a and b, and r from one pass over the low coefficients.
+    Any other d takes the digits of q one by one from the top of s a, each
+    an exact division by lc(b); a shorter a is its own remainder (s = 1).
+    A constant b divides a, so the sequence ends there.
     """
     seq = [a, b]
-    while True:
-        r = _pseudo_remainder(seq[-2], seq[-1])
+    while len(b) > 1:
+        lb = b[-1]
+        d = len(a) - len(b)
+        if d == 1:
+            c = a[-1]
+            s = lb * lb
+            q1, q0 = lb * c, lb * a[-2] - c * b[-2]
+            r = [s * x - q0 * y - q1 * z for x, y, z in zip(a, b, [0, *b[:-2]])]
+        else:
+            s = lb ** max(d + 1, 0)
+            r = [s * x for x in a]
+            for k in range(d, -1, -1):
+                c = r.pop() // lb
+                if c:
+                    r[k:] = [x - c * y for x, y in zip(r[k:], b)]
+        while r and not r[-1]:
+            r.pop()
         if not r:
-            return seq
-        seq.append([-c for c in r])
+            break
+        g = math.gcd(*r)
+        if s > 0:
+            g = -g
+        a, b = b, [x // g for x in r]
+        seq.append(b)
+    return seq
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> Optional[list[int]]:

@@ -361,14 +361,23 @@ def is_hyperbolic(p: Poly) -> Hyperbolicity:
 # -- sign data ----------------------------------------------------------------
 
 
-def sign_changes(seq: Sequence) -> int:
-    """Sign alternations after deleting zeros (Descartes convention)."""
-    signs = []
+def sign_changes(seq: Iterable) -> int:
+    """Sign alternations after deleting zeros (Descartes convention).
+
+    One pass that keeps only the last nonzero sign; an entry that is
+    neither > 0 nor < 0 (a zero, or a float NaN) is skipped."""
+    count = 0
+    last = 0
     for v in seq:
-        s = (v > 0) - (v < 0)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+        if v > 0:
+            if last < 0:
+                count += 1
+            last = 1
+        elif v < 0:
+            if last > 0:
+                count += 1
+            last = -1
+    return count
 
 
 def taylor_window_bound(p: Poly) -> int:

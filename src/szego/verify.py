@@ -188,7 +188,8 @@ def _rand_monic(rng: random.Random, deg: int, bound: int = 6) -> Poly:
 
 def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[Fraction, ...]:
     # coordinates (-1)^i u_i with u_i >= 0: the alternating-sign cone
-    return tuple((-1) ** i * _rand_fraction(rng, bound, low=0) for i in range(1, n + 1))
+    draws = (_rand_fraction(rng, bound, low=0) for _ in range(n))
+    return tuple(-u if i % 2 else u for i, u in enumerate(draws, 1))
 
 
 def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
@@ -223,11 +224,10 @@ def _check_cone(
         elif kind == 2 and n >= 2:
             c[rng.randrange(n - 1)] = Fraction(0)  # cone face, constant free
         sigma = sigma_of(c)
-        in_cone = all((-1) ** j * sigma[j - 1] >= 0 for j in range(1, n + 1))
+        # (-1)^j sigma_j >= 0, and > 0 for the strict test, read off signs
+        in_cone = all(s <= 0 if j % 2 else s >= 0 for j, s in enumerate(sigma, 1))
         const_ok = sigma[-1] == c[-1]
-        strict_ok = c[-1] == 0 or all(
-            (-1) ** j * sigma[j - 1] > 0 for j in range(1, n + 1)
-        )
+        strict_ok = c[-1] == 0 or all(s < 0 if j % 2 else s > 0 for j, s in enumerate(sigma, 1))
         if not (in_cone and const_ok and strict_ok):
             return {
                 "c": _fmt(c),

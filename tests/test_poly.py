@@ -77,6 +77,38 @@ def test_basic_observers():
         Poly.zero().lead
 
 
+def test_single_coefficient_reads_match_the_tuple():
+    rng = random.Random(76)
+    for _ in range(40):
+        p = _rand_poly(rng, rng.randint(0, 6))
+        reads = [p.coeff(i) for i in range(-1, p.degree + 3)] + [p.lead, p.constant]
+        assert p._coeffs is None  # no tuple built for one entry
+        c = p.coeffs
+        assert reads == [Fraction(0), *c, Fraction(0), Fraction(0), c[-1], c[0]]
+        assert all(type(v) is Fraction for v in reads)
+        # the same reads off the cached tuple
+        assert [p.coeff(i) for i in range(-1, p.degree + 3)] + [p.lead, p.constant] == reads
+    q = Poly([Fraction(6, 4), 0, Fraction(-9, 6)])
+    assert (q.constant, q.coeff(1), q.lead) == (Fraction(3, 2), 0, Fraction(-3, 2))
+    z = Poly([1.5, 0, 2j])
+    assert (z.constant, z.coeff(1), z.lead, z.coeff(5)) == (1.5 + 0j, 0j, 2j, 0j)
+    assert all(type(v) is complex for v in (z.constant, z.coeff(1), z.lead, z.coeff(5)))
+
+
+def test_horner_is_the_scaled_homogeneous_sum():
+    rng = random.Random(77)
+    for _ in range(200):
+        num = [rng.randint(-(2**70), 2**70) for _ in range(rng.randint(0, 9))]
+        a = rng.choice([0, 1, -1, rng.randint(-50, 50), 2**66 + 1])
+        b = rng.choice([1, 2, rng.randint(1, 50), 3**40])
+        deg = len(num) - 1
+        homogeneous = sum(c * a**i * b ** (deg - i) for i, c in enumerate(num))
+        assert szego.poly._horner(num, a, b) == homogeneous
+        plain = sum(c * a**i for i, c in enumerate(num))
+        assert szego.poly._horner(num, a) == szego.poly._horner(num, a, 1) == plain
+    assert szego.poly._horner([], 5) == szego.poly._horner([], 5, 3) == 0
+
+
 def test_arithmetic_identities_random():
     rng = random.Random(11)
     for _ in range(50):

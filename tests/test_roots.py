@@ -501,6 +501,104 @@ def test_one_sturm_chain_per_square_free_factor(monkeypatch):
             assert degrees == factor_degrees
 
 
+def _reference_remainder_sequence(a, b):
+    """The remainder sequence step by step as two loops: eliminating the
+    top coefficient c of r sets r to |lc(b)| r - c x^s b (one rescale of
+    the whole list, then an indexed subtraction), then the primitive part
+    is taken and negated."""
+
+    def pseudo_remainder(a, b):
+        if b[-1] < 0:
+            b = [-c for c in b]
+        lb, low = b[-1], b[:-1]
+        r = list(a)
+        for top in range(len(r) - 1, len(low) - 1, -1):
+            c = r.pop()
+            if not c:
+                continue
+            if lb != 1:
+                r = [lb * v for v in r]
+            for j, bj in enumerate(low):
+                r[top - len(low) + j] -= c * bj
+        while r and not r[-1]:
+            r.pop()
+        g = math.gcd(*r) if r else 1
+        return [v // g for v in r]
+
+    seq = [a, b]
+    while True:
+        r = pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append([-c for c in r])
+
+
+def _remainder_corpus():
+    """Integer pairs (a, b) for the remainder sequence: Sturm-chain starts
+    (v, pp(v')) and gcd-style pairs of any two degrees."""
+    rng = random.Random(65)
+    starts = []
+    for _ in range(120):  # zero coefficients and negative leads
+        v = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(1, 12))]
+        starts.append(v + [rng.choice([-3, -2, -1, 1, 2, 5])])
+    for _ in range(12):  # the ladder's Sturm shape
+        roots = rng.sample(range(-23, 24), rng.randint(1, 22))
+        v = Poly.from_roots(roots) * Poly([rng.randint(1, 9), 0, 1])
+        starts.append(list(v._num))
+    # degree drops of two or more
+    starts += [[1, 0, 0, 0, 0, 1], [1, 0, 3, 0, 3, 0, 1], [1, 0, -2, 0, 1]]
+    pairs = [(v, szego.poly._primitive_part(szego.poly._derivative(v))) for v in starts]
+
+    def draw():
+        return [rng.randint(-9, 9) for _ in range(rng.randint(0, 12))] + [rng.choice([-2, -1, 1, 3])]
+
+    for _ in range(120):  # shorter, equal and longer a
+        pairs.append((szego.poly._primitive_part(draw()), draw()))
+    pairs += [([1, 0, 0, 0, 0, 1], [1, 0, 1]), ([1, 0, 3, 0, 3, 0, 1], [1, 0, 1]),
+              ([1, 0, -2, 0, 1], [-1, 0, 1]), ([1, 0, 3, 0, 3, 0, 1], [7])]
+    return starts, pairs
+
+
+def test_remainder_sequence_matches_the_two_loop_reference():
+    starts, pairs = _remainder_corpus()
+    drops = set()
+    for a, b in pairs:
+        want = _reference_remainder_sequence(a, b)
+        assert szego.poly._remainder_sequence(a, b) == want, (a, b)
+        drops.update(len(x) - len(y) for x, y in zip(want, want[1:]))
+    # every kind of step: the closed form (drop 1), q digit by digit (0 and
+    # >= 2), a shorter a (negative) and a constant divisor, which ends it
+    assert {-3, -1, 0, 1, 2, 3, 4, 6} <= drops
+
+
+def _exact_root_answers(polys):
+    breaks = [Fraction(k, 3) for k in range(120)] + [None]
+    return [
+        (
+            sturm_count(p),
+            sturm_count(p, Fraction(-1, 2), 3),
+            sturm_count(p, -2, Fraction(7, 3), multiplicity=True),
+            place_positive_roots(p, breaks),
+            is_hyperbolic(p),
+        )
+        for p in polys
+    ]
+
+
+def test_exact_root_answers_match_the_two_loop_reference(monkeypatch):
+    starts, _ = _remainder_corpus()
+    polys = [Poly(v) for v in starts]
+    answers = []
+    for sequence in (szego.poly._remainder_sequence, _reference_remainder_sequence):
+        monkeypatch.setattr(szego.roots, "_remainder_sequence", sequence)
+        monkeypatch.setattr(szego.poly, "_remainder_sequence", sequence)
+        answers.append(_exact_root_answers(polys))
+        with monkeypatch.context() as m:  # the gcd fallback runs the sequence too
+            m.setattr(szego.poly, "_heu_gcd", lambda a, b: None)
+            answers.append(_exact_root_answers(polys))
+    assert answers[1:] == answers[:1] * 3
+
+
 def _windows_of(roots, breaks):
     """The placement read off known roots; breaks is a list ending in None."""
     out = []
@@ -697,6 +795,34 @@ def test_sign_changes():
     assert sign_changes([1, 0, -1]) == 1  # zeros are skipped
     assert sign_changes([]) == 0
     assert sign_changes([Fraction(1, 2), Fraction(-1, 3)]) == 1
+
+
+def _reference_sign_changes(seq):
+    signs = [s for s in ((v > 0) - (v < 0) for v in seq) if s]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+def test_sign_changes_against_the_list_definition():
+    nan = float("nan")
+    cases = [
+        [],
+        [0, 0, 0],
+        [0.0, -0.0, nan],
+        [2**70, -(2**64 + 1), 0, 3**50, -(2**65), -1],
+        [Fraction(1, 2**70), Fraction(-3, 7), 0, Fraction(0), Fraction(5, 3)],
+        [1.0, nan, -0.0, 0.0, -2.5, nan, 3.0, -1e-300, 0.0],
+        [nan, -1.0, nan, 1.0],
+    ]
+    rng = random.Random(66)
+    for _ in range(200):
+        pool = [0, 0.0, -0.0, nan, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 7), -2.5]
+        cases.append([rng.choice(pool) for _ in range(rng.randint(0, 12))])
+    for seq in cases:
+        want = _reference_sign_changes(seq)
+        assert sign_changes(seq) == want, seq
+        assert sign_changes(v for v in seq) == want, seq  # one pass suffices
+    assert sign_changes([0.0, -0.0, nan]) == 0
+    assert sign_changes([nan, -1.0, nan, 1.0]) == 1
 
 
 def test_taylor_window_bound_worked():
