@@ -326,9 +326,9 @@ def recompose(dec: Decomposition):
         if dec.m is None or len(dec.sigma) != dec.m:
             raise ValueError("malformed exp decomposition")
         if dec.convention == NORMALIZED:
-            g = Poly([Fraction(1)] + list(dec.sigma))
+            g = _exact(*_clear([1, *dec.sigma]))
         elif dec.convention == MONIC:
-            g = Poly(list(reversed(dec.sigma)) + [Fraction(1)])
+            g = _monic_tail(dec.sigma)
         else:
             raise ValueError(f"unknown convention {dec.convention!r}")
         return ExpPoly(inverse_falling_factorial_transform(g))

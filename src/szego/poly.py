@@ -228,15 +228,23 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(q, r) with self = q other + r and deg r < deg other: one
+        ``_long_divide`` of the numerators at the pseudo-division scale,
+        whose sign moves into q and r so that ``_exact`` gets a positive
+        denominator."""
         if not isinstance(other, Poly):
             return NotImplemented
         if self._den is None or other._den is None:
             _inexact("division")
         if not other._num:
             raise ZeroDivisionError("polynomial division by zero")
-        quot, rem, scale = _divide(self._num, other._num)
-        den = scale * self._den
-        return _exact([c * other._den for c in quot], den), _exact(rem, den)
+        a, b = self._num, other._num
+        s = b[-1] ** max(len(a) - len(b) + 1, 0)
+        q, r = _long_divide(a, b, s)
+        if s < 0:
+            q, r, s = [-c for c in q], [-c for c in r], -s
+        den = s * self._den
+        return _exact([c * other._den for c in q], den), _exact(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -385,39 +393,30 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """(q, r, s) with a = (q / s) b + r / s over the rationals, for integer
-    lists with len(b) >= 1; s is a positive integer.  A shorter a gives
-    q = [], r = a and s = 1.
+def _long_divide(a: Sequence[int], b: Sequence[int], s: int = 1) -> Optional[tuple[list[int], list[int]]]:
+    """(q, r) with s a = q b + r and len(r) < len(b) for integer lists, b
+    nonzero, or None at the first digit of q that lc(b) does not divide;
+    r may end in zeros.
 
-    Eliminating the top coefficient c of r replaces r by
-    (lb/g) r - (c/g) x^k b with lb = lc(b) and g = gcd(c, lb), so only
-    the factor lb/g enters the running scale s (q is kept at that scale).
+    Each digit of q is the top coefficient of the running remainder
+    divided by lc(b), and subtracting it times x^k b clears that top.  At
+    the pseudo-division scale s = lc(b)^(deg a - deg b + 1) every such
+    division is exact (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
     """
     lb = b[-1]
     low = b[:-1]
-    db = len(low)
-    r = list(a)
-    quot = [0] * (len(r) - db)
-    scale = 1
-    for top in range(len(r) - 1, db - 1, -1):
+    r = [s * x for x in a]
+    q = [0] * (len(a) - len(low))
+    for k in range(len(q) - 1, -1, -1):
         c = r.pop()
-        if not c:
-            continue
-        g = math.gcd(c, lb)
-        m = lb // g
-        if m != 1:
-            r = [m * v for v in r]
-            quot = [m * v for v in quot]
-            scale *= m
-        c //= g
-        k = top - db
-        for j, bj in enumerate(low):
-            r[k + j] -= c * bj
-        quot[k] = c
-    if scale < 0:
-        return [-c for c in quot], [-c for c in r], -scale
-    return quot, r, scale
+        if c:
+            c, m = divmod(c, lb)
+            if m:
+                return None
+            q[k] = c
+            for j, y in enumerate(low, k):
+                r[j] -= c * y
+    return q, r
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -441,14 +440,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # lists (ascending, no trailing zeros) instead of Fraction Polys, with
 # denominators cleared once.
 #
+# One digit loop, _long_divide, does every integer long division: divmod
+# of Polys and the remainder steps below at the pseudo-division scale
+# lc(b)^(d+1), d = deg a - deg b, where every digit divides, and the exact
+# quotients of GCDHEU and the square-free chains at scale 1, where the
+# first digit that does not divide ends the division.
+#
 # Sturm chains are remainder sequences: each step takes the pseudo-remainder
-# lc(b)^(d+1) a - q b of a by b, d = deg a - deg b, which is the Euclidean
-# remainder times lc(b)^(d+1), and divides out its integer content (the
-# primitive remainder sequence of Collins 1967 and Brown-Traub 1971).  The
-# sign of lc(b)^(d+1) is taken back out with the content, so each list is
-# the Fraction polynomial it stands for times a positive number: it has the
-# same signs, and Sturm sign counts carry over unchanged.  A positive scale
-# does not change a primitive part, so the chain does not depend on how the
+# lc(b)^(d+1) a - q b of a by b, which is the Euclidean remainder times
+# lc(b)^(d+1), and divides out its integer content (the primitive remainder
+# sequence of Collins 1967 and Brown-Traub 1971).  The sign of lc(b)^(d+1)
+# is taken back out with the content, so each list is the Fraction
+# polynomial it stands for times a positive number: it has the same signs,
+# and Sturm sign counts carry over unchanged.  A positive scale does not
+# change a primitive part, so the chain does not depend on how the
 # pseudo-remainder was formed.
 #
 # gcds go through _gcd: the heuristic _heu_gcd (GCDHEU) reads the gcd off
@@ -496,9 +501,8 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     At d = 1 (the first step of a Sturm chain, and every step while each
     remainder is one degree lower) q = q1 x + q0 comes from the top two
     coefficients of a and b, and r from one pass over the low coefficients.
-    Any other d takes the digits of q one by one from the top of s a, each
-    an exact division by lc(b); a shorter a is its own remainder (s = 1).
-    A constant b divides a, so the sequence ends there.
+    Any other d is one ``_long_divide`` at scale s; a shorter a is its own
+    remainder (s = 1).  A constant b divides a, so the sequence ends there.
     """
     seq = [a, b]
     while len(b) > 1:
@@ -511,11 +515,7 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
             r = [s * x - q0 * y - q1 * z for x, y, z in zip(a, b, [0, *b[:-2]])]
         else:
             s = lb ** max(d + 1, 0)
-            r = [s * x for x in a]
-            for k in range(d, -1, -1):
-                c = r.pop() // lb
-                if c:
-                    r[k:] = [x - c * y for x, y in zip(r[k:], b)]
+            r = _long_divide(a, b, s)[1]
         while r and not r[-1]:
             r.pop()
         if not r:
@@ -532,22 +532,8 @@ def _exact_quotient(a: list[int], b: list[int]) -> Optional[list[int]]:
     """a / b for nonzero integer lists, or None when the quotient is not an
     integer list with remainder 0.  For primitive b that is exactly when b
     divides a over the rationals (Gauss's lemma)."""
-    lb = b[-1]
-    low = b[:-1]
-    db = len(low)
-    r = list(a)
-    q = [0] * (len(a) - db)
-    for top in range(len(r) - 1, db - 1, -1):
-        c = r[top]
-        if c:
-            c, m = divmod(c, lb)
-            if m:
-                return None
-            s = top - db
-            q[s] = c
-            for j, bj in enumerate(low):
-                r[s + j] -= c * bj
-    return None if any(r[:db]) else q
+    qr = _long_divide(a, b)
+    return None if qr is None or any(qr[1]) else qr[0]
 
 
 # GCDHEU tries this many evaluation points before _gcd falls back to the

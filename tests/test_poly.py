@@ -24,8 +24,12 @@ from szego import (
 )
 from szego.poly import (
     NEG_INF,
+    _convolve,
+    _exact,
+    _exact_quotient,
     _gcd,
     _heu_gcd,
+    _horner,
     _primitive_part,
     falling_factorial_poly,
     poly_gcd,
@@ -122,14 +126,71 @@ def test_arithmetic_identities_random():
         assert (a * b).degree == a.degree + b.degree
 
 
+def _gcd_scaled_divide(a, b):
+    """Reference: long division that divides each digit's gcd with lc(b)
+    out of the running scale.  (q, r, s) with a = (q / s) b + r / s for
+    integer lists, s > 0; a shorter a gives q = [], r = a and s = 1."""
+    lb = b[-1]
+    low = b[:-1]
+    db = len(low)
+    r = list(a)
+    quot = [0] * (len(r) - db)
+    scale = 1
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lb)
+        m = lb // g
+        if m != 1:
+            r = [m * v for v in r]
+            quot = [m * v for v in quot]
+            scale *= m
+        c //= g
+        k = top - db
+        for j, bj in enumerate(low):
+            r[k + j] -= c * bj
+        quot[k] = c
+    if scale < 0:
+        return [-c for c in quot], [-c for c in r], -scale
+    return quot, r, scale
+
+
+def _reference_divmod(a, b):
+    quot, rem, scale = _gcd_scaled_divide(a._num, b._num)
+    den = scale * a._den
+    return _exact([c * b._den for c in quot], den), _exact(rem, den)
+
+
+def _signed_poly(rng, deg, lead_sign):
+    """_rand_poly with the sign of the leading coefficient chosen."""
+    p = _rand_poly(rng, deg)
+    return p * Fraction(lead_sign, rng.randint(1, 6))
+
+
 def test_divmod_is_exact_division_with_remainder():
     rng = random.Random(12)
-    for _ in range(50):
-        a = _rand_poly(rng, rng.randint(0, 6))
-        b = _rand_poly(rng, rng.randint(1, 4))
+    pairs = [(_rand_poly(rng, rng.randint(0, 6)), _rand_poly(rng, rng.randint(1, 4))) for _ in range(50)]
+    for d in (2, 5, 8, 16, 24, 32, 48):
+        pairs.append((_rand_poly(rng, 2 * d), _rand_poly(rng, d)))
+        pairs.append((_signed_poly(rng, 2 * d, -1), _signed_poly(rng, d, -1)))
+    # a negative lc(b) with deg a - deg b + 1 odd makes the scale negative
+    for da, db in ((2, 2), (3, 1), (4, 2), (6, 0), (7, 3), (20, 8)):
+        for lead_sign in (1, -1):
+            pairs.append((_signed_poly(rng, da, lead_sign), _signed_poly(rng, db, -1)))
+    # a dividend shorter than the divisor, and the zero dividend
+    for da, db in ((0, 1), (1, 3), (2, 5), (4, 9)):
+        pairs.append((_signed_poly(rng, da, -1), _signed_poly(rng, db, -1)))
+        pairs.append((Poly.zero(), _rand_poly(rng, db)))
+    # constant divisors
+    for c in (1, -1, 3, Fraction(-7, 4), Fraction(10**20, 3**30)):
+        pairs.append((_signed_poly(rng, 9, -1), Poly([c])))
+    for a, b in pairs:
         q, r = divmod(a, b)
         assert a == q * b + r
         assert r.is_zero or r.degree < b.degree
+        want_q, want_r = _reference_divmod(a, b)
+        assert (q._num, q._den, r._num, r._den) == (want_q._num, want_q._den, want_r._num, want_r._den)
     with pytest.raises(ZeroDivisionError):
         divmod(Poly([1, 1]), Poly.zero())
 
@@ -296,6 +357,72 @@ def test_poly_gcd_against_euclid_reference(monkeypatch):
     monkeypatch.setattr(szego.poly, "_HEU_POINTS", 1)
     assert _heu_gcd(pv, pdv) is None
     _assert_gcd_with_cofactors(v, v.derivative(), Poly.one())
+
+
+def _digit_loop_quotient(a, b):
+    """Reference: exact quotient by indexed digits from the top, or None
+    when a digit or the remainder shows that b does not divide a."""
+    lb = b[-1]
+    low = b[:-1]
+    db = len(low)
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if c:
+            c, m = divmod(c, lb)
+            if m:
+                return None
+            s = top - db
+            q[s] = c
+            for j, bj in enumerate(low):
+                r[s + j] -= c * bj
+    return None if any(r[:db]) else q
+
+
+def _balanced_digits(n, xi):
+    """The primitive part of n read as balanced base-xi digits: a GCDHEU
+    gcd candidate, which need not divide anything at a small xi."""
+    half = xi // 2
+    g = []
+    while n:
+        n, d = divmod(n, xi)
+        if d > half:
+            d -= xi
+            n += 1
+        g.append(d)
+    return _primitive_part(g)
+
+
+def test_exact_quotient_against_the_digit_loop_reference():
+    rng = random.Random(28)
+
+    def ints(deg):
+        return [rng.randint(-20, 20) for _ in range(deg)] + [rng.choice([-7, -3, -2, -1, 1, 2, 5])]
+
+    cases = []
+    for _ in range(150):
+        b, c = ints(rng.randint(0, 10)), ints(rng.randint(0, 10))
+        a = _convolve(b, c)
+        cases.append((a, b))  # exact products
+        bumped = list(a)
+        bumped[rng.randrange(len(a))] += rng.choice([-1, 1])
+        cases.append((bumped, b))  # non-products: one coefficient off
+        cases.append((ints(rng.randint(0, 20)), b))  # unrelated lists
+        # GCDHEU candidates read at points far below its bound, most wrong
+        for xi in (2, 3, 5, 11):
+            g = _balanced_digits(math.gcd(_horner(a, xi), _horner(_convolve(b, ints(3)), xi)), xi)
+            if g:
+                cases.append((a, g))
+    cases += [([5, 1, 1], [1, 1]), ([-1, 0, 1], [1, 1]), ([3], [1, 2]), ([4, 6], [2])]
+    found = Counter()
+    for a, b in cases:
+        q = _exact_quotient(a, b)
+        assert q == _digit_loop_quotient(a, b), (a, b)
+        if q is not None:
+            assert _convolve(q, b) == a
+        found[q is None] += 1
+    assert found[True] > 100 and found[False] > 100
 
 
 def test_exp_poly_gamma_values():
