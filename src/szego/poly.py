@@ -26,7 +26,7 @@ degree-d falling factorial x(x-1)...(x-d+1) for each monomial x^d.  Its
 defining property, used throughout the package: for any polynomial P,
 the transformed polynomial evaluated at the integer j equals
 j! * [x^j](e^x P), i.e. it generates the Taylor numerators of e^x * P.
-``ExpPoly`` reads its gammas off T(P), which it builds once per instance.
+``ExpPoly`` evaluates T(P)(j) from P's own numerators, with no T(P) built.
 """
 
 from __future__ import annotations
@@ -341,8 +341,7 @@ def _horner(num: Sequence, a, b=1):
     ascending coefficients num evaluated at a/b (0 for empty num).
 
     At b = 1 (an integer point: Sturm reads at integer breaks, GCDHEU
-    points, the gammas of ``ExpPoly``) this is plain Horner, with no
-    scale carried."""
+    points) this is plain Horner, with no scale carried."""
     acc = 0
     if b == 1:
         for c in reversed(num):
@@ -594,48 +593,56 @@ def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     return g, qa, [c * k for c in qb] if k > 1 else qb
 
 
+def _taylor_numerator(num: Sequence, j: int) -> int:
+    """sum_i num_i j(j-1)...(j-i+1) over i <= min(j, deg), by nested
+    Horner from i = min(j, deg) down: acc <- acc (j - i) + num_i.  The
+    terms with i > j vanish and are never read."""
+    acc = 0
+    k = j - len(num) if j >= len(num) else -1  # j - i - 1 at the first i
+    for c in num[j::-1]:
+        k += 1
+        acc = acc * k + c
+    return acc
+
+
 class ExpPoly:
     """The entire function e^x * P for a polynomial P.
 
     ``gamma(j)`` returns j! times the j-th Taylor coefficient at 0; these
     numerators are the natural coordinates for composing such functions.
-    They are read off the falling-factorial transform, gamma(j) = T(P)(j);
-    ``_image`` caches T(P), built on the first gamma query.
+    gamma(j) = sum_i [x^i]P j!/(j-i)! = T(P)(j), read off P's integer
+    numerators by ``_taylor_numerator`` with no transform T(P) built.
     """
 
-    __slots__ = ("_poly", "_image")
+    __slots__ = ("_poly",)
 
     def __init__(self, poly: Poly):
         if not isinstance(poly, Poly):
             poly = Poly(poly)
         self._poly = poly
-        self._image = None
 
     @property
     def poly(self) -> Poly:
         return self._poly
 
-    def _image_numerators(self) -> tuple:
-        """T(P)'s integer numerators; T keeps P's denominator."""
-        if self._image is None:
-            self._image = falling_factorial_transform(self._poly)
-        return self._image._num
-
     def gamma(self, j: int) -> Fraction:
-        """j! * [x^j] (e^x * P) = T(P)(j), by Horner over the integer
-        numerators of T(P) and one division by P's denominator."""
+        """j! * [x^j] (e^x * P), as one integer over P's denominator."""
         if j < 0:
             raise ValueError("negative Taylor index")
-        return Fraction(_horner(self._image_numerators(), j), self._poly._den)
+        p = self._poly
+        if p._den is None:
+            _inexact("Taylor-numerator evaluation")
+        return Fraction(_taylor_numerator(p._num, j), p._den)
 
     def gamma_numerators(self, N: int) -> list[int]:
         """[gamma(0), ..., gamma(N)] times the positive denominator of
-        P: the numerators of T(P) evaluated at 0..N, with the signs of
-        the gammas."""
+        P, with the signs of the gammas."""
         if N < 0:
             raise ValueError("negative Taylor index")
-        num = self._image_numerators()
-        return [_horner(num, j) for j in range(N + 1)]
+        p = self._poly
+        if p._den is None:
+            _inexact("Taylor-numerator evaluation")
+        return [_taylor_numerator(p._num, j) for j in range(N + 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):
@@ -717,47 +724,37 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 
     Nodes and values must be ints or Fractions (a float or complex is a
     ValueError, another type a TypeError) and the nodes pairwise
-    distinct.  Newton divided differences in integers:
-    every node and divided difference is a reduced numerator/denominator
-    pair, and the nested Horner form t_0 + (x - x_0)(t_1 + (x - x_1)(...))
-    is expanded as numerators over one denominator.
+    distinct.  The Lagrange form with barycentric weights (Berrut and
+    Trefethen, SIAM Review 46, 2004) in integers: the nodes scaled by the
+    lcm B of their denominators, X_i = B x_i, give the weights
+    w_i = y_i / prod_{j != i} (X_i - X_j), each reduced by one gcd; over
+    the lcm L of their denominators, N(X) = sum_i L w_i prod_{j != i}
+    (X - X_j) takes one pass over the nodes, and the result is N(B x) / L.
+    n gcds for n points, where Newton's table takes n(n-1)/2.
     """
     if not points:
         return Poly.zero()
     _rationals([v for pt in points for v in pt], "interpolation")
-    xn = [p[0].numerator for p in points]
-    xd = [p[0].denominator for p in points]
-    tn = [p[1].numerator for p in points]
-    td = [p[1].denominator for p in points]
-    n = len(points)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            j = i - level
-            dx = xn[i] * xd[j] - xn[j] * xd[i]
-            if not dx:
-                raise ValueError("interpolation nodes must be distinct")
-            # (t_i - t_{i-1}) / (x_i - x_j)
-            num = (tn[i] * td[i - 1] - tn[i - 1] * td[i]) * xd[i] * xd[j]
-            den = td[i] * td[i - 1] * dx
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(num, den)
-            tn[i], td[i] = num // g, den // g
-    # num / den times (x - a/b) is (b x - a) num / (den b); adding the
-    # next coefficient moves to the common denominator lcm(den b, t_den)
-    num = [tn[-1]]
-    den = td[-1]
-    for i in range(n - 2, -1, -1):
-        a, b = xn[i], xd[i]
-        num = [b * u - a * v for u, v in zip([0] + num, num + [0])]
-        den *= b
-        g = math.gcd(den, td[i])
-        up = td[i] // g
-        if up != 1:
-            num = [up * v for v in num]
-        num[0] += tn[i] * (den // g)
-        den *= up
-    return _exact(num, den)
+    scale = math.lcm(*[x.denominator for x, _ in points])
+    nodes = [x.numerator * (scale // x.denominator) for x, _ in points]
+    weights = []
+    for i, (x, (_, y)) in enumerate(zip(nodes, points)):
+        d = math.prod([x - u for u in nodes[:i]]) * math.prod([x - u for u in nodes[i + 1 :]])
+        if not d:
+            raise ValueError("interpolation nodes must be distinct")
+        # y = p/q is reduced, so gcd(p, d) reduces p / (q d); a negative
+        # denominator needs no sign fix, as den // q below keeps its sign
+        g = math.gcd(y.numerator, d)
+        weights.append((y.numerator // g, y.denominator * d // g))
+    den = math.lcm(*[q for _, q in weights])
+    # N <- N (X - X_k) + L w_k P, then P <- P (X - X_k), with P the
+    # product over the nodes taken so far
+    num, lag = [], [1]
+    for x, (p, q) in zip(nodes, weights):
+        c = p * (den // q)
+        num = [u - x * v + c * w for u, v, w in zip([0, *num], [*num, 0], lag)]
+        lag = [u - x * v for u, v in zip([0, *lag], [*lag, 0])]
+    return _exact([c * scale**k for k, c in enumerate(num)], den)
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -11,6 +11,7 @@ coefficients) fails that test instead of hanging the run.  The slowest
 test takes about 2 s.
 """
 
+import faulthandler
 import os
 import signal
 from pathlib import Path
@@ -24,28 +25,48 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 TIME_LIMIT_S = 120
 
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # pytest's output capture is suspended while plugins configure, so fd 2
+    # is still the run's own stderr here; a test's captured stderr is a
+    # temporary file that nobody prints once the process is ended
+    config.stash[_STDERR_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
 
 @pytest.fixture(autouse=True)
-def _time_limit():
-    """Fail the test once it has run TIME_LIMIT_S seconds of wall time.
+def _time_limit(pytestconfig):
+    """Fail the test once it has run TIME_LIMIT_S seconds of wall time,
+    and end the whole run after twice that.
 
     ``pytest.fail`` raises a BaseException, so no ``except Exception`` in
     the code under test can swallow it.  Python runs the handler between
     bytecodes, so one long C-level call (a gcd of huge integers) still
-    finishes first.  Without ``signal.setitimer`` (Windows) tests run
-    unlimited.
+    finishes first.  For that case faulthandler's watchdog thread, which
+    needs no bytecode to run, writes every thread's traceback to the
+    run's stderr at 2 * TIME_LIMIT_S and exits the process with status 1.
+    Without ``signal.setitimer`` (Windows) only that hard stop applies.
     """
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
+    faulthandler.dump_traceback_later(
+        2 * TIME_LIMIT_S, exit=True, file=pytestconfig.stash[_STDERR_FD]
+    )
+    soft = hasattr(signal, "setitimer")
+    if soft:
 
-    def expire(signum, frame):
-        pytest.fail(f"test ran longer than {TIME_LIMIT_S} s")
+        def expire(signum, frame):
+            pytest.fail(f"test ran longer than {TIME_LIMIT_S} s")
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        faulthandler.cancel_dump_traceback_later()
+        if soft:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)

@@ -746,23 +746,16 @@ def test_gamma_against_the_falling_product_sum_up_to_degree_48():
         got = [f.gamma(j) for j in range(top + 1)]
         assert all(type(v) is Fraction for v in got) and got == want, d
         den = math.lcm(*[c.denominator for c in fa])
-        for g in (f, ExpPoly(Poly(fa))):  # the transform built, and fresh
-            nums = g.gamma_numerators(top)
-            assert all(type(v) is int for v in nums) and nums == [v * den for v in want], d
+        nums = f.gamma_numerators(top)
+        assert all(type(v) is int for v in nums) and nums == [v * den for v in want], d
 
 
-def test_exp_poly_builds_its_transform_once_and_stays_the_same_value(monkeypatch):
+def test_exp_poly_stays_the_same_value():
     p = Poly([Fraction(1, 3), -2, 0, Fraction(5, 7)])
     want = [_ref_gamma(list(p.coeffs), j) for j in range(10)]
-    calls = []
-    real = szego.poly.falling_factorial_transform
-    monkeypatch.setattr(
-        szego.poly, "falling_factorial_transform", lambda q: calls.append(q) or real(q)
-    )
     built, fresh = ExpPoly(p), ExpPoly(p)
     assert [built.gamma(j) for j in range(10)] == want
     assert built.gamma_numerators(9) == [v * 21 for v in want]
-    assert calls == [p]
     assert built == fresh and hash(built) == hash(fresh)
     for f in (built, fresh):
         back = pickle.loads(pickle.dumps(f))
@@ -784,6 +777,61 @@ def test_interpolate_against_lagrange_reference():
     # integer nodes and values interpolate exactly
     q = interpolate([(0, 1), (1, 3), (2, 7)])
     assert q.is_exact and q == Poly([1, 1, 1])
+
+
+def test_interpolate_returns_the_planted_polynomial_in_the_ladder_shape():
+    # nodes x/3 for distinct x in [-4d, 4d], values of a polynomial with
+    # numerators up to 80 and denominators up to 8; the Fraction
+    # reference is too slow past d = 24
+    rng = random.Random(87)
+    for d in (16, 24, 32, 48):
+        planted = _ref_trim(
+            [Fraction(rng.randint(-80, 80), rng.randint(1, 8)) for _ in range(d)]
+            + [Fraction(rng.choice([-80, -1, 1, 80]), rng.randint(1, 8))]
+        )
+        xs = [Fraction(x, 3) for x in rng.sample(range(-4 * d, 4 * d + 1), d + 1)]
+        points = [(x, _ref_eval(planted, x)) for x in xs]
+        got = interpolate(points)
+        _assert_canonical(got, planted)
+        if d <= 24:
+            assert list(got.coeffs) == _ref_interpolate(points)
+
+
+def test_interpolate_scales_nodes_by_the_lcm_of_their_denominators():
+    # no node denominator equals the lcm 360 of all of them
+    xs = [Fraction(1, 4), Fraction(1, 6), Fraction(2, 9), Fraction(-3, 8), Fraction(7, 10),
+          Fraction(-5, 12), Fraction(4, 5)]
+    rng = random.Random(88)
+    for n in range(2, len(xs) + 1):
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(n)]
+        points = list(zip(xs[:n], values))
+        got = interpolate(points)
+        _assert_canonical(got, _ref_interpolate(points))
+        assert [got(x) for x in xs[:n]] == values
+
+
+def test_interpolate_does_not_depend_on_the_order_of_the_points():
+    rng = random.Random(89)
+    for n in (2, 5, 12):
+        nodes = rng.sample(range(-60, 61), n)
+        points = [
+            (Fraction(x, rng.randint(1, 7)), Fraction(rng.randint(-99, 99), rng.randint(1, 9)))
+            for x in nodes
+        ]
+        shuffled = rng.sample(points, n)
+        forms = {(p._num, p._den) for p in map(interpolate, (points, points[::-1], shuffled))}
+        assert len(forms) == 1
+        (num, den), = forms
+        rebuilt = Poly(_ref_interpolate(points))
+        assert (num, den) == (rebuilt._num, rebuilt._den)
+
+
+def test_interpolate_one_point_and_zero_values():
+    assert interpolate([(Fraction(5, 3), Fraction(-7, 2))]) == Poly([Fraction(-7, 2)])
+    assert interpolate([(4, 0)]) == Poly.zero()
+    for n in (2, 3, 9):
+        zeros = interpolate([(Fraction(x, 2), 0) for x in range(-n, 2 * n, 3)])
+        assert (zeros._num, zeros._den) == ((), 1)
 
 
 def test_from_roots_against_fraction_reference():
