@@ -163,13 +163,21 @@ class AffineMap:
         return self.determinant() != 0
 
 
+def _step(rows, u: Sequence[int]) -> list[int]:
+    """The integer step of an affine map held as integer rows over one
+    positive denominator den: for c given as u = (d, d c_1, ..., d c_n)
+    with d > 0, entry j is the numerator of (row_j[0] + sum_l row_j[l]
+    c_l) / den over den * d, one integer dot product."""
+    return [sum(map(operator.mul, row, u)) for row in rows]
+
+
 def _apply(rows, den: int, c: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
-    """Entry j is (row_j[0] + sum_l row_j[l] c_l) / den, for integer rows
-    over one positive denominator: c is cleared once, each entry is one
-    integer dot product, and each Fraction is reduced once."""
+    """Entry j is (row_j[0] + sum_l row_j[l] c_l) / den for rationals c:
+    c is cleared once, _step takes the integer dot products, and each
+    entry is one Fraction, reduced once."""
     u, lcm = _clear([1, *_rationals(c, what)])
     den *= lcm
-    return tuple(Fraction(sum(map(operator.mul, row, u)), den) for row in rows)
+    return tuple(Fraction(v, den) for v in _step(rows, u))
 
 
 def _binomial_row(k: int) -> list[int]:
@@ -207,11 +215,18 @@ def decompose_poly(
     """
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
-    sigma = _apply(*_phi_rows(n, k), c, "decompose_poly")
-    roots = None
-    if want_roots:
-        roots = tuple(-z for z in aberth_roots(_monic_tail(sigma)))
-    return Decomposition(mode="finite", sigma=sigma, n=n, k=k, roots=roots)
+    q = _finite_image(_clear([1, *_rationals(c, "decompose_poly")])[0], n, k)
+    roots = tuple(-z for z in aberth_roots(q)) if want_roots else None
+    return Decomposition(mode="finite", sigma=q.coeffs[-2::-1], n=n, k=k, roots=roots)
+
+
+def _finite_image(u: Sequence[int], n: int, k: int) -> Poly:
+    """Q(t) = t^n + sigma_1 t^(n-1) + ... + sigma_n = prod (t + a_i), the
+    image under Phi_{n,k} of c given in integers as u = (d, d c_1, ...,
+    d c_n) with d > 0: one _step over the rows of _phi_rows, and one gcd."""
+    rows, den = _phi_rows(n, k)
+    den *= u[0]
+    return _exact([*reversed(_step(rows, u)), den], den)
 
 
 @functools.lru_cache(maxsize=64)

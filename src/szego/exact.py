@@ -5,7 +5,8 @@ Rationals are ``fractions.Fraction``: already normalized to lowest terms
 with a positive denominator, hashable, and exact under field operations.
 This module adds the string form used by the JSON interfaces ("p" or
 "p/q") plus checked binomial coefficients and the rows of the Stirling
-triangle of the first kind, which carry the falling-factorial transform.
+triangle of the first kind, the monomial coefficients of the falling
+factorials.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ def binomial(n: int, s: int) -> int:
 
 # Rows of the signed Stirling triangle of the first kind, extended on
 # demand and kept for the life of the process: row d holds the monomial
-# coefficients of the falling factorial x(x-1)...(x-d+1).  Rows 0..d
-# hold about d^2 / 2 integers of up to about d log2(d) bits each, a few
-# hundred kilobytes at d = 64.  The table is extended on a copy and then
-# published by one assignment, so concurrent callers never see a row
-# out of place.  The inverse transform needs no table: it takes Newton
-# coefficients at the nodes 0, 1, 2, ... by synthetic division.
+# coefficients of the falling factorial x(x-1)...(x-d+1), which
+# falling_factorial_poly and the exp-mode decomposition_map read.  Rows
+# 0..d hold about d^2 / 2 integers of up to about d log2(d) bits each, a
+# few hundred kilobytes at d = 64.  The table is extended on a copy and
+# then published by one assignment, so concurrent callers never see a
+# row out of place.  Neither transform reads the table: the inverse
+# takes Newton coefficients at the nodes 0, 1, 2, ... by synthetic
+# division, and the transform undoes those divisions in place.
 _STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
 
 

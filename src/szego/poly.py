@@ -111,13 +111,9 @@ class Poly:
         integers: each root a/b multiplies the numerators by b x - a and
         the one running denominator by b."""
         lead, *roots = _rationals([lead, *roots], "from_roots")
-        num = [lead.numerator]
-        den = lead.denominator
-        for r in roots:
-            a, b = r.numerator, r.denominator
-            num = [b * u - a * v for u, v in zip([0, *num], [*num, 0])]
-            den *= b
-        return _exact(num, den)
+        return _root_product(
+            [(r.numerator, r.denominator) for r in roots], lead.numerator, lead.denominator
+        )
 
     # -- basic observers ------------------------------------------------------
 
@@ -358,6 +354,17 @@ def _monic_tail(c: Sequence) -> Poly:
     """x^n + c_1 x^(n-1) + ... + c_n for rationals c = (c_1..c_n)."""
     num, den = _clear(c)
     return _exact(num[::-1] + [den], den)
+
+
+def _root_product(roots: Iterable[tuple[int, int]], lead: int = 1, den: int = 1) -> Poly:
+    """lead/den * prod (x - a/b) over the pairs (a, b) with b > 0, in
+    integers: each root multiplies the numerators by b x - a and the
+    one running denominator by b."""
+    num = [lead]
+    for a, b in roots:
+        num = [b * u - a * v for u, v in zip([0, *num], [*num, 0])]
+        den *= b
+    return _exact(num, den)
 
 
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
@@ -667,20 +674,20 @@ def falling_factorial_transform(p: Poly) -> Poly:
     Linear, degree-preserving, and unitriangular on coefficients, hence
     invertible; leading and constant coefficients are unchanged.  The
     image evaluated at integers j >= 0 gives gamma(j) of e^x * p.
-    Applied to the numerators as rows of signed Stirling numbers of the
-    first kind; the integer inverse keeps gcd(den, num) = 1, so the
-    denominator is unchanged.
+
+    The mirror of the inverse below, in place on p's numerators: its
+    synthetic divisions undone in reverse order, each one a synthetic
+    multiplication by x - i.  T is unimodular on the integer numerators,
+    so gcd(den, num) = 1 holds and the denominator is unchanged.
     """
     if p._den is None:
         _inexact("the falling-factorial transform")
-    vals = p._num
-    out = [0] * len(vals)
-    for d, c in enumerate(vals):
-        if c:
-            for k, s in enumerate(falling_factorial_coeffs(d)):
-                if s:
-                    out[k] += c * s
-    return _exact(out, p._den)
+    num = list(p._num)
+    top = len(num) - 1
+    for i in range(top - 1, 0, -1):
+        for k in range(i, top):
+            num[k] -= i * num[k + 1]
+    return _exact(num, p._den)
 
 
 def inverse_falling_factorial_transform(q: Poly) -> Poly:

@@ -502,14 +502,15 @@ class RegionVerdict(NamedTuple):
 
 def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
     """Classify the monic polynomial x^n + c_1 x^{n-1} + ... + c_n."""
-    cvec = _rationals(c, "region_membership")
-    n = len(cvec)
-    p = _monic_tail(cvec)
-
+    p = _monic_tail(_rationals(c, "region_membership"))
     # (-1)^j c_j >= 0, read from the numerators of c_1 .. c_n (den > 0)
     cone = all(v <= 0 if j % 2 else v >= 0 for j, v in enumerate(p._num[-2::-1], 1))
-    hyp = is_hyperbolic(p).hyperbolic
+    return RegionVerdict(cone, is_hyperbolic(p).hyperbolic, *_right_halfplane(p))
 
+
+def _right_halfplane(p: Poly) -> tuple[str, Optional[tuple[complex, ...]]]:
+    """The right_halfplane verdict of RegionVerdict for an exact monic p,
+    with the witness roots when a Hurwitz minor vanishes (else None)."""
     # reflect: q(x) = +-p(-x) with positive leading coefficient; roots of
     # p lie strictly in the right half-plane iff q is Hurwitz-stable
     refl = [-v if i % 2 else v for i, v in enumerate(p._num)]
@@ -518,14 +519,11 @@ def region_membership(c: Sequence[Fraction]) -> RegionVerdict:
 
     # the signs of the minors are those of their integer numerators
     minors = _leading_minors(_hurwitz_matrix(refl[::-1]))
-    witnesses = None
-    if len(minors) == n and all(minors):  # no minor vanishes
-        verdict = INSIDE if all(d > 0 for d in minors) else OUTSIDE
-    else:
-        # a vanishing minor: q is not Hurwitz-stable, so p has a root with
-        # Re <= 0 and is never inside; a witness tells if one is clearly left
-        witnesses = aberth_roots(p)
-        tol = 1e-9  # relative margin a witness needs off the imaginary axis
-        left = any(z.real < -tol * max(1.0, abs(z)) for z in witnesses)
-        verdict = OUTSIDE if left else BOUNDARY_OR_UNCERTAIN
-    return RegionVerdict(cone, hyp, verdict, witnesses)
+    if len(minors) == len(refl) - 1 and all(minors):  # no minor vanishes
+        return INSIDE if all(d > 0 for d in minors) else OUTSIDE, None
+    # a vanishing minor: q is not Hurwitz-stable, so p has a root with
+    # Re <= 0 and is never inside; a witness tells if one is clearly left
+    witnesses = aberth_roots(p)
+    tol = 1e-9  # relative margin a witness needs off the imaginary axis
+    left = any(z.real < -tol * max(1.0, abs(z)) for z in witnesses)
+    return OUTSIDE if left else BOUNDARY_OR_UNCERTAIN, witnesses

@@ -11,16 +11,25 @@ reproducible and independent of execution order.  Failure records
 carry exact inputs (as rational strings) so a reported counterexample
 can be replayed.  Verdicts are exact: identities in rational
 arithmetic, root counts and root windows from Sturm chains, half-planes
-from Hurwitz minors.  Floats enter only region_membership's fallback
-when a Hurwitz minor vanishes.  The suite is the fixed list of cells in
-_cell_specs; the runner, _run_cell, times each cell, and no check keeps
-a clock of its own.  Reports are returned as data and written out by
-the command line.
+from Hurwitz minors.  Floats enter only the half-plane step's witness
+roots when a Hurwitz minor vanishes.
+
+Trials run on integer numerators: draws are pairs (p, q) for p/q
+(_rand_ratio), and Q(t) = prod (t + a_i) comes from the integer steps
+the public decomposers wrap (_finite_image for Phi_{n,k}, T for the
+monic exp map).  Fractions are built for records, through _fmt, and in
+the checks that call a public map on rationals: the exp closed forms,
+the perturbation experiments and the hyperbolization iterates.
+
+The suite is the fixed list of cells in _cell_specs; the runner,
+_run_cell, times each cell, and no check keeps a clock of its own.
+Reports are returned as data and written out by the command line.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import sys
@@ -33,21 +42,21 @@ from typing import Callable, Optional, Sequence
 from .decompose import (
     MONIC,
     NORMALIZED,
+    _finite_image,
     decompose_exp,
-    decompose_poly,
     decomposition_map,
     localization_intervals,
 )
 from .exact import binomial, format_rational
-from .poly import ExpPoly, Poly, _clear, _exact, _monic_tail, falling_factorial_transform
+from .poly import ExpPoly, Poly, _exact, _monic_tail, _root_product, falling_factorial_transform
 from .roots import (
     INSIDE,
     OUTSIDE,
+    _right_halfplane,
     hurwitz_determinants,
     is_hyperbolic,
     kernel_backend,
     place_positive_roots,
-    region_membership,
     sign_changes,
     sturm_count,
     taylor_window_bound,
@@ -157,39 +166,57 @@ def _run_trials(
     return CheckReport(check_id, trials, failures, seed, notes=notes)
 
 
-def _fmt(values) -> list[str]:
-    return [format_rational(v) for v in values]
+def _fmt(values, den: int = 1) -> list[str]:
+    """Rationals as "p" / "p/q" strings for a record: ints and Fractions,
+    or integer numerators over den."""
+    return [format_rational(Fraction(v, den)) for v in values]
+
+
+def _rand_ratio(
+    rng: random.Random, bound: int = 10, max_den: int = 8, *, low: Optional[int] = None
+) -> tuple[int, int]:
+    """(p, q), not reduced, for the value p/q with 1 <= q <= max_den and
+    low <= p <= bound q; low defaults to -bound q, and low = 0 or 1 draws
+    a nonnegative or positive value."""
+    den = rng.randint(1, max_den)
+    return rng.randint(-bound * den if low is None else low, bound * den), den
 
 
 def _rand_fraction(
     rng: random.Random, bound: int = 10, max_den: int = 8, *, low: Optional[int] = None
 ) -> Fraction:
-    """p/q with 1 <= q <= max_den and low <= p <= bound q; low defaults to
-    -bound q, and low = 0 or 1 draws a nonnegative or positive value."""
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(-bound * den if low is None else low, bound * den), den)
+    """The draw of _rand_ratio as a Fraction."""
+    return Fraction(*_rand_ratio(rng, bound, max_den, low=low))
 
 
-def _rand_nonzero(rng: random.Random, bound: int = 6, max_den: int = 8) -> Fraction:
-    v = Fraction(0)
-    while v == 0:
-        v = _rand_fraction(rng, bound, max_den)
-    return v
+def _rand_nonzero(rng: random.Random, bound: int = 6, max_den: int = 8) -> tuple[int, int]:
+    num, den = 0, 1
+    while not num:
+        num, den = _rand_ratio(rng, bound, max_den)
+    return num, den
+
+
+def _over_lcm(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The values p/q of the pairs (p, q), q > 0, as integer numerators
+    over the lcm of the q."""
+    den = math.lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _rand_poly(rng: random.Random, deg: int, bound: int = 6) -> Poly:
-    coeffs = [_rand_fraction(rng, bound) for _ in range(deg)]
-    return _exact(*_clear(coeffs + [_rand_nonzero(rng, bound)]))
+    ratios = [_rand_ratio(rng, bound) for _ in range(deg)]
+    return _exact(*_over_lcm(ratios + [_rand_nonzero(rng, bound)]))
 
 
 def _rand_monic(rng: random.Random, deg: int, bound: int = 6) -> Poly:
-    return Poly([_rand_fraction(rng, bound) for _ in range(deg)] + [Fraction(1)])
+    return _exact(*_over_lcm([_rand_ratio(rng, bound) for _ in range(deg)] + [(1, 1)]))
 
 
-def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[Fraction, ...]:
-    # coordinates (-1)^i u_i with u_i >= 0: the alternating-sign cone
-    draws = (_rand_fraction(rng, bound, low=0) for _ in range(n))
-    return tuple(-u if i % 2 else u for i, u in enumerate(draws, 1))
+def _cone_point(rng: random.Random, n: int, bound: int = 10) -> tuple[list[int], int]:
+    """(c, d): coordinates (-1)^i u_i with u_i >= 0, the alternating-sign
+    cone, as integer numerators c over d > 0."""
+    c, den = _over_lcm([_rand_ratio(rng, bound, low=0) for _ in range(n)])
+    return [-u if i % 2 else u for i, u in enumerate(c, 1)], den
 
 
 def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
@@ -212,26 +239,31 @@ def _distinct_windows(places: Sequence[tuple[int, int]]) -> int:
 def _check_cone(
     check_id: str,
     n: int,
-    sigma_of: Callable[[list], Sequence[Fraction]],
+    image_of: Callable[[list[int], int], Poly],
     trials: int,
     seed: int,
 ) -> CheckReport:
+    """image_of(c, d) is Q(t) = t^n + sigma_1 t^(n-1) + ... + sigma_n for
+    the cone point with integer numerators c over d > 0."""
+
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        c = list(_cone_point(rng, n))
+        c, den = _cone_point(rng, n)
         kind = t % 3
         if kind == 1:
-            c[n - 1] = Fraction(0)  # constant-term hyperplane
+            c[n - 1] = 0  # constant-term hyperplane
         elif kind == 2 and n >= 2:
-            c[rng.randrange(n - 1)] = Fraction(0)  # cone face, constant free
-        sigma = sigma_of(c)
-        # (-1)^j sigma_j >= 0, and > 0 for the strict test, read off signs
+            c[rng.randrange(n - 1)] = 0  # cone face, constant free
+        q = image_of(c, den)
+        # sigma_j over q._den > 0: (-1)^j sigma_j >= 0, and > 0 for the
+        # strict test, read off the signs of the numerators
+        sigma = q._num[-2::-1]
         in_cone = all(s <= 0 if j % 2 else s >= 0 for j, s in enumerate(sigma, 1))
-        const_ok = sigma[-1] == c[-1]
+        const_ok = sigma[-1] * den == c[-1] * q._den
         strict_ok = c[-1] == 0 or all(s < 0 if j % 2 else s > 0 for j, s in enumerate(sigma, 1))
         if not (in_cone and const_ok and strict_ok):
             return {
-                "c": _fmt(c),
-                "sigma": _fmt(sigma),
+                "c": _fmt(c, den),
+                "sigma": _fmt(sigma, q._den),
                 "in_cone": in_cone,
                 "constant_preserved": const_ok,
                 "strictly_interior_when_constant_nonzero": strict_ok,
@@ -247,18 +279,19 @@ def check_cone_finite(n: int, k: int, trials: int = 500, seed: int = 42) -> Chec
     return _check_cone(
         f"cone_finite[n={n},k={k}]",
         n,
-        lambda c: decompose_poly(c, n, k, want_roots=False).sigma,
+        lambda c, den: _finite_image([den, *c], n, k),
         trials,
         seed,
     )
 
 
 def check_cone_exp(m: int, trials: int = 500, seed: int = 42) -> CheckReport:
-    """Exp-mode analog of check_cone_finite, monic convention."""
+    """Exp-mode analog of check_cone_finite, monic convention: Q = T(P)
+    for P = x^m + c_1 x^(m-1) + ... + c_m."""
     return _check_cone(
         f"cone_exp[m={m}]",
         m,
-        lambda c: decompose_exp(c, MONIC, want_roots=False).sigma,
+        lambda c, den: falling_factorial_transform(_exact([*reversed(c), den], den)),
         trials,
         seed,
     )
@@ -287,23 +320,28 @@ def check_interval_localization(
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         nu = rng.randint(nu_min, n)
-        pos: list[Fraction] = []
+        pos: list[tuple[int, int]] = []
         while len(pos) < nu:
-            r = _rand_fraction(rng, 6, low=1)
-            if r not in pos:
-                pos.append(r)
-        core = Poly.from_roots(pos)
+            a, b = _rand_ratio(rng, 6, low=1)
+            if all(a * d != c * b for c, d in pos):
+                pos.append((a, b))
+        roots = list(pos)
+        quadratics = []
         rest = n - nu
         while rest > 0:
             if rest >= 2 and rng.random() < 0.5:
                 # x^2 + p x + q with p, q >= 0 has no positive root
-                q, p = _rand_fraction(rng, 6, low=0), _rand_fraction(rng, 6, low=0)
-                core = core * _monic_tail([p, q])
+                q, p = _rand_ratio(rng, 6, low=0), _rand_ratio(rng, 6, low=0)
+                quadratics.append(_exact(*_over_lcm([q, p, (1, 1)])))
                 rest -= 2
             else:
-                core = core * _monic_tail([_rand_fraction(rng, 6, low=0)])
+                a, b = _rand_ratio(rng, 6, low=0)
+                roots.append((-a, b))  # the factor x + a/b
                 rest -= 1
-        audited = sturm_count(core, Fraction(0), None)
+        core = _root_product(roots)
+        for quadratic in quadratics:
+            core = core * quadratic
+        audited = sturm_count(core, 0, None)
         if audited != nu:
             return {
                 "stage": "construction audit",
@@ -311,15 +349,15 @@ def check_interval_localization(
                 "expected_positive_roots": nu,
                 "observed": audited,
             }
-        c = tuple(reversed(core.coeffs[:-1]))
-        sigma = decompose_poly(c, n, k, want_roots=False).sigma
-        places = place_positive_roots(_monic_tail(sigma), breaks)
+        # the monic core's numerators, descending, are (d, d c_1, ..., d c_n)
+        q = _finite_image(core._num[::-1], n, k)
+        places = place_positive_roots(q, breaks)
         matched = _distinct_windows(places)
         if matched < nu:
             return {
                 "core": _fmt(core.coeffs),
-                "planted_positive_roots": _fmt(pos),
-                "sigma": _fmt(sigma),
+                "planted_positive_roots": _fmt(Fraction(*r) for r in pos),
+                "sigma": _fmt(q._num[-2::-1], q._den),
                 "expected_distinct_windows": nu,
                 "matched": matched,
             }
@@ -335,14 +373,14 @@ def check_interval_localization(
 
 def _planted_hyperbolic(rng: random.Random, m: int, bound: int = 2) -> Poly:
     """Monic product of linear factors, repeats allowed, roots nonzero."""
-    roots: list[Fraction] = []
+    roots: list[tuple[int, int]] = []
     for _ in range(m):
         if roots and rng.random() < 0.25:
             roots.append(rng.choice(roots))
         else:
-            r = _rand_fraction(rng, bound, 4, low=1)
-            roots.append(r if rng.random() < 0.6 else -r)
-    return Poly.from_roots(roots)
+            a, b = _rand_ratio(rng, bound, 4, low=1)
+            roots.append((a, b) if rng.random() < 0.6 else (-a, b))
+    return _root_product(roots)
 
 
 def check_taylor_sign_rule(m: int, trials: int = 500, seed: int = 42) -> CheckReport:
@@ -351,7 +389,7 @@ def check_taylor_sign_rule(m: int, trials: int = 500, seed: int = 42) -> CheckRe
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         p = _rand_monic(rng, m) if t % 2 == 0 else _planted_hyperbolic(rng, m)
-        kpos = sturm_count(p, Fraction(0), None, multiplicity=True)
+        kpos = sturm_count(p, 0, None, multiplicity=True)
         bound = taylor_window_bound(p)
         # gamma numerators over the positive denominator of p: same signs
         gam = ExpPoly(p).gamma_numerators(bound + 10)
@@ -382,21 +420,20 @@ def check_integer_intervals(m: int, trials: int = 500, seed: int = 42) -> CheckR
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         if t % 2 == 0:
             p = _rand_monic(rng, m)
-            while p.constant == 0:
+            while not p._num[0]:
                 p = _rand_monic(rng, m)
         else:
             p = _planted_hyperbolic(rng, m)
         bound = taylor_window_bound(p)
         kchanges = sign_changes(ExpPoly(p).gamma_numerators(bound))
-        c = tuple(reversed(p.coeffs[:-1]))
-        sigma = decompose_exp(c, MONIC, want_roots=False).sigma
-        places = place_positive_roots(_monic_tail(sigma), itertools.count())
+        q = falling_factorial_transform(p)  # Q(t) = prod (t + a_i), P monic
+        places = place_positive_roots(q, itertools.count())
         matched = _distinct_windows(places)
         if matched < kchanges:
             return {
                 "p": _fmt(p.coeffs),
                 "sign_changes": kchanges,
-                "sigma": _fmt(sigma),
+                "sigma": _fmt(q._num[-2::-1], q._den),
                 "matched": matched,
             }
         for (lo, hi), count in Counter(places).items():
@@ -425,19 +462,18 @@ def check_transform_positivity(
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         deg = rng.randint(1, degree_max)
-        roots: list[Fraction] = []
+        roots: list[tuple[int, int]] = []
         for _ in range(deg):
             if roots and rng.random() < 0.3:
                 roots.append(rng.choice(roots))
             else:
-                roots.append(_rand_fraction(rng, 6, low=1))
-        p = Poly.from_roots(roots)
-        q = falling_factorial_transform(p)
+                roots.append(_rand_ratio(rng, 6, low=1))
+        q = falling_factorial_transform(_root_product(roots))
         hyp = is_hyperbolic(q)
-        positive = sturm_count(q, Fraction(0), None) == q.degree
+        positive = sturm_count(q, 0, None) == q.degree
         if not (hyp.hyperbolic and hyp.distinct and positive):
             return {
-                "roots": _fmt(roots),
+                "roots": _fmt(Fraction(*r) for r in roots),
                 "image": _fmt(q.coeffs),
                 "hyperbolic": hyp.hyperbolic,
                 "distinct": hyp.distinct,
@@ -525,15 +561,16 @@ def check_alternation_iteration(p: Poly, max_nu: int = 10000) -> CheckReport:
         notes.append({"nu0": nu0})
         for s in range(1, n):
             # |c_s / c_(s-1)| over the last 11 steps, with c_s at x^(n-s):
-            # a ratio of two numerators over one denominator
-            window = [Fraction(abs(v[n - s]), abs(v[n - s + 1])) for v in history[-11:]]
-            if not all(x < y for x, y in zip(window, window[1:])):
+            # a ratio of two nonzero numerators over one denominator, kept
+            # as the pair (|c_s|, |c_(s-1)|) and compared cross-multiplied
+            window = [(abs(v[n - s]), abs(v[n - s + 1])) for v in history[-11:]]
+            if not all(a * d < c * b for (a, b), (c, d) in zip(window, window[1:])):
                 failures.append(
                     {
                         "p": _fmt(p.coeffs),
                         "nu0": nu0,
                         "stage": f"ratio growth at position {s}",
-                        "ratios": _fmt(window),
+                        "ratios": _fmt(Fraction(*r) for r in window),
                     }
                 )
     return CheckReport(check_id, 1, failures, 0, notes=notes)
@@ -546,7 +583,7 @@ def check_eventual_hyperbolicity(p: Poly, max_nu: int = 10000) -> CheckReport:
     if not p.is_exact or p.degree < 1:
         raise ValueError("need an exact polynomial of degree >= 1")
     n = p.degree
-    parity = (-1) ** n * p.constant * p.lead  # sign of the root product
+    parity = (-1) ** n * p._num[0] * p._num[-1]  # sign of the root product
     if parity > 0:
         want_pos, want_zero_root = n, False
     elif parity < 0:
@@ -561,8 +598,8 @@ def check_eventual_hyperbolicity(p: Poly, max_nu: int = 10000) -> CheckReport:
     for nu in range(max_nu + 1):
         hyp = is_hyperbolic(q)
         if hyp.hyperbolic and hyp.distinct:
-            pos = sturm_count(q, Fraction(0), None)
-            zero_ok = (q.constant == 0) == want_zero_root
+            pos = sturm_count(q, 0, None)
+            zero_ok = (q._num[0] == 0) == want_zero_root
             if pos == want_pos and zero_ok:
                 found = nu
                 break
@@ -668,13 +705,16 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
 
     report = _run_trials("halfplane_not_invariant", trials, seed, trial)
 
-    # (ii) scan the image surface through the witness (a, b): both verdicts occur
-    a, b = Fraction(-2), Fraction(1, 3)
+    # (ii) scan the image surface through the witness (a, b) = (-2, 1/3),
+    # x^3 + a x^2 + b' x + (a + 3)(b' + a + 1) at b' = b + i/200, as
+    # numerators over d^2, d = 600: both verdicts occur
+    d = 600
+    a = -2 * d
     inside = outside = uncertain = 0
     for i in range(-20, 21):
-        bb = b + Fraction(i, 200)
-        cvec = (a, bb, (a + 3) * (bb + a + 1))
-        verdict = region_membership(cvec).right_halfplane
+        bb = d // 3 + 3 * i
+        p = _exact([(a + 3 * d) * (bb + a + d), bb * d, a * d, d * d], d * d)
+        verdict = _right_halfplane(p)[0]
         if verdict == INSIDE:
             inside += 1
         elif verdict == OUTSIDE:
@@ -814,7 +854,8 @@ def check_hyperbolization(trials: int = 50, seed: int = 42) -> CheckReport:
     first: list = []
 
     def finite_trial(rng: random.Random, t: int) -> None:
-        vec = _cone_point(rng, n, 6)
+        c, den = _cone_point(rng, n, 6)
+        vec = tuple(Fraction(v, den) for v in c)  # the iterates of amap are Fractions
         for nu in range(nu_max + 1):
             if is_hyperbolic(_monic_tail(vec)).hyperbolic:
                 first.append(nu)
@@ -896,17 +937,19 @@ def check_root_multiplicity(trials: int = 500, seed: int = 42) -> CheckReport:
         mu = ma + mb - n
         xa = _rand_nonzero(rng, 5)
         xb = _rand_nonzero(rng, 5)
-        a = Poly.from_roots([xa] * ma) * _rand_poly(rng, n - ma)
-        b = Poly.from_roots([xb] * mb) * _rand_poly(rng, n - mb)
+        a = _root_product([xa] * ma) * _rand_poly(rng, n - ma)
+        b = _root_product([xb] * mb) * _rand_poly(rng, n - mb)
         composed = compose(a, b, SscContext(n))
-        rem = composed % Poly([xa * xb, 1]) ** mu
+        # the root -xa xb as p/q
+        p, q = -xa[0] * xb[0], xa[1] * xb[1]
+        rem = composed % _exact([-p, q], q) ** mu
         if not rem.is_zero:
             return {
                 "ambient": n,
                 "orders": [ma, mb],
                 "a": _fmt(a.coeffs),
                 "b": _fmt(b.coeffs),
-                "expected_root": format_rational(-xa * xb),
+                "expected_root": format_rational(Fraction(p, q)),
                 "remainder": _fmt(rem.coeffs),
             }
         return None

@@ -22,6 +22,7 @@ from szego import (
     poly_from_json,
     poly_to_json,
 )
+from szego.exact import falling_factorial_coeffs
 from szego.poly import (
     NEG_INF,
     _convolve,
@@ -932,3 +933,26 @@ def test_transform_round_trips_up_to_degree_48():
         image = falling_factorial_transform(p)
         fa = list(p.coeffs)
         assert all(image(j) == _ref_gamma(fa, j) for j in range(0, 2 * d + 2, max(1, d // 4)))
+
+
+def _table_transform(p):
+    # the Stirling-row path the in-place transform replaced: numerator c_d
+    # of x^d contributes c_d s(d, k) to x^k, over the same denominator
+    out = [0] * len(p._num)
+    for d, c in enumerate(p._num):
+        for k, s in enumerate(falling_factorial_coeffs(d)):
+            out[k] += c * s
+    return _exact(out, p._den)
+
+
+def test_in_place_transform_matches_the_stirling_row_path():
+    rng = random.Random(30)
+    cases = [Poly.zero()]
+    for d in range(65):
+        cases += [_rand_poly(rng, d) for _ in range(3)]
+        # large numerators, and a monomial, whose lower numerators are zero
+        cases.append(Poly([Fraction(rng.randint(-10**20, 10**20), 97) for _ in range(d)] + [3]))
+        cases.append(Poly.monomial(d, Fraction(-5, 7)))
+    for p in cases:
+        q, ref = falling_factorial_transform(p), _table_transform(p)
+        assert (q._num, q._den) == (ref._num, ref._den), p

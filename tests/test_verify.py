@@ -12,7 +12,9 @@ import pytest
 
 import szego.verify
 from szego import (
+    BOUNDARY_OR_UNCERTAIN,
     INSIDE,
+    OUTSIDE,
     AffineMap,
     CheckReport,
     ExpPoly,
@@ -21,18 +23,31 @@ from szego import (
     available_checks,
     compose,
     composition_factor,
+    decompose_exp,
     decompose_poly,
+    decomposition_map,
     extract_core,
+    falling_factorial_transform,
     localization_intervals,
+    region_membership,
     run_suite,
     sturm_count,
 )
 from szego.cli import main
-from szego.poly import _monic_tail
-from szego.roots import Hyperbolicity, place_positive_roots
+from szego.decompose import MONIC, _finite_image
+from szego.poly import _exact, _monic_tail
+from szego.roots import Hyperbolicity, _right_halfplane, place_positive_roots
 from szego.verify import (
     _cell_specs,
+    _cone_point,
     _distinct_windows,
+    _over_lcm,
+    _planted_hyperbolic,
+    _rand_fraction,
+    _rand_monic,
+    _rand_nonzero,
+    _rand_poly,
+    _rand_ratio,
     check_alternation_iteration,
     check_cone_exp,
     check_cone_finite,
@@ -232,6 +247,160 @@ def test_halfplane_check_scan_counts():
     assert a * b == (a + 3) * (b + a + 1) == Fraction(-2, 3)
 
 
+# -- integer trials against the Fraction code they replaced --------------------
+#
+# In-test copies of the draws as they were when trials ran on Fractions:
+# the integer draws must make the same random calls and give the same values.
+
+
+def _fraction_draw(rng, bound=10, max_den=8, *, low=None):
+    den = rng.randint(1, max_den)
+    return Fraction(rng.randint(-bound * den if low is None else low, bound * den), den)
+
+
+def _fraction_nonzero(rng, bound=6, max_den=8):
+    v = Fraction(0)
+    while v == 0:
+        v = _fraction_draw(rng, bound, max_den)
+    return v
+
+
+def _fraction_poly(rng, deg, bound=6):
+    coeffs = [_fraction_draw(rng, bound) for _ in range(deg)]
+    return Poly(coeffs + [_fraction_nonzero(rng, bound)])
+
+
+def _fraction_monic(rng, deg, bound=6):
+    return Poly([_fraction_draw(rng, bound) for _ in range(deg)] + [Fraction(1)])
+
+
+def _fraction_cone_point(rng, n, bound=10):
+    draws = (_fraction_draw(rng, bound, low=0) for _ in range(n))
+    return tuple(-u if i % 2 else u for i, u in enumerate(draws, 1))
+
+
+def _fraction_planted_hyperbolic(rng, m, bound=2):
+    roots = []
+    for _ in range(m):
+        if roots and rng.random() < 0.25:
+            roots.append(rng.choice(roots))
+        else:
+            r = _fraction_draw(rng, bound, 4, low=1)
+            roots.append(r if rng.random() < 0.6 else -r)
+    return Poly.from_roots(roots)
+
+
+def _cone_values(point):
+    c, den = point
+    return tuple(Fraction(v, den) for v in c)
+
+
+# (integer draw, its Fraction copy, the integer draw's value as the copy
+# returns it, the arguments drawn from a parameter stream)
+_DRAWS = [
+    (_rand_ratio, _fraction_draw, lambda r: Fraction(*r),
+     lambda g: ((g.randint(1, 10), g.randint(1, 8)), {"low": g.choice([None, 0, 1])})),
+    (_rand_fraction, _fraction_draw, lambda v: v,
+     lambda g: ((g.randint(1, 10),), {})),
+    (_rand_nonzero, _fraction_nonzero, lambda r: Fraction(*r),
+     lambda g: ((g.randint(1, 6), g.randint(1, 8)), {})),
+    (_rand_poly, _fraction_poly, lambda p: p,
+     lambda g: ((g.randint(0, 6), g.randint(1, 6)), {})),
+    (_rand_monic, _fraction_monic, lambda p: p,
+     lambda g: ((g.randint(0, 6), g.randint(1, 6)), {})),
+    (_cone_point, _fraction_cone_point, _cone_values,
+     lambda g: ((g.randint(1, 5), g.choice([6, 10])), {})),
+    (_planted_hyperbolic, _fraction_planted_hyperbolic, lambda p: p,
+     lambda g: ((g.randint(1, 6),), {})),
+]
+
+
+def test_integer_draws_match_the_fraction_draws_stream_by_stream():
+    params = random.Random(2030)
+    for stream in range(2100):
+        new, old = random.Random(f"draws:{stream}"), random.Random(f"draws:{stream}")
+        for _ in range(3):
+            draw, copy, value, args_of = params.choice(_DRAWS)
+            args, kwargs = args_of(params)
+            got, want = value(draw(new, *args, **kwargs)), copy(old, *args, **kwargs)
+            assert got == want, (draw.__name__, stream, args, kwargs)
+            if isinstance(got, Poly):
+                assert (got._num, got._den) == (want._num, want._den)
+            assert new.getstate() == old.getstate(), (draw.__name__, stream)
+
+
+def test_integer_images_match_the_public_decomposers():
+    rng = random.Random(31)
+    faces = 0
+    for t in range(600):
+        n = rng.randint(1, 5)
+        if t % 2:
+            c, den = _cone_point(rng, n)
+            if n >= 2 and t % 4 == 1:
+                c[rng.randrange(n)] = 0  # a cone face
+            faces += 0 in c
+        else:
+            c, den = _over_lcm([_rand_ratio(rng, 12, 9) for _ in range(n)])
+        values = [Fraction(v, den) for v in c]
+        k = rng.randint(1, 4)
+        # the public decomposers wrap the integer steps; the maps' rows
+        # (Phi_{n,k}, and the Stirling rows for exp) are a second reference
+        q = _finite_image([den, *c], n, k)
+        for sigma in (
+            decompose_poly(values, n, k, want_roots=False).sigma,
+            decomposition_map("finite", n=n, k=k).apply(values),
+        ):
+            ref = _monic_tail(sigma)
+            assert (q._num, q._den) == (ref._num, ref._den), (values, n, k)
+        # the monic exp map: Q = T(P) for P = x^n + c_1 x^(n-1) + ... + c_n
+        q = falling_factorial_transform(_exact([*reversed(c), den], den))
+        for sigma in (
+            decompose_exp(values, MONIC, want_roots=False).sigma,
+            decomposition_map("exp", m=n, convention=MONIC).apply(values),
+        ):
+            ref = _monic_tail(sigma)
+            assert (q._num, q._den) == (ref._num, ref._den), values
+    assert faces > 50
+
+
+def _scan_points():
+    # the scan's points as the Fraction code wrote them
+    a, b = Fraction(-2), Fraction(1, 3)
+    for i in range(-20, 21):
+        bb = b + Fraction(i, 200)
+        yield (a, bb, (a + 3) * (bb + a + 1))
+
+
+def test_halfplane_step_matches_region_membership():
+    verdicts = [region_membership(c).right_halfplane for c in _scan_points()]
+    note = check_halfplane_not_invariant(trials=1, seed=0).notes[0]
+    assert note == {
+        "scan_inside": verdicts.count(INSIDE),
+        "scan_outside": verdicts.count(OUTSIDE),
+        "scan_uncertain": verdicts.count(BOUNDARY_OR_UNCERTAIN),
+    }
+    rng = random.Random(32)
+    cases = list(_scan_points())
+    for _ in range(300):
+        # products of a root r, a pair +-s or +-i s and a free quadratic:
+        # roots on the imaginary axis or symmetric about it make a
+        # Hurwitz minor vanish
+        r = _rand_fraction(rng, 3, 4)
+        s = _rand_fraction(rng, 3, 4, low=0)
+        pair = Poly([rng.choice([-1, 1]) * s * s, 0, 1])
+        free = Poly([_rand_fraction(rng, 3, 4), _rand_fraction(rng, 3, 4), 1])
+        linear = Poly([-r, 1])
+        for p in (linear * pair, linear * free, pair * free, pair * pair):
+            cases.append(tuple(reversed(p.coeffs[:-1])))
+    vanishing = 0
+    for c in cases:
+        verdict = region_membership(c)
+        got = _right_halfplane(_monic_tail(c))
+        assert got == (verdict.right_halfplane, verdict.witness_roots), c
+        vanishing += got[1] is not None
+    assert vanishing > 100
+
+
 def test_sign_experiments_pass():
     rep = check_sign_experiments(k_values=(1, 2, 3), seed=9)
     assert rep.passed, rep.failures[:2]
@@ -319,11 +488,11 @@ def _shifted_sigma(real):
 
 
 def _negated_offsets(real):
-    # sigma_j -> (-1)^j sigma_j sends every offset a to -a
+    # Q(t) -> (-1)^n Q(-t), i.e. sigma_j -> (-1)^j sigma_j, sends every
+    # offset a to -a
     def fake(*args, **kwargs):
-        dec = real(*args, **kwargs)
-        sigma = tuple((-1) ** j * v for j, v in enumerate(dec.sigma, 1))
-        return dec._replace(sigma=sigma)
+        q = real(*args, **kwargs)
+        return Poly([(-1) ** (q.degree - i) * v for i, v in enumerate(q.coeffs)])
 
     return fake
 
@@ -369,7 +538,7 @@ def _frozen_linear_term(real):
 
 
 def _always_inside(real):
-    return lambda *args, **kwargs: real(*args, **kwargs)._replace(right_halfplane=INSIDE)
+    return lambda *args, **kwargs: (INSIDE, None)
 
 
 def _negated(real):
@@ -398,12 +567,12 @@ def _shifted_last_offset(real):
 # No record prints a float root: every value in them is exact.
 FAILURE_RECORD_CASES = {
     "cone_finite": (
-        "decompose_poly", _shifted_sigma,
+        "_finite_image", _plus_constant,
         lambda: check_cone_finite(3, 2, trials=6, seed=42),
         "f3e5dff1c549879dee2fcf84b0f457a03fa1ece595d56afda6e5749f2668e283",
     ),
     "cone_exp": (
-        "decompose_exp", _shifted_sigma,
+        "falling_factorial_transform", _plus_constant,
         lambda: check_cone_exp(2, trials=6, seed=42),
         "686d16788e69282b9620f0dac2580af8409423812a7b485eb601bd1c2864fce8",
     ),
@@ -413,7 +582,7 @@ FAILURE_RECORD_CASES = {
         "9d10f76e489ade1d03e4f8ecae6047d74fdad8ec3341742c209153953650e7df",
     ),
     "interval_localization_windows": (
-        "decompose_poly", _negated_offsets,
+        "_finite_image", _negated_offsets,
         lambda: check_interval_localization(3, 2, trials=4, seed=42, nu_min=1),
         "48287d48045dd487d48dd2de2da2fe8006eb0f80f1d62efab208457aca2dfef3",
     ),
@@ -473,7 +642,7 @@ FAILURE_RECORD_CASES = {
         "771dcba11d805acf876758c7e7ee21b01550e404a6677a2dedb99b39810bd09d",
     ),
     "halfplane_not_invariant_scan": (
-        "region_membership", _always_inside,
+        "_right_halfplane", _always_inside,
         lambda: check_halfplane_not_invariant(trials=4, seed=42),
         "547274150b2170ca45c705e216ac4fbc61e86197739a2fdc075afb07a7015f0f",
     ),
