@@ -203,7 +203,9 @@ def _cmd_phi(args) -> int:
         if args.m is None:
             raise ValueError("exp mode needs --m")
         amap = decomposition_map("exp", m=args.m, convention=args.convention)
-        det = amap.determinant()
+        # the Stirling matrix is unitriangular in both conventions: s(l, j)
+        # is 0 for j > l and s(d, d) = 1, so its determinant is 1
+        det = Fraction(1)
         header = {"mode": "exp", "m": args.m, "convention": args.convention}
     _emit(_map_to_json(amap, det, header), args.out)
     return 0

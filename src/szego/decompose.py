@@ -106,45 +106,61 @@ class Decomposition(NamedTuple):
 class AffineMap:
     """Exact affine map c -> M c + offset on coefficient vectors.
 
-    Immutable, and compared and hashed by (matrix, offset).  The integer
-    rows behind apply and determinant are built with the map: row j is
-    (offset_j, M_j1, ..., M_jn) as numerators over one common positive
-    denominator, so a float or complex entry is a ValueError here."""
+    Held as integer rows over one positive denominator: row j is
+    (offset_j, M_j1, ..., M_jn) as numerators over den, with gcd 1, so a
+    float or complex entry is a ValueError here.  apply and determinant
+    read the rows; matrix and offset are built from them when first
+    asked for.  Immutable, and compared, hashed and printed by (matrix,
+    offset)."""
 
-    __slots__ = ("_matrix", "_offset", "_rows", "_den")
+    __slots__ = ("_rows", "_den", "_matrix", "_offset")
 
     def __init__(
         self, matrix: tuple[tuple[Fraction, ...], ...], offset: tuple[Fraction, ...]
     ) -> None:
-        self._matrix = matrix
-        self._offset = offset
         rows = [(off, *row) for off, row in zip(offset, matrix)]
         nums, self._den = _clear(_rationals([v for row in rows for v in row], "AffineMap"))
         it = iter(nums)
         self._rows = tuple(tuple(next(it) for _ in row) for row in rows)
+        self._matrix = matrix
+        self._offset = offset
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], den: int) -> "AffineMap":
+        """The map of integer rows over den, taken as given: gcd(den, rows)
+        must be 1 and den > 0, the form __init__ clears its entries to."""
+        amap = object.__new__(cls)
+        amap._rows, amap._den = rows, den
+        amap._matrix = amap._offset = None
+        return amap
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._matrix is None:
+            den = self._den
+            self._matrix = tuple(tuple(Fraction(v, den) for v in row[1:]) for row in self._rows)
         return self._matrix
 
     @property
     def offset(self) -> tuple[Fraction, ...]:
+        if self._offset is None:
+            self._offset = tuple(Fraction(row[0], self._den) for row in self._rows)
         return self._offset
 
     def __repr__(self) -> str:
-        return f"AffineMap(matrix={self._matrix!r}, offset={self._offset!r})"
+        return f"AffineMap(matrix={self.matrix!r}, offset={self.offset!r})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._matrix, self._offset) == (other._matrix, other._offset)
+        return (self.matrix, self.offset) == (other.matrix, other.offset)
 
     def __hash__(self) -> int:
-        return hash((self._matrix, self._offset))
+        return hash((self.matrix, self.offset))
 
     @property
     def dimension(self) -> int:
-        return len(self._offset)
+        return len(self.offset)
 
     def apply(self, c: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """M c + offset."""
@@ -387,8 +403,9 @@ def decomposition_map(
 
     Read off the exact integer rows: Phi_{n,k} from ``_phi_rows`` in
     finite mode, and in exp mode the signed Stirling numbers of the first
-    kind s(d, j) that the falling-factorial transform applies.  The tests
-    check both against maps built from composed factors.
+    kind s(d, j) that the falling-factorial transform applies; the map
+    holds them as they are.  The tests check both against maps built
+    from composed factors.
     """
     # rows[j-1][l] is the coefficient of c_l in sigma_j over den; c_0 = 1 is
     # the fixed coefficient of the input, so l = 0 is the offset
@@ -412,13 +429,10 @@ def decomposition_map(
             rows = [[s[m - l][m - j] for l in range(m + 1)] for j in span]
         else:
             raise ValueError(f"unknown convention {convention!r}")
-        den = 1
+        rows, den = tuple(map(tuple, rows)), 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return AffineMap(
-        matrix=tuple(tuple(Fraction(v, den) for v in row[1:]) for row in rows),
-        offset=tuple(Fraction(row[0], den) for row in rows),
-    )
+    return AffineMap._from_rows(rows, den)
 
 
 def localization_intervals(n: int, k: int) -> list[tuple[Optional[Fraction], Fraction]]:

@@ -15,11 +15,13 @@ from Hurwitz minors.  Floats enter only the half-plane step's witness
 roots when a Hurwitz minor vanishes.
 
 Trials run on integer numerators: draws are pairs (p, q) for p/q
-(_rand_ratio), and Q(t) = prod (t + a_i) comes from the integer steps
-the public decomposers wrap (_finite_image for Phi_{n,k}, T for the
-monic exp map).  Fractions are built for records, through _fmt, and in
-the checks that call a public map on rationals: the exp closed forms,
-the perturbation experiments and the hyperbolization iterates.
+(_rand_ratio); Q(t) = prod (t + a_i) comes from the integer steps the
+public decomposers wrap (_finite_image for Phi_{n,k}, T for the monic
+exp map), and the iterates of an AffineMap from _step over its integer
+rows.  Fractions are built for records, through _fmt, for the positive
+offsets the perturbation experiments pass to composition_factor, and
+where a public layer returns them (hurwitz_determinants,
+ExpPoly.gamma).
 
 The suite is the fixed list of cells in _cell_specs; the runner,
 _run_cell, times each cell, and no check keeps a clock of its own.
@@ -40,15 +42,16 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .decompose import (
-    MONIC,
     NORMALIZED,
+    AffineMap,
+    _binomial_row,
     _finite_image,
-    decompose_exp,
+    _step,
     decomposition_map,
     localization_intervals,
 )
 from .exact import binomial, format_rational
-from .poly import ExpPoly, Poly, _exact, _monic_tail, _root_product, falling_factorial_transform
+from .poly import ExpPoly, Poly, _convolve, _exact, _root_product, falling_factorial_transform
 from .roots import (
     INSIDE,
     OUTSIDE,
@@ -687,19 +690,21 @@ def check_halfplane_not_invariant(trials: int = 100, seed: int = 42) -> CheckRep
     """The exp factor map does not preserve the right-half-plane region:
     near the witness coefficient point both verdicts occur."""
 
-    # (i) exact image of cubics with one real and one imaginary root pair
+    # (i) exact image of cubics with one real and one imaginary root pair:
+    # P = x^3 - d x^2 + lam x - d lam = (x - d)(x^2 + lam) and its image
+    # Q = T(P), both as numerators over one denominator
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        d = _rand_fraction(rng, 8)
-        lam = _rand_fraction(rng, 8)
-        c = (-d, lam, -d * lam)
-        sigma = decompose_exp(c, MONIC, want_roots=False).sigma
-        expected = (-d - 3, lam + d + 2, -d * lam)
-        if sigma != expected:
+        (dn, dd), (ln, ld) = _rand_ratio(rng, 8), _rand_ratio(rng, 8)
+        den = dd * ld
+        d, lam, dlam = dn * ld, ln * dd, dn * ln
+        q = falling_factorial_transform(_exact([-dlam, lam, -d, den], den))
+        expected = [-d - 3 * den, lam + d + 2 * den, -dlam]
+        if q != _exact([*reversed(expected), den], den):
             return {
-                "d": format_rational(d),
-                "lambda": format_rational(lam),
-                "sigma": _fmt(sigma),
-                "expected": _fmt(expected),
+                "d": format_rational(Fraction(dn, dd)),
+                "lambda": format_rational(Fraction(ln, ld)),
+                "sigma": _fmt(q._num[-2::-1], q._den),
+                "expected": _fmt(expected, den),
             }
         return None
 
@@ -750,7 +755,7 @@ def check_sign_experiments(
     the imaginary axis into the open left half line / half plane.
     """
     check_id = "sign_experiments"
-    eps = Fraction(1, 100)
+    scale = 10**4  # 1/eps^2
     failures: list = []
 
     def fail(k, part, **extra):
@@ -759,61 +764,59 @@ def check_sign_experiments(
     for k in k_values:
         nk = k + 2
         ctx = SscContext(nk)
-        shell = Poly([1, 1]) ** (k + 1)
-        base = Poly([1, 1]) ** k
+        shell = _binomial_row(k + 1)  # (x+1)^(k+1)
+        base = _exact(_binomial_row(k))
 
         # exact identity: factor with a zero root, composed with itself
-        a1 = shell * Poly.x()
-        want1 = base * Poly.x() * Poly([Fraction(1, nk), 1])
+        a1 = _exact([0, *shell])
+        want1 = _exact(_convolve(base._num, [0, 1, nk]), nk)  # (x+1)^k x (x + 1/nk)
         got1 = compose(a1, a1, ctx)
         if got1 != want1:
             fail(k, "zero-root identity", got=_fmt(got1.coeffs), want=_fmt(want1.coeffs))
 
         # exact identity: factor with a positive root, composed with itself
-        a2 = shell * Poly([-1, 1])
-        want2 = base * Poly([1, Fraction(-2 * k, nk), 1])
+        a2 = _exact(_convolve(shell, [-1, 1]))
+        want2 = _exact(_convolve(base._num, [nk, -2 * k, nk]), nk)
         got2 = compose(a2, a2, ctx)
         if got2 != want2:
             fail(k, "positive-root identity", got=_fmt(got2.coeffs), want=_fmt(want2.coeffs))
 
         # conjugate perturbation of the zero-root factor: shell * (x +- i eps)
         # has the coefficients u_j +- i eps v_j (u = a1, v = shell), so the
-        # pair composes to |u_j + i eps v_j|^2 / C(nk, j), a rational polynomial
-        pert = Poly(
-            [
-                (a1.coeff(j) ** 2 + eps**2 * shell.coeff(j) ** 2) / binomial(nk, j)
-                for j in range(nk + 1)
-            ]
+        # pair composes to |u_j + i eps v_j|^2 / C(nk, j), a rational
+        # polynomial: numerators (u_j^2 / eps^2 + v_j^2) L / C(nk, j) over
+        # L / eps^2, L = lcm C(nk, .)
+        row = _binomial_row(nk)
+        lcm = math.lcm(*row)
+        pert = _exact(
+            [(scale * u * u + v * v) * (lcm // c) for u, v, c in zip(a1._num, [*shell, 0], row)],
+            scale * lcm,
         )
         quot, rem = divmod(pert, base)
         if not rem.is_zero or quot.degree != 2:
             fail(k, "forced multiplicity at -1", remainder=_fmt(rem.coeffs))
-        elif not (
-            quot.constant != 0
-            and sturm_count(quot, None, Fraction(0)) == 2
-        ):
+        elif not (quot._num[0] != 0 and sturm_count(quot, None, 0) == 2):
             fail(k, "perturbed quadratic roots", quadratic=_fmt(quot.coeffs))
         if not all(d > 0 for d in hurwitz_determinants(pert)):
             fail(k, "perturbed half-plane", perturbed=_fmt(pert.coeffs))
 
     # exp analog: e^x(x+1) composed with itself, then the conjugate pair
-    f1 = Poly([1, 1])
+    f1 = _exact([1, 1])
     got_exp = exp_compose(ExpPoly(f1), ExpPoly(f1))
-    if got_exp.poly != Poly([1, 3, 1]):
+    if got_exp.poly != _exact([1, 3, 1]):
         fail(None, "exp identity", got=_fmt(got_exp.poly.coeffs))
-    gneg = exp_compose(ExpPoly(Poly([-1, 1])), ExpPoly(Poly([-1, 1])))
-    if gneg.poly != Poly([1, -1, 1]):
+    fneg = _exact([-1, 1])
+    gneg = exp_compose(ExpPoly(fneg), ExpPoly(fneg))
+    if gneg.poly != _exact([1, -1, 1]):
         fail(None, "exp sign-flipped identity", got=_fmt(gneg.poly.coeffs))
-    pert_exp = Poly([1 + eps**2, 3, 1])
-    if not (
-        sturm_count(pert_exp, None, Fraction(0)) == 2 and pert_exp.constant != 0
-    ):
+    pert_exp = _exact([scale + 1, 3 * scale, scale], scale)  # x^2 + 3x + 1 + eps^2
+    if not (sturm_count(pert_exp, None, 0) == 2 and pert_exp._num[0] != 0):
         fail(None, "exp perturbed negativity", quadratic=_fmt(pert_exp.coeffs))
     # gamma_j of e^x (x + 1 +- i eps) is j + 1 +- i eps, so the pair
     # composes to gammas |j + 1 + i eps|^2, which fix a quadratic at j = 0..2
     exp_pert = ExpPoly(pert_exp)
     gammas = [exp_pert.gamma(j) for j in range(3)]
-    if gammas != [(j + 1) ** 2 + eps**2 for j in range(3)]:
+    if gammas != [Fraction(scale * (j + 1) ** 2 + 1, scale) for j in range(3)]:
         fail(None, "exp perturbed cross-check", gammas=_fmt(gammas))
 
     # all-positive offsets compose to an all-negative-roots polynomial
@@ -826,8 +829,8 @@ def check_sign_experiments(
         pol = composition_factor(n, kk, avals[0])
         for av in avals[1:]:
             pol = compose(pol, composition_factor(n, kk, av), SscContext(total))
-        neg_count = sturm_count(pol, None, Fraction(0), multiplicity=True)
-        if not (pol.constant != 0 and neg_count == total):
+        neg_count = sturm_count(pol, None, 0, multiplicity=True)
+        if not (pol._num[0] != 0 and neg_count == total):
             fail(
                 k,
                 "positive offsets",
@@ -853,42 +856,51 @@ def check_hyperbolization(trials: int = 50, seed: int = 42) -> CheckReport:
     emap = decomposition_map("exp", m=2, convention=NORMALIZED)
     first: list = []
 
+    def advance(f: AffineMap, u: list[int]) -> list[int]:
+        # c -> M c + offset on u = (d, d c_1, ..., d c_n), d > 0: the step
+        # puts the image over den * d, and the gcd comes out
+        u = [u[0] * f._den, *_step(f._rows, u)]
+        g = math.gcd(*u)
+        return [v // g for v in u] if g > 1 else u
+
     def finite_trial(rng: random.Random, t: int) -> None:
         c, den = _cone_point(rng, n, 6)
-        vec = tuple(Fraction(v, den) for v in c)  # the iterates of amap are Fractions
+        u = [den, *c]
         for nu in range(nu_max + 1):
-            if is_hyperbolic(_monic_tail(vec)).hyperbolic:
+            if is_hyperbolic(_exact(u[::-1], u[0])).hyperbolic:
                 first.append(nu)
                 break
-            vec = amap.apply(vec)
+            u = advance(amap, u)
 
     def exp_trial(rng: random.Random, t: int) -> Optional[dict]:
-        aa = _rand_fraction(rng, 8)
-        bb = _rand_fraction(rng, 5, low=1)
-        s0 = next(
-            (s for s in range(cap + 1) if (aa - s * bb) ** 2 >= 4 * bb), None
-        )
-        vec = (aa, bb)
+        # c = (a, b) over den as u = (den, a, b); the closed form of the
+        # s-th iterate is (a - s b, b)
+        (an, ad), (bn, bd) = _rand_ratio(rng, 8), _rand_ratio(rng, 5, low=1)
+        den = ad * bd
+        a, b = an * bd, bn * ad
+        # (a - s b)^2 >= 4 b den, i.e. the discriminant of 1 + c_1 x + c_2 x^2
+        s0 = next((s for s in range(cap + 1) if (a - s * b) ** 2 >= 4 * b * den), None)
+        u = [den, a, b]
         s_iter = None
         for s in range(cap + 1):
-            if vec != (aa - s * bb, bb):
+            if u[1] * den != (a - s * b) * u[0] or u[2] * den != b * u[0]:
                 return {
                     "stage": "exp closed form",
-                    "a": format_rational(aa),
-                    "b": format_rational(bb),
+                    "a": format_rational(Fraction(an, ad)),
+                    "b": format_rational(Fraction(bn, bd)),
                     "s": s,
-                    "observed": _fmt(vec),
-                    "expected": _fmt((aa - s * bb, bb)),
+                    "observed": _fmt(u[1:], u[0]),
+                    "expected": _fmt((a - s * b, b), den),
                 }
-            if is_hyperbolic(Poly([Fraction(1), vec[0], vec[1]])).hyperbolic:
+            if is_hyperbolic(_exact(list(u), u[0])).hyperbolic:
                 s_iter = s
                 break
-            vec = emap.apply(vec)
+            u = advance(emap, u)
         if s0 is None or s_iter != s0:
             return {
                 "stage": "first hyperbolic index",
-                "a": format_rational(aa),
-                "b": format_rational(bb),
+                "a": format_rational(Fraction(an, ad)),
+                "b": format_rational(Fraction(bn, bd)),
                 "closed_form": s0,
                 "iterated": s_iter,
             }

@@ -4,6 +4,7 @@ Fast paths call main() in-process; a few end-to-end cases go through a
 subprocess to cover environment handling and real exit codes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -220,7 +221,8 @@ def test_phi_exp(capsys):
 
 
 def test_phi_computes_the_determinant_once(monkeypatch, capsys):
-    # finite mode prints the closed-form product; only exp mode runs Bareiss
+    # both modes print a proven value, the closed-form product for the
+    # finite map and 1 for the unitriangular exp map: neither runs Bareiss
     real = szego.decompose._det
     calls = []
 
@@ -231,13 +233,32 @@ def test_phi_computes_the_determinant_once(monkeypatch, capsys):
     monkeypatch.setattr(szego.decompose, "_det", counting)
     for argv, expected in [
         (["--mode", "finite", "--n", "32", "--k", "2"], []),
-        (["--mode", "exp", "--m", "32"], [32]),
+        (["--mode", "exp", "--m", "32"], []),
+        (["--mode", "exp", "--m", "32", "--convention", "monic"], []),
     ]:
         calls.clear()
         assert main(["phi", *argv]) == 0
         assert calls == expected, argv
         out = json.loads(capsys.readouterr().out)
         assert out["invertible"] is (out["determinant"] != "0")
+
+
+# sha256 of the stdout of `szego phi` for these arguments
+PHI_OUTPUT_SHA256 = {
+    ("--mode", "finite", "--n", "40", "--k", "3"):
+        "ddfaf29c051e8f295a55fe6bbbd5c7e8208cf2faa9331376193883f50cee0d03",
+    ("--mode", "exp", "--m", "120"):
+        "1a3f7578ce0e9255fa2e778c7c9d68e360600475179bb318a21198128565a75f",
+    ("--mode", "exp", "--m", "120", "--convention", "monic"):
+        "64e5f245c760b47c858a6911a8c4ab43b0bf171b693c1e42c1bfb07ed58eccfb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PHI_OUTPUT_SHA256), ids=" ".join)
+def test_phi_output_is_pinned(argv, capsys):
+    assert main(["phi", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PHI_OUTPUT_SHA256[argv]
 
 
 def test_xi_iterate_worked(capsys):

@@ -792,6 +792,33 @@ def test_phi_determinant_is_the_closed_form_product():
             assert decompose_module._phi_determinant(n, k) == bareiss, (n, k)
 
 
+def test_exp_map_determinant_is_one():
+    # szego phi --mode exp prints 1 without elimination: the Stirling
+    # matrix is unitriangular in both conventions
+    for m in range(1, 41):
+        for convention in (NORMALIZED, MONIC):
+            amap = decomposition_map("exp", m=m, convention=convention)
+            assert amap.determinant() == 1, (m, convention)
+
+
+def test_decomposition_map_equals_the_publicly_built_map():
+    # decomposition_map hands its integer rows to the map as they are; the
+    # public constructor clears the same entries to the same rows
+    maps = [decomposition_map("finite", n=n, k=k) for n in range(1, 7) for k in range(1, 7)]
+    maps += [
+        decomposition_map("exp", m=m, convention=convention)
+        for m in range(1, 9)
+        for convention in (NORMALIZED, MONIC)
+    ]
+    for amap in maps:
+        assert all(type(v) is Fraction for row in (*amap.matrix, amap.offset) for v in row)
+        public = AffineMap(amap.matrix, amap.offset)
+        assert public == amap and hash(public) == hash(amap) and repr(public) == repr(amap)
+        assert hash(amap) == hash((amap.matrix, amap.offset))
+        assert (public._rows, public._den) == (amap._rows, amap._den)
+        assert amap._den > 0 and math.gcd(amap._den, *[v for row in amap._rows for v in row]) == 1
+
+
 _FINITE_MAP = decomposition_map("finite", n=2, k=1)
 
 

@@ -34,6 +34,7 @@ from szego import (
     sturm_count,
 )
 from szego.cli import main
+from szego.exact import binomial, format_rational
 from szego.decompose import MONIC, _finite_image
 from szego.poly import _exact, _monic_tail
 from szego.roots import Hyperbolicity, _right_halfplane, place_positive_roots
@@ -479,14 +480,6 @@ def test_seed_42_reports_match_the_golden_hash(trials):
 # with and pins the sha256 of the whole report payload.
 
 
-def _shifted_sigma(real):
-    def fake(*args, **kwargs):
-        dec = real(*args, **kwargs)
-        return dec._replace(sigma=(*dec.sigma[:-1], dec.sigma[-1] + 1))
-
-    return fake
-
-
 def _negated_offsets(real):
     # Q(t) -> (-1)^n Q(-t), i.e. sigma_j -> (-1)^j sigma_j, sends every
     # offset a to -a
@@ -637,7 +630,7 @@ FAILURE_RECORD_CASES = {
         "7a18cd0ad4852f420fcfa2ef49361fe1506d029cfa7a678acee2eaab0b4cab7a",
     ),
     "halfplane_not_invariant": (
-        "decompose_exp", _shifted_sigma,
+        "falling_factorial_transform", _plus_constant,
         lambda: check_halfplane_not_invariant(trials=4, seed=42),
         "771dcba11d805acf876758c7e7ee21b01550e404a6677a2dedb99b39810bd09d",
     ),
@@ -716,6 +709,243 @@ def _assert_pinned(payload, digest):
     assert payload["failures"] or payload["notes"]
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:400]
+
+
+# -- the last Fraction cells against their integer rewrites -------------------
+#
+# In-test copies of check_halfplane_not_invariant, check_sign_experiments
+# and check_hyperbolization as they were when they ran on Fractions.  They
+# reach every layer a case below breaks through szego.verify (decompose_exp
+# through szego.decompose), so a broken layer turns the trials on both
+# sides into failure records that print the values each side computed.
+
+sv = szego.verify
+
+
+def _fraction_halfplane(trials, seed):
+    def trial(rng, t):
+        d = _fraction_draw(rng, 8)
+        lam = _fraction_draw(rng, 8)
+        c = (-d, lam, -d * lam)
+        sigma = decompose_exp(c, MONIC, want_roots=False).sigma
+        expected = (-d - 3, lam + d + 2, -d * lam)
+        if sigma != expected:
+            return {
+                "d": format_rational(d),
+                "lambda": format_rational(lam),
+                "sigma": sv._fmt(sigma),
+                "expected": sv._fmt(expected),
+            }
+        return None
+
+    report = sv._run_trials("halfplane_not_invariant", trials, seed, trial)
+    d = 600
+    a = -2 * d
+    inside = outside = uncertain = 0
+    for i in range(-20, 21):
+        bb = d // 3 + 3 * i
+        p = _exact([(a + 3 * d) * (bb + a + d), bb * d, a * d, d * d], d * d)
+        verdict = sv._right_halfplane(p)[0]
+        if verdict == INSIDE:
+            inside += 1
+        elif verdict == OUTSIDE:
+            outside += 1
+        else:
+            uncertain += 1
+    if not (inside > 0 and outside > 0):
+        report.failures.append(
+            {"stage": "scan", "inside": inside, "outside": outside, "uncertain": uncertain}
+        )
+    report.notes.append(
+        {"scan_inside": inside, "scan_outside": outside, "scan_uncertain": uncertain}
+    )
+    return report
+
+
+def _fraction_sign_experiments(k_values=(1, 2, 3, 4, 5, 6), seed=42):
+    fmt = sv._fmt
+    eps = Fraction(1, 100)
+    failures = []
+
+    def fail(k, part, **extra):
+        failures.append({"k": k, "part": part, **extra})
+
+    for k in k_values:
+        nk = k + 2
+        ctx = SscContext(nk)
+        shell = Poly([1, 1]) ** (k + 1)
+        base = Poly([1, 1]) ** k
+        a1 = shell * Poly.x()
+        want1 = base * Poly.x() * Poly([Fraction(1, nk), 1])
+        got1 = sv.compose(a1, a1, ctx)
+        if got1 != want1:
+            fail(k, "zero-root identity", got=fmt(got1.coeffs), want=fmt(want1.coeffs))
+        a2 = shell * Poly([-1, 1])
+        want2 = base * Poly([1, Fraction(-2 * k, nk), 1])
+        got2 = sv.compose(a2, a2, ctx)
+        if got2 != want2:
+            fail(k, "positive-root identity", got=fmt(got2.coeffs), want=fmt(want2.coeffs))
+        pert = Poly(
+            [
+                (a1.coeff(j) ** 2 + eps**2 * shell.coeff(j) ** 2) / binomial(nk, j)
+                for j in range(nk + 1)
+            ]
+        )
+        quot, rem = divmod(pert, base)
+        if not rem.is_zero or quot.degree != 2:
+            fail(k, "forced multiplicity at -1", remainder=fmt(rem.coeffs))
+        elif not (quot.constant != 0 and sv.sturm_count(quot, None, Fraction(0)) == 2):
+            fail(k, "perturbed quadratic roots", quadratic=fmt(quot.coeffs))
+        if not all(d > 0 for d in sv.hurwitz_determinants(pert)):
+            fail(k, "perturbed half-plane", perturbed=fmt(pert.coeffs))
+
+    f1 = Poly([1, 1])
+    got_exp = sv.exp_compose(ExpPoly(f1), ExpPoly(f1))
+    if got_exp.poly != Poly([1, 3, 1]):
+        fail(None, "exp identity", got=fmt(got_exp.poly.coeffs))
+    gneg = sv.exp_compose(ExpPoly(Poly([-1, 1])), ExpPoly(Poly([-1, 1])))
+    if gneg.poly != Poly([1, -1, 1]):
+        fail(None, "exp sign-flipped identity", got=fmt(gneg.poly.coeffs))
+    pert_exp = Poly([1 + eps**2, 3, 1])
+    if not (sv.sturm_count(pert_exp, None, Fraction(0)) == 2 and pert_exp.constant != 0):
+        fail(None, "exp perturbed negativity", quadratic=fmt(pert_exp.coeffs))
+    exp_pert = ExpPoly(pert_exp)
+    gammas = [exp_pert.gamma(j) for j in range(3)]
+    if gammas != [(j + 1) ** 2 + eps**2 for j in range(3)]:
+        fail(None, "exp perturbed cross-check", gammas=fmt(gammas))
+
+    for k in k_values:
+        rng = sv._rng(seed, f"sign_experiments:positive:{k}")
+        n = rng.randint(2, 4)
+        kk = rng.randint(1, 3)
+        total = n + kk
+        avals = [_fraction_draw(rng, 6, low=1) for _ in range(n)]
+        pol = sv.composition_factor(n, kk, avals[0])
+        for av in avals[1:]:
+            pol = sv.compose(pol, sv.composition_factor(n, kk, av), SscContext(total))
+        neg_count = sv.sturm_count(pol, None, Fraction(0), multiplicity=True)
+        if not (pol.constant != 0 and neg_count == total):
+            fail(k, "positive offsets", offsets=fmt(avals), composed=fmt(pol.coeffs),
+                 negative_roots=neg_count)
+
+    return CheckReport("sign_experiments", len(list(k_values)), failures, seed)
+
+
+def _fraction_hyperbolization(trials=50, seed=42):
+    n, k, nu_max, cap = 2, 1, 400, 2000
+    check_id = f"hyperbolization[n={n},k={k}]"
+    amap = sv.decomposition_map("finite", n=n, k=k)
+    emap = sv.decomposition_map("exp", m=2, convention="normalized")
+    first = []
+
+    def finite_trial(rng, t):
+        c, den = sv._cone_point(rng, n, 6)
+        vec = tuple(Fraction(v, den) for v in c)
+        for nu in range(nu_max + 1):
+            if sv.is_hyperbolic(_monic_tail(vec)).hyperbolic:
+                first.append(nu)
+                break
+            vec = amap.apply(vec)
+
+    def exp_trial(rng, t):
+        aa = _fraction_draw(rng, 8)
+        bb = _fraction_draw(rng, 5, low=1)
+        s0 = next((s for s in range(cap + 1) if (aa - s * bb) ** 2 >= 4 * bb), None)
+        vec = (aa, bb)
+        s_iter = None
+        for s in range(cap + 1):
+            if vec != (aa - s * bb, bb):
+                return {
+                    "stage": "exp closed form",
+                    "a": format_rational(aa),
+                    "b": format_rational(bb),
+                    "s": s,
+                    "observed": sv._fmt(vec),
+                    "expected": sv._fmt((aa - s * bb, bb)),
+                }
+            if sv.is_hyperbolic(Poly([Fraction(1), vec[0], vec[1]])).hyperbolic:
+                s_iter = s
+                break
+            vec = emap.apply(vec)
+        if s0 is None or s_iter != s0:
+            return {
+                "stage": "first hyperbolic index",
+                "a": format_rational(aa),
+                "b": format_rational(bb),
+                "closed_form": s0,
+                "iterated": s_iter,
+            }
+        return None
+
+    sv._run_trials(check_id, trials, seed, finite_trial)
+    notes = [
+        {
+            "stage": "finite iteration",
+            "resolved": len(first),
+            "unresolved_within_nu_max": trials - len(first),
+            "max_first_hyperbolic": max(first) if first else None,
+        }
+    ]
+    exp = sv._run_trials(f"{check_id}:exp", trials, seed, exp_trial)
+    return CheckReport(check_id, trials, exp.failures, seed, notes=notes)
+
+
+# cell -> (the check, its Fraction copy), both at the suite's 20-trial shape
+_FRACTION_CELLS = {
+    "halfplane_not_invariant": (
+        lambda seed: check_halfplane_not_invariant(20, seed),
+        lambda seed: _fraction_halfplane(20, seed),
+    ),
+    "sign_experiments": (
+        lambda seed: check_sign_experiments(seed=seed),
+        lambda seed: _fraction_sign_experiments(seed=seed),
+    ),
+    "hyperbolization": (
+        lambda seed: check_hyperbolization(5, seed),
+        lambda seed: _fraction_hyperbolization(5, seed),
+    ),
+}
+
+# (cell, seeds, the layers broken on both sides as (owner, name, wrapper))
+_CELL_BREAKS = [
+    ("halfplane_not_invariant", 200, []),
+    ("halfplane_not_invariant", 20, [
+        (sv, "falling_factorial_transform", _plus_constant),
+        (szego.decompose, "falling_factorial_transform", _plus_constant),
+    ]),
+    ("sign_experiments", 50, []),
+    ("sign_experiments", 5, [(sv, "hurwitz_determinants", _negated)]),
+    ("sign_experiments", 5, [(sv, "sturm_count", _off_by(1))]),
+    ("sign_experiments", 5, [
+        (sv, "compose", _plus_constant),
+        (sv, "exp_compose", _plus_constant_exp),
+    ]),
+    ("sign_experiments", 5, [
+        (Poly, "__divmod__", _remainder_plus_one),
+        (ExpPoly, "gamma", lambda real: lambda self, j: real(self, j) + 1),
+    ]),
+    ("hyperbolization", 200, []),
+    ("hyperbolization", 10, [(sv, "decomposition_map", _shifted_last_offset)]),
+    ("hyperbolization", 2, [(sv, "is_hyperbolic", _never_hyperbolic)]),
+]
+
+
+@pytest.mark.parametrize(
+    "cell, seeds, breaks",
+    _CELL_BREAKS,
+    ids=[f"{cell}-{'+'.join(b[1] for b in breaks) or 'intact'}" for cell, _, breaks in _CELL_BREAKS],
+)
+def test_integer_cells_match_their_fraction_copies(cell, seeds, breaks, monkeypatch):
+    for owner, name, wrap in breaks:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    check, copy = _FRACTION_CELLS[cell]
+    failing = 0
+    for seed in range(seeds):
+        got = check(seed).to_payload()
+        assert got == copy(seed).to_payload(), (cell, seed)
+        failing += bool(got["failures"])
+    # an intact layer passes every seed; a broken one fails some
+    assert failing > 0 if breaks else failing == 0
 
 
 def test_run_suite_unknown_name():
