@@ -213,7 +213,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_xi_iterate(args) -> int:
     q = iterate_falling_factorial_transform(_parse_poly(args.poly), args.nu)
-    text = ",".join(format_rational(c) for c in q.coeffs) if q.coeffs else "0"
+    text = ",".join(map(format_rational, q.coeffs)) or "0"
     sys.stdout.write(text + "\n")
     if args.out:
         _emit(poly_to_json(q), args.out)

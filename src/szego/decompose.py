@@ -44,7 +44,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import _json_field, _parse_rationals, falling_factorial_coeffs, format_rational
+from .exact import _json_field, _parse_rationals, _stirling_rows, format_rational
 from .poly import (
     ExpPoly,
     Poly,
@@ -111,13 +111,17 @@ class AffineMap:
     float or complex entry is a ValueError here.  apply and determinant
     read the rows; matrix and offset are built from them when first
     asked for.  Immutable, and compared, hashed and printed by (matrix,
-    offset)."""
+    offset).  The matrix must be square, of the offset's size: any
+    other shape is a ValueError."""
 
     __slots__ = ("_rows", "_den", "_matrix", "_offset")
 
     def __init__(
         self, matrix: tuple[tuple[Fraction, ...], ...], offset: tuple[Fraction, ...]
     ) -> None:
+        n = len(offset)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"AffineMap: the matrix must be {n} x {n}, the offset's size")
         rows = [(off, *row) for off, row in zip(offset, matrix)]
         nums, self._den = _clear(_rationals([v for row in rows for v in row], "AffineMap"))
         it = iter(nums)
@@ -160,13 +164,16 @@ class AffineMap:
 
     @property
     def dimension(self) -> int:
-        return len(self.offset)
+        return len(self._rows)
 
     def apply(self, c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """M c + offset."""
-        if len(c) != self.dimension:
+        """M c + offset: c is cleared once, _step takes the integer dot
+        products, and each entry is one Fraction, reduced once."""
+        if len(c) != len(self._rows):
             raise ValueError("dimension mismatch")
-        return _apply(self._rows, self._den, c, "AffineMap.apply")
+        u, lcm = _clear([1, *_rationals(c, "AffineMap.apply")])
+        den = self._den * lcm
+        return tuple(Fraction(v, den) for v in _step(self._rows, u))
 
     def determinant(self) -> Fraction:
         # each row's content comes out before Bareiss, which keeps its minors small
@@ -185,15 +192,6 @@ def _step(rows, u: Sequence[int]) -> list[int]:
     with d > 0, entry j is the numerator of (row_j[0] + sum_l row_j[l]
     c_l) / den over den * d, one integer dot product."""
     return [sum(map(operator.mul, row, u)) for row in rows]
-
-
-def _apply(rows, den: int, c: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
-    """Entry j is (row_j[0] + sum_l row_j[l] c_l) / den for rationals c:
-    c is cleared once, _step takes the integer dot products, and each
-    entry is one Fraction, reduced once."""
-    u, lcm = _clear([1, *_rationals(c, what)])
-    den *= lcm
-    return tuple(Fraction(v, den) for v in _step(rows, u))
 
 
 def _binomial_row(k: int) -> list[int]:
@@ -419,7 +417,7 @@ def decomposition_map(
         if m < 1:
             raise ValueError("need m >= 1")
         # s[d][j] = s(d, j), zero-padded to j <= m
-        s = [falling_factorial_coeffs(d) + (0,) * (m - d) for d in range(m + 1)]
+        s = [row + (0,) * (m - d) for d, row in enumerate(_stirling_rows(m))]
         span = range(1, m + 1)
         if convention == NORMALIZED:
             # sigma~_j = [t^j] T(sum_l c_l x^l) = sum_l s(l, j) c_l

@@ -6,7 +6,7 @@ with a positive denominator, hashable, and exact under field operations.
 This module adds the string form used by the JSON interfaces ("p" or
 "p/q") plus checked binomial coefficients and the rows of the Stirling
 triangle of the first kind, the monomial coefficients of the falling
-factorials.
+factorials, built on each call: the module keeps no mutable state.
 """
 
 from __future__ import annotations
@@ -83,35 +83,24 @@ def binomial(n: int, s: int) -> int:
     return math.comb(n, s)
 
 
-# Rows of the signed Stirling triangle of the first kind, extended on
-# demand and kept for the life of the process: row d holds the monomial
-# coefficients of the falling factorial x(x-1)...(x-d+1), which
-# falling_factorial_poly and the exp-mode decomposition_map read.  Rows
-# 0..d hold about d^2 / 2 integers of up to about d log2(d) bits each, a
-# few hundred kilobytes at d = 64.  The table is extended on a copy and
-# then published by one assignment, so concurrent callers never see a
-# row out of place.  Neither transform reads the table: the inverse
-# takes Newton coefficients at the nodes 0, 1, 2, ... by synthetic
-# division, and the transform undoes those divisions in place.
-_STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
+def _stirling_rows(m: int) -> list[tuple[int, ...]]:
+    """Rows 0..m of the signed Stirling triangle of the first kind: row d
+    holds the monomial coefficients of x(x-1)...(x-d+1), by the
+    recurrence s(i+1, k) = s(i, k-1) - i s(i, k), i.e. multiplying row i
+    by (x - i).  Built afresh on each call, O(m^2) integer steps."""
+    rows = [(1,)]
+    for i in range(m):
+        prev = rows[-1]
+        rows.append(tuple(a - i * b for a, b in zip((0,) + prev, prev + (0,))))
+    return rows
 
 
 def falling_factorial_coeffs(j: int) -> tuple[int, ...]:
     """Monomial coefficients (ascending) of x(x-1)...(x-j+1).
 
     j = 0 gives the empty product (1,).  Entries are the signed Stirling
-    numbers of the first kind s(j, k), from the recurrence
-    s(i+1, k) = s(i, k-1) - i s(i, k), i.e. multiplying row i by (x - i).
-    Rows are cached.
+    numbers of the first kind s(j, k), the last of ``_stirling_rows(j)``.
     """
-    global _STIRLING1_ROWS
     if j < 0:
         raise ValueError(f"falling_factorial_coeffs: negative j = {j}")
-    rows = _STIRLING1_ROWS
-    if j >= len(rows):
-        rows = list(rows)
-        while len(rows) <= j:
-            i, prev = len(rows) - 1, rows[-1]
-            rows.append(tuple(a - i * b for a, b in zip((0,) + prev, prev + (0,))))
-        _STIRLING1_ROWS = rows
-    return rows[j]
+    return _stirling_rows(j)[-1]

@@ -5,10 +5,11 @@ a tuple of integer numerators over one positive common denominator,
 the layout of FLINT's fmpq_poly, kept canonical: no trailing zeros and
 gcd(den, num_0, ..., num_d) == 1, so every rational polynomial has
 exactly one representation.  Arithmetic runs on the integers;
-``coeffs`` (the Fractions num_i/den in lowest terms) is built on first
-use and cached.  Arithmetic results, and ``one``, ``x``, ``monomial``
-and ``from_roots``, go through the trusted constructor ``_exact``,
-which only trims and divides out the gcd.  The zero polynomial has
+``coeffs`` (the Fractions num_i/den in lowest terms) is built each
+time it is read, so a caller that reads it more than once binds it.
+Arithmetic results, and ``one``, ``x``, ``monomial`` and
+``from_roots``, go through the trusted constructor ``_exact``, which
+only trims and divides out the gcd.  The zero polynomial has
 degree ``NEG_INF`` so degree comparisons behave without
 special-casing.
 
@@ -61,11 +62,10 @@ class Poly:
     Exact: ``_num`` is a tuple of ints over the positive int ``_den``,
     canonical as the module docstring says.  Complex (the root finder's
     input only): ``_num`` is the tuple of complex coefficients and
-    ``_den`` is None.  ``_coeffs`` caches the public coefficient tuple
-    (None until first asked for).
+    ``_den`` is None.
     """
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
         vals = list(coeffs)
@@ -74,7 +74,7 @@ class Poly:
             vals = [complex(v) for v in vals]
             while vals and not vals[-1]:
                 vals.pop()
-            self._num = self._coeffs = tuple(vals)
+            self._num = tuple(vals)
             self._den = None
             return
         # clearing reduced Fractions leaves gcd(den, *num) == 1
@@ -82,7 +82,6 @@ class Poly:
         while num and not num[-1]:
             num.pop()
         self._num = tuple(num)
-        self._coeffs = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -119,11 +118,10 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        c = self._coeffs
-        if c is None:
-            den = self._den
-            c = self._coeffs = tuple([Fraction(v, den) for v in self._num])
-        return c
+        den = self._den
+        if den is None:
+            return self._num
+        return tuple([Fraction(v, den) for v in self._num])
 
     @property
     def is_exact(self) -> bool:
@@ -151,11 +149,10 @@ class Poly:
 
     def _entry(self, i: int) -> Fraction | complex:
         """coeffs[i] for an index into _num, without building the whole
-        tuple when it is not cached yet."""
-        c = self._coeffs
-        if c is None:
-            return Fraction(self._num[i], self._den)
-        return c[i]
+        tuple."""
+        if self._den is None:
+            return self._num[i]
+        return Fraction(self._num[i], self._den)
 
     @property
     def constant(self) -> Fraction | complex:
@@ -321,7 +318,6 @@ def _exact(num: list, den: int = 1) -> Poly:
     p = _new(Poly)
     p._num = tuple(num)
     p._den = den
-    p._coeffs = None
     return p
 
 

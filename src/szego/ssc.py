@@ -146,11 +146,6 @@ def exp_composition_factor(a) -> ExpPoly:
     return ExpPoly(Poly([1, Fraction(a.denominator, a.numerator)]))
 
 
-def _drop_top(p: Poly, n: int) -> Poly:
-    """p with its degree-n coefficient removed (degree <= n-1 remains)."""
-    return _exact(list(p._num[:n]), p._den)
-
-
 def derivative_identities_hold(a: Poly, b: Poly, ctx: SscContext) -> bool:
     """Checks two exact differentiation identities of the composition.
 
@@ -166,16 +161,16 @@ def derivative_identities_hold(a: Poly, b: Poly, ctx: SscContext) -> bool:
         raise ValueError("identities need ambient degree >= 1")
     sub = SscContext(n - 1)
 
+    # both identities are compared times N, so no 1/N scaling is built
     composed = compose(a, b, ctx)
-    first = composed.derivative() == compose(
-        a.derivative(), b.derivative(), sub
-    ) * Fraction(1, n)
+    first = composed.derivative() * n == compose(a.derivative(), b.derivative(), sub)
 
-    if b.coeff(n) != 0:
+    # compose() has checked both degrees <= N and one of them == N
+    if len(b._num) > n:
         s_src, full = a, b
     else:
-        s_src, full = b, a  # compose() already guaranteed a.coeff(n) != 0
-    s = _drop_top(s_src, n)
+        s_src, full = b, a
+    s = _exact(list(s_src._num[:n]), s_src._den)  # the x^N term dropped
     left = compose(Poly.x() * s, full, ctx)
-    right = Poly.x() * compose(s, full.derivative(), sub) * Fraction(1, n)
-    return first and left == right
+    right = Poly.x() * compose(s, full.derivative(), sub)
+    return first and left * n == right

@@ -319,6 +319,20 @@ def test_affine_map_apply_and_determinant():
     assert not flat.invertible
 
 
+def test_affine_map_rejects_a_matrix_that_is_not_square_of_the_offset_size():
+    # a 2 x 1 matrix would drop c_2, and a 1 x 2 one would apply as 1-D
+    with pytest.raises(ValueError):
+        AffineMap(((1,), (2,)), (0, 0))
+    with pytest.raises(ValueError):
+        AffineMap(((1, 2),), (0, 0))
+    with pytest.raises(ValueError):
+        AffineMap(((1, 2), (3,)), (0, 0))
+    empty = AffineMap((), ())
+    assert empty.dimension == 0
+    assert empty.apply([]) == ()
+    assert empty.determinant() == 1
+
+
 def test_localization_intervals_worked():
     assert localization_intervals(2, 1) == [
         (F(-1, 2), F(0)),

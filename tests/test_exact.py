@@ -1,9 +1,9 @@
 """Tests for exact rational parsing/formatting and combinatorial tables."""
 
+import gc
 import math
 import random
-import sys
-import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,8 @@ import pytest
 from szego import (
     Poly,
     binomial,
-    exact,
+    decomposition_map,
+    falling_factorial_poly,
     falling_factorial_transform,
     format_rational,
     inverse_falling_factorial_transform,
@@ -100,8 +101,22 @@ def test_stirling2_rows_small_cases():
     assert inverse_falling_factorial_transform(Poly.zero()) == Poly.zero()
 
 
-def test_stirling_rows_are_cached():
-    assert falling_factorial_coeffs(12) is falling_factorial_coeffs(12)
+def test_stirling_rows_are_not_kept_after_use():
+    # the rows are built on each call, so nothing of an exp map or a
+    # falling factorial outlives them (a kept table of rows 0..200 held
+    # about 2 MB)
+    decomposition_map("exp", m=2), falling_factorial_poly(2)  # load the code paths
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = decomposition_map("exp", m=200), falling_factorial_poly(150)
+        del built
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained
 
 
 def test_monomials_expand_in_falling_factorials_up_to_degree_48():
@@ -162,31 +177,3 @@ def test_inverse_transform_matches_the_second_kind_recurrence():
                 want[k] += c * s
         got = inverse_falling_factorial_transform(q)
         assert (got._num, got._den) == (tuple(want), q._den)
-
-
-def test_stirling_rows_stay_in_place_under_concurrent_extension(monkeypatch):
-    # threads that extend the same fresh table at once must never leave a
-    # row at the wrong index
-    want = [falling_factorial_coeffs(d) for d in range(80)]
-    wrong = []
-
-    def work(seed):
-        rng = random.Random(seed)
-        for d in rng.sample(range(80), 80):
-            if falling_factorial_coeffs(d) != want[d]:
-                wrong.append(d)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(5):
-            monkeypatch.setattr(exact, "_STIRLING1_ROWS", [(1,)])
-            threads = [threading.Thread(target=work, args=(10 * round_ + i,)) for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not wrong

@@ -87,11 +87,10 @@ def test_single_coefficient_reads_match_the_tuple():
     for _ in range(40):
         p = _rand_poly(rng, rng.randint(0, 6))
         reads = [p.coeff(i) for i in range(-1, p.degree + 3)] + [p.lead, p.constant]
-        assert p._coeffs is None  # no tuple built for one entry
         c = p.coeffs
         assert reads == [Fraction(0), *c, Fraction(0), Fraction(0), c[-1], c[0]]
         assert all(type(v) is Fraction for v in reads)
-        # the same reads off the cached tuple
+        # the same reads after the tuple was built
         assert [p.coeff(i) for i in range(-1, p.degree + 3)] + [p.lead, p.constant] == reads
     q = Poly([Fraction(6, 4), 0, Fraction(-9, 6)])
     assert (q.constant, q.coeff(1), q.lead) == (Fraction(3, 2), 0, Fraction(-3, 2))
