@@ -24,7 +24,7 @@ from .decompose import (
     padded_core,
     recompose,
 )
-from .exact import Rational, binomial, format_rational, parse_rational
+from .exact import binomial, format_rational, parse_rational
 from .poly import (
     ExpPoly,
     Poly,
@@ -98,7 +98,6 @@ __all__ = [
     "INSIDE",
     "OUTSIDE",
     "Poly",
-    "Rational",
     "RegionVerdict",
     "RootFindingError",
     "SscContext",

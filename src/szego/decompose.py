@@ -106,15 +106,16 @@ class Decomposition(NamedTuple):
 class AffineMap:
     """Exact affine map c -> M c + offset on coefficient vectors.
 
-    Held as integer rows over one positive denominator: row j is
+    Held only as integer rows over one positive denominator: row j is
     (offset_j, M_j1, ..., M_jn) as numerators over den, with gcd 1, so a
-    float or complex entry is a ValueError here.  apply and determinant
-    read the rows; matrix and offset are built from them when first
-    asked for.  Immutable, and compared, hashed and printed by (matrix,
-    offset).  The matrix must be square, of the offset's size: any
-    other shape is a ValueError."""
+    float or complex entry is a ValueError here and each map has exactly
+    one form.  apply and determinant read the rows; matrix and offset are
+    built from them as Fractions each time they are read.  Immutable,
+    compared by its rows and hashed by (matrix, offset); repr prints the
+    entries as Fractions.  The matrix must be square, of the offset's
+    size: any other shape is a ValueError."""
 
-    __slots__ = ("_rows", "_den", "_matrix", "_offset")
+    __slots__ = ("_rows", "_den")
 
     def __init__(
         self, matrix: tuple[tuple[Fraction, ...], ...], offset: tuple[Fraction, ...]
@@ -126,8 +127,6 @@ class AffineMap:
         nums, self._den = _clear(_rationals([v for row in rows for v in row], "AffineMap"))
         it = iter(nums)
         self._rows = tuple(tuple(next(it) for _ in row) for row in rows)
-        self._matrix = matrix
-        self._offset = offset
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...], den: int) -> "AffineMap":
@@ -135,21 +134,15 @@ class AffineMap:
         must be 1 and den > 0, the form __init__ clears its entries to."""
         amap = object.__new__(cls)
         amap._rows, amap._den = rows, den
-        amap._matrix = amap._offset = None
         return amap
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._matrix is None:
-            den = self._den
-            self._matrix = tuple(tuple(Fraction(v, den) for v in row[1:]) for row in self._rows)
-        return self._matrix
+        return tuple(tuple(Fraction(v, self._den) for v in row[1:]) for row in self._rows)
 
     @property
     def offset(self) -> tuple[Fraction, ...]:
-        if self._offset is None:
-            self._offset = tuple(Fraction(row[0], self._den) for row in self._rows)
-        return self._offset
+        return tuple(Fraction(row[0], self._den) for row in self._rows)
 
     def __repr__(self) -> str:
         return f"AffineMap(matrix={self.matrix!r}, offset={self.offset!r})"
@@ -157,7 +150,8 @@ class AffineMap:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.matrix, self.offset) == (other.matrix, other.offset)
+        # unique per map: gcd(den, rows) is 1 and den > 0
+        return (self._den, self._rows) == (other._den, other._rows)
 
     def __hash__(self) -> int:
         return hash((self.matrix, self.offset))
@@ -439,8 +433,11 @@ def localization_intervals(n: int, k: int) -> list[tuple[Optional[Fraction], Fra
     Index s runs 0..n+k-1; interval s is
     [-(s+1)/(n+k-1-s), -s/(n+k-s)], adjacent intervals sharing an
     endpoint.  At s = n+k-1 the left end degenerates; that interval is
-    returned as (None, bound) meaning unbounded below.
+    returned as (None, bound) meaning unbounded below.  n < 1 or k < 1
+    is a ValueError, as in decompose_poly.
     """
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     m = n + k
     out: list[tuple[Optional[Fraction], Fraction]] = []
     for s in range(m):

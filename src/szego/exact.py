@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "binomial",

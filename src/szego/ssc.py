@@ -62,9 +62,11 @@ class SscContext:
     __slots__ = ("_n",)
 
     def __init__(self, ambient_degree: int) -> None:
-        if not isinstance(ambient_degree, int) or ambient_degree < 0:
+        n = ambient_degree
+        # a bool is an int to isinstance, but no degree, as in the JSON layer
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("ambient degree must be a non-negative integer")
-        self._n = ambient_degree
+        self._n = n
 
     @property
     def ambient_degree(self) -> int:

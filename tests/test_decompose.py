@@ -333,6 +333,37 @@ def test_affine_map_rejects_a_matrix_that_is_not_square_of_the_offset_size():
     assert empty.determinant() == 1
 
 
+def test_affine_map_is_one_value_whatever_the_caller_built_it_from():
+    # lists and tuples of the same entries make the same map, which hashes
+    listed = AffineMap([[1, 2], [3, 4]], [0, 1])
+    tupled = AffineMap(((1, 2), (3, 4)), (0, 1))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed == AffineMap(((F(2, 2), 2), (3, F(8, 2))), (F(0), 1))
+    # the map keeps none of the caller's objects, so changing them later
+    # changes nothing the map shows
+    matrix, offset = [[1, 2], [3, 4]], [0, 1]
+    amap = AffineMap(matrix, offset)
+    before = (repr(amap), hash(amap), amap.matrix, amap.offset)
+    matrix[0][0] = 99
+    offset[1] = 5
+    assert (repr(amap), hash(amap), amap.matrix, amap.offset) == before
+    assert amap.apply([1, 0]) == (1, 4) and amap == tupled
+    assert AffineMap.__slots__ == ("_rows", "_den")
+    # the entries print as the Fractions the rows stand for, not as given
+    assert repr(amap) == (
+        "AffineMap(matrix=((Fraction(1, 1), Fraction(2, 1)), (Fraction(3, 1), Fraction(4, 1))), "
+        "offset=(Fraction(0, 1), Fraction(1, 1)))"
+    )
+
+
+def test_localization_intervals_reject_what_no_map_has():
+    # Phi_{n,k} exists for n, k >= 1 only; (0, 2) gave two windows and
+    # (-3, 1) an empty list
+    for n, k in [(0, 2), (-3, 1), (2, 0), (1, -1), (0, 0)]:
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+            localization_intervals(n, k)
+
+
 def test_localization_intervals_worked():
     assert localization_intervals(2, 1) == [
         (F(-1, 2), F(0)),
@@ -850,8 +881,13 @@ _FINITE_MAP = decomposition_map("finite", n=2, k=1)
             ExpPoly(Poly([Fraction(2, 2), Fraction(1, 2)])),
             ExpPoly(Poly([1, Fraction(1, 3)])),
         ),
+        (
+            ExpPoly(Poly([1, Fraction(1, 2)])),
+            ExpPoly([Fraction(2, 2), Fraction(1, 2)]),
+            ExpPoly(Poly([1, Fraction(1, 3)])),
+        ),
     ],
-    ids=["AffineMap", "SscContext", "ExpPoly"],
+    ids=["AffineMap", "SscContext", "ExpPoly", "ExpPoly_from_a_list"],
 )
 def test_value_types_compare_hash_and_print_by_value(value, same, other):
     assert value is not same

@@ -33,6 +33,10 @@ def test_context_validation():
         SscContext(-1)
     with pytest.raises(ValueError):
         SscContext(2.0)
+    # True == 1 is an int to isinstance, but the JSON layer refuses a bool
+    # for a degree, and so does the context
+    with pytest.raises(ValueError):
+        SscContext(True)
 
 
 def test_unit_element():

@@ -6,6 +6,8 @@ import json
 import os
 import platform
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -471,6 +473,26 @@ def test_seed_42_reports_match_the_golden_hash(trials):
     payload = reports_payload(run_suite(None, trials=trials, seed=42))
     text = json.dumps(payload["reports"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256[trials]
+
+
+def test_cli_reports_through_the_process_pool_match_the_golden_hash(tmp_path):
+    # two worker processes and the JSON writer, in development mode with
+    # warnings as errors; a warning raised in a finalizer (an unclosed
+    # file's ResourceWarning) cannot change the exit status, only print,
+    # so stderr must hold the summary line and nothing else
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "dev", "-W", "error", "-m", "szego.cli", "verify",
+            "--suite", "all", "--seed", "42", "--trials", "500", "--jobs", "2", "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "24 checks, 0 failed\n"
+    text = json.dumps(json.loads(out.read_text(encoding="utf-8"))["reports"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256[500]
 
 
 # -- failure and note records -------------------------------------------------
