@@ -58,6 +58,7 @@ from .poly import (
     inverse_falling_factorial_transform,
 )
 from .roots import _det, aberth_roots
+from .ssc import _ambient_degree
 
 __all__ = [
     "DegreeDeficientError",
@@ -111,8 +112,8 @@ class AffineMap:
     float or complex entry is a ValueError here and each map has exactly
     one form.  apply and determinant read the rows; matrix and offset are
     built from them as Fractions each time they are read.  Immutable,
-    compared by its rows and hashed by (matrix, offset); repr prints the
-    entries as Fractions.  The matrix must be square, of the offset's
+    compared and hashed by its rows; repr prints the entries as
+    Fractions.  The matrix must be square, of the offset's
     size: any other shape is a ValueError."""
 
     __slots__ = ("_rows", "_den")
@@ -154,7 +155,7 @@ class AffineMap:
         return (self._den, self._rows) == (other._den, other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.matrix, self.offset))
+        return hash((self._den, self._rows))
 
     @property
     def dimension(self) -> int:
@@ -200,6 +201,7 @@ def _binomial_row(k: int) -> list[int]:
 
 def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
     """(x+1)^k (x^n + c_1 x^{n-1} + ... + c_n) as an exact Poly."""
+    _ambient_degree(n, k)
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
     core = _monic_tail(_rationals(c, "padded_core"))
@@ -208,6 +210,7 @@ def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
 
 def extract_core(p: Poly, n: int, k: int) -> tuple[Fraction, ...]:
     """Inverse of padded_core: divide out (x+1)^k, return (c_1..c_n)."""
+    _ambient_degree(n, k)
     q, rem = divmod(p, _exact(_binomial_row(k)))
     if not rem.is_zero or q.degree != n or q.lead != 1:
         raise ValueError("polynomial is not (x+1)^k times a monic degree-n core")
@@ -248,9 +251,7 @@ def _phi_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     follows from column i by one multiplication by (m-i) t - i and one
     exact division by (k+i+1) - (n-i-1) t, O(n) each.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    m = n + k
+    m = _ambient_degree(n, k)
     col = [1]
     for b in range(n):
         col = _convolve(col, [m - b, -b])
@@ -308,37 +309,39 @@ def decompose_exp(
     m = len(cvec)
     if m < 1:
         raise ValueError("need at least one coefficient")
-    if convention == NORMALIZED:
-        if cvec[-1] == 0:
-            raise DegreeDeficientError(
-                "degree deficient: top coefficient c_m must be nonzero"
-            )
-        g = falling_factorial_transform(_exact(*_clear([1] + cvec)))
-        sigma = g.coeffs[1:]
-    elif convention == MONIC:
-        g = falling_factorial_transform(_monic_tail(cvec))
-        sigma = g.coeffs[-2::-1]
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    if convention == NORMALIZED and cvec[-1] == 0:
+        raise DegreeDeficientError("degree deficient: top coefficient c_m must be nonzero")
+    g = falling_factorial_transform(_exp_poly(cvec, convention))
+    sigma = g.coeffs[1:] if convention == NORMALIZED else g.coeffs[-2::-1]
     roots = tuple(-z for z in aberth_roots(g)) if want_roots else None
-    return Decomposition(
-        mode="exp", sigma=sigma, m=m, convention=convention, roots=roots
-    )
+    return Decomposition(mode="exp", sigma=sigma, m=m, convention=convention, roots=roots)
+
+
+def _exp_poly(v: Sequence[Fraction], convention: str) -> Poly:
+    """The exp-mode polynomial of the vector v = (v_1..v_m): 1 + v_1 x +
+    ... + v_m x^m (normalized) or x^m + v_1 x^(m-1) + ... + v_m (monic)."""
+    if convention == NORMALIZED:
+        return _exact(*_clear([1, *v]))
+    if convention == MONIC:
+        return _monic_tail(v)
+    raise ValueError(f"unknown convention {convention!r}")
 
 
 def recompose(dec: Decomposition):
     """Exact reconstruction from sigma alone (roots never consulted).
 
-    Finite mode returns the full composed Poly of degree n+k; exp modes
-    return the ExpPoly.  Round-trips exactly with the decomposers.  Every
-    sigma_j must be an int or a Fraction.
+    Finite mode (n, k >= 1) returns the full composed Poly of degree n+k;
+    exp modes return the ExpPoly.  Round-trips exactly with the
+    decomposers.  Every sigma_j must be an int or a Fraction.
     """
     _rationals(dec.sigma, "recompose")
     if dec.mode == "finite":
         n, k = dec.n, dec.k
-        if n is None or k is None or len(dec.sigma) != n:
+        if n is None or k is None:
             raise ValueError("malformed finite decomposition")
-        m = n + k
+        m = _ambient_degree(n, k)
+        if len(dec.sigma) != n:
+            raise ValueError("malformed finite decomposition")
         # homogenized evaluation avoids the node pole at s = n+k:
         # [x^s]P = C(m,s)/m^n * sum_j sigma_j s^(n-j) (m-s)^j, summed
         # in integers over the common denominator of the sigma_j
@@ -348,13 +351,7 @@ def recompose(dec: Decomposition):
     if dec.mode == "exp":
         if dec.m is None or len(dec.sigma) != dec.m:
             raise ValueError("malformed exp decomposition")
-        if dec.convention == NORMALIZED:
-            g = _exact(*_clear([1, *dec.sigma]))
-        elif dec.convention == MONIC:
-            g = _monic_tail(dec.sigma)
-        else:
-            raise ValueError(f"unknown convention {dec.convention!r}")
-        return ExpPoly(inverse_falling_factorial_transform(g))
+        return ExpPoly(inverse_falling_factorial_transform(_exp_poly(dec.sigma, dec.convention)))
     raise ValueError(f"unknown mode {dec.mode!r}")
 
 
@@ -434,11 +431,9 @@ def localization_intervals(n: int, k: int) -> list[tuple[Optional[Fraction], Fra
     [-(s+1)/(n+k-1-s), -s/(n+k-s)], adjacent intervals sharing an
     endpoint.  At s = n+k-1 the left end degenerates; that interval is
     returned as (None, bound) meaning unbounded below.  n < 1 or k < 1
-    is a ValueError, as in decompose_poly.
+    is a ValueError, as at every finite-mode entry point.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    m = n + k
+    m = _ambient_degree(n, k)
     out: list[tuple[Optional[Fraction], Fraction]] = []
     for s in range(m):
         hi = Fraction(-s, m - s)

@@ -70,8 +70,8 @@ def format_rational(q: Fraction) -> str:
 def binomial(n: int, s: int) -> int:
     """C(n, s) for 0 <= s <= n.
 
-    Out-of-range s is an error here, not zero: the composition formulas
-    divide by C(n, j), so a silent zero would hide an ambient-degree bug.
+    Out-of-range s is an error here, not zero: a silent zero would hide an
+    index or degree bug in the caller (verify's alternation check, C(n, 2)).
     """
     if n < 0:
         raise ValueError(f"binomial: negative n = {n}")

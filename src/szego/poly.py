@@ -364,24 +364,17 @@ def _root_product(roots: Iterable[tuple[int, int]], lead: int = 1, den: int = 1)
 
 
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
-    """p + q for sign 1, p - q for sign -1."""
-    a, b, den = p._num, q._num, p._den
+    """p + q for sign 1, p - q for sign -1: the numerators over one
+    denominator go to _subtract, q's scaled by -sign."""
+    a, den, sb = p._num, p._den, -sign
     if den is None or q._den is None:
         _inexact("addition")
     if den != q._den:
         g = math.gcd(den, q._den)
-        sa, sb = q._den // g, den // g
+        sa, sb = q._den // g, sb * (den // g)
         a = [c * sa for c in a]
-        b = [c * sb for c in b]
         den *= sa
-    n = min(len(a), len(b))
-    if sign > 0:
-        out = [x + y for x, y in zip(a, b)]
-        out += a[n:] if len(a) > n else b[n:]
-    else:
-        out = [x - y for x, y in zip(a, b)]
-        out += a[n:] if len(a) > n else [-c for c in b[n:]]
-    return _exact(out, den)
+    return _exact(_subtract(a, [c * sb for c in q._num]), den)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -483,8 +476,8 @@ def _derivative(v: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(v)][1:]
 
 
-def _subtract(a: list[int], b: list[int]) -> list[int]:
-    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+def _subtract(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [x - y for x, y in zip(a, b)] + [*a[len(b):]] + [-y for y in b[len(a):]]
     while out and not out[-1]:
         out.pop()
     return out

@@ -274,10 +274,10 @@ def sturm_count(
     """
     v = _exact_integers(p, "Sturm counting")
     a, b = _endpoint(lo), _endpoint(hi)
-    if len(v) == 1:
-        return 0
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
+    if len(v) == 1:
+        return 0
     if multiplicity:
         return sum(mult * _count_distinct(f, a, b) for f, mult in _square_free_factors(v))
     return _count_distinct(v, a, b)

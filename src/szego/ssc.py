@@ -111,6 +111,13 @@ def compose(a: Poly, b: Poly, ctx: SscContext) -> Poly:
     )
 
 
+def _ambient_degree(n: int, k: int) -> int:
+    """m = n + k, the degree of the factors (x+1)^(m-1) (x+a), for n, k >= 1."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    return n + k
+
+
 def composition_factor(n: int, k: int, a) -> Poly:
     """The degree n+k factor (x+1)^(n+k-1) (x+a) for rational a, built
     coefficientwise.
@@ -119,10 +126,8 @@ def composition_factor(n: int, k: int, a) -> Poly:
     an independent cross-check in the tests.  The coefficient at x^s
     vanishes exactly when a = -s/(n+k-s).
     """
-    if n < 1 or k < 1:
-        raise ValueError("composition_factor requires n >= 1 and k >= 1")
+    m = _ambient_degree(n, k)
     _rationals([a], "composition_factor")
-    m = n + k
     p, q = a.numerator, a.denominator
     return _exact([math.comb(m, s) * ((m - s) * p + s * q) for s in range(m + 1)], m * q)
 

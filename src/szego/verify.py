@@ -51,7 +51,15 @@ from .decompose import (
     localization_intervals,
 )
 from .exact import binomial, format_rational
-from .poly import ExpPoly, Poly, _convolve, _exact, _root_product, falling_factorial_transform
+from .poly import (
+    ExpPoly,
+    Poly,
+    _convolve,
+    _exact,
+    _primitive_part,
+    _root_product,
+    falling_factorial_transform,
+)
 from .roots import (
     INSIDE,
     OUTSIDE,
@@ -858,10 +866,8 @@ def check_hyperbolization(trials: int = 50, seed: int = 42) -> CheckReport:
 
     def advance(f: AffineMap, u: list[int]) -> list[int]:
         # c -> M c + offset on u = (d, d c_1, ..., d c_n), d > 0: the step
-        # puts the image over den * d, and the gcd comes out
-        u = [u[0] * f._den, *_step(f._rows, u)]
-        g = math.gcd(*u)
-        return [v // g for v in u] if g > 1 else u
+        # puts the image over den * d, and the content comes out
+        return _primitive_part([u[0] * f._den, *_step(f._rows, u)])
 
     def finite_trial(rng: random.Random, t: int) -> None:
         c, den = _cone_point(rng, n, 6)

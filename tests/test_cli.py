@@ -125,6 +125,10 @@ def test_compose_needs_ambient(capsys):
         (["compose", "--from-sigma", "1,2"], "--from-sigma takes a decomposition JSON"),
         (["phi", "--mode", "finite", "--n", "2"], "finite mode needs --n and --k"),
         (["phi", "--mode", "exp"], "exp mode needs --m"),
+        (
+            ["compose", "--from-sigma", '{"mode":"finite","sigma":["1","2"],"n":2,"k":-1}'],
+            "need n >= 1 and k >= 1",
+        ),
         (["decompose", "--mode", "exp", "--c", " , "], "empty coefficient list"),
         (["xi-iterate", "--poly", "1,1", "--nu", "-1"], "iteration count must be >= 0"),
         (
@@ -141,6 +145,7 @@ def test_compose_needs_ambient(capsys):
         "from_sigma_not_json",
         "phi_finite_no_k",
         "phi_exp_no_m",
+        "from_sigma_negative_k",
         "decompose_blank_list",
         "xi_iterate_negative_nu",
         "decompose_float_entry",

@@ -357,11 +357,23 @@ def test_affine_map_is_one_value_whatever_the_caller_built_it_from():
 
 
 def test_localization_intervals_reject_what_no_map_has():
-    # Phi_{n,k} exists for n, k >= 1 only; (0, 2) gave two windows and
-    # (-3, 1) an empty list
-    for n, k in [(0, 2), (-3, 1), (2, 0), (1, -1), (0, 0)]:
-        with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
-            localization_intervals(n, k)
+    # Phi_{n,k} exists for n, k >= 1 only, and every finite-mode entry
+    # point says so with one message: localization_intervals gave two
+    # windows at (0, 2); recompose gave x + 2 at (2, -1), zero at (3, -5)
+    # and a division by zero at (1, -1); padded_core gave zero at (1, -1),
+    # and extract_core a division by zero there
+    for n, k in [(0, 2), (-3, 1), (2, 0), (1, -1), (0, 0), (2, -1), (3, -5)]:
+        sigma = tuple(F(j) for j in range(1, n + 1))
+        calls = [
+            lambda: localization_intervals(n, k),
+            lambda: recompose(Decomposition(mode="finite", sigma=sigma, n=n, k=k)),
+            lambda: padded_core(sigma, n, k),
+            lambda: extract_core(Poly([1, 2, 1]), n, k),
+            lambda: composition_factor(n, k, F(1, 2)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+                call()
 
 
 def test_localization_intervals_worked():
@@ -859,7 +871,9 @@ def test_decomposition_map_equals_the_publicly_built_map():
         assert all(type(v) is Fraction for row in (*amap.matrix, amap.offset) for v in row)
         public = AffineMap(amap.matrix, amap.offset)
         assert public == amap and hash(public) == hash(amap) and repr(public) == repr(amap)
-        assert hash(amap) == hash((amap.matrix, amap.offset))
+        # equal maps hash alike, however they were built
+        listed = AffineMap([list(row) for row in amap.matrix], list(amap.offset))
+        assert listed == amap and hash(listed) == hash(amap)
         assert (public._rows, public._den) == (amap._rows, amap._den)
         assert amap._den > 0 and math.gcd(amap._den, *[v for row in amap._rows for v in row]) == 1
 

@@ -328,6 +328,9 @@ def test_sturm_count_validation():
         sturm_count(Poly([0.5, 1]))
     with pytest.raises(ValueError):
         sturm_count(Poly.x(), Fraction(1), Fraction(1))
+    # a constant has no roots, but the interval is still checked
+    with pytest.raises(ValueError, match="need lo < hi"):
+        sturm_count(Poly([7]), Fraction(5), Fraction(3))
     assert sturm_count(Poly([7])) == 0
 
 
