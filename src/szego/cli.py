@@ -23,6 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import (
+    MONIC,
+    NORMALIZED,
     AffineMap,
     _phi_determinant,
     decompose_exp,
@@ -241,7 +243,8 @@ def _cmd_report(args) -> int:
             _json_field(rep, key, int, "an integer")
     metadata = payload.get("metadata", {})
     elapsed = metadata.get("elapsed_seconds", {}) if isinstance(metadata, dict) else None
-    if not isinstance(elapsed, dict) or not all(isinstance(v, (int, float)) for v in elapsed.values()):
+    # exact types: a JSON true or false loads as a bool, which is an int
+    if not isinstance(elapsed, dict) or not all(type(v) in (int, float) for v in elapsed.values()):
         raise ValueError("'metadata' must map 'elapsed_seconds' to seconds per check")
     _emit_csv(payload, args.csv)
     return 0
@@ -276,8 +279,8 @@ def _build_parser() -> _Parser:
     d.add_argument("--k", type=int, help="shell exponent (finite mode)")
     d.add_argument(
         "--convention",
-        choices=["normalized", "monic"],
-        default="normalized",
+        choices=[NORMALIZED, MONIC],
+        default=NORMALIZED,
         help="exp-mode coefficient convention",
     )
     d.add_argument("--no-roots", action="store_true", help="skip numerical factor offsets")
@@ -289,7 +292,7 @@ def _build_parser() -> _Parser:
     f.add_argument("--n", type=int)
     f.add_argument("--k", type=int)
     f.add_argument("--m", type=int)
-    f.add_argument("--convention", choices=["normalized", "monic"], default="normalized")
+    f.add_argument("--convention", choices=[NORMALIZED, MONIC], default=NORMALIZED)
     f.add_argument("--out")
     f.set_defaults(func=_cmd_phi)
 

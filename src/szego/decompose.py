@@ -294,7 +294,7 @@ def decompose_exp(
     *,
     want_roots: bool = True,
 ) -> Decomposition:
-    """Factor data for e^x * P from the coefficient vector (c_1..c_m).
+    """Factor data for e^x * P from the coefficient vector (c_1..c_m), m >= 1.
 
     normalized: P = 1 + c_1 x + ... + c_m x^m (the natural convention
     for factors e^x(1+x/a)); c_m = 0 is rejected as degree deficient.
@@ -306,33 +306,40 @@ def decompose_exp(
     degree-deficient normalized form.
     """
     cvec = _rationals(c, "decompose_exp")
-    m = len(cvec)
-    if m < 1:
-        raise ValueError("need at least one coefficient")
-    if convention == NORMALIZED and cvec[-1] == 0:
-        raise DegreeDeficientError("degree deficient: top coefficient c_m must be nonzero")
-    g = falling_factorial_transform(_exp_poly(cvec, convention))
-    sigma = g.coeffs[1:] if convention == NORMALIZED else g.coeffs[-2::-1]
+    order = _exp_order(len(cvec), convention)
+    g = falling_factorial_transform(_exp_poly(cvec, order))
+    sigma = g.coeffs[order][1:]
     roots = tuple(-z for z in aberth_roots(g)) if want_roots else None
-    return Decomposition(mode="exp", sigma=sigma, m=m, convention=convention, roots=roots)
+    return Decomposition(mode="exp", sigma=sigma, m=len(cvec), convention=convention, roots=roots)
 
 
-def _exp_poly(v: Sequence[Fraction], convention: str) -> Poly:
-    """The exp-mode polynomial of the vector v = (v_1..v_m): 1 + v_1 x +
-    ... + v_m x^m (normalized) or x^m + v_1 x^(m-1) + ... + v_m (monic)."""
-    if convention == NORMALIZED:
-        return _exact(*_clear([1, *v]))
-    if convention == MONIC:
-        return _monic_tail(v)
-    raise ValueError(f"unknown convention {convention!r}")
+def _exp_order(m: int, convention: str) -> slice:
+    """The one exp-convention decision, the slice order: c_l (c_0 = 1) is the coefficient
+    of x^pos[l] in P and sigma_l that of t^pos[l] in T(P), pos = range(m + 1)[order]:
+    as given (normalized) or reversed (monic).  m < 1 is a ValueError."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    if convention not in (NORMALIZED, MONIC):
+        raise ValueError(f"unknown convention {convention!r}")
+    return slice(None, None, 1 if convention == NORMALIZED else -1)
+
+
+def _exp_poly(v: Sequence[Fraction], order: slice) -> Poly:
+    """The exp-mode P of v = (v_1..v_m): its coefficients are (1, *v)[order].  A
+    zero at x^m is a DegreeDeficientError (never in monic order: x^m holds 1)."""
+    nums, den = _clear([1, *v][order])
+    if not nums[-1]:
+        raise DegreeDeficientError("degree deficient: top coefficient c_m must be nonzero")
+    return _exact(nums, den)
 
 
 def recompose(dec: Decomposition):
     """Exact reconstruction from sigma alone (roots never consulted).
 
     Finite mode (n, k >= 1) returns the full composed Poly of degree n+k;
-    exp modes return the ExpPoly.  Round-trips exactly with the
-    decomposers.  Every sigma_j must be an int or a Fraction.
+    exp modes (m >= 1; normalized sigma~_m = prod 1/a_i != 0) return the
+    ExpPoly.  Round-trips exactly with the decomposers.  Every sigma_j
+    must be an int or a Fraction.
     """
     _rationals(dec.sigma, "recompose")
     if dec.mode == "finite":
@@ -351,14 +358,15 @@ def recompose(dec: Decomposition):
     if dec.mode == "exp":
         if dec.m is None or len(dec.sigma) != dec.m:
             raise ValueError("malformed exp decomposition")
-        return ExpPoly(inverse_falling_factorial_transform(_exp_poly(dec.sigma, dec.convention)))
+        p = _exp_poly(dec.sigma, _exp_order(dec.m, dec.convention))
+        return ExpPoly(inverse_falling_factorial_transform(p))
     raise ValueError(f"unknown mode {dec.mode!r}")
 
 
 def exp_normalized_to_monic(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Convention converter: same function e^x P, rescaled to monic P.
 
-    Input (c_1..c_m) with P = 1 + c_1 x + ... + c_m x^m, c_m != 0;
+    Input (c_1..c_m) with P = 1 + c_1 x + ... + c_m x^m, m >= 1, c_m != 0;
     output (c'_1..c'_m) with P/c_m = x^m + c'_1 x^{m-1} + ... + c'_m.
     A vector reversal plus scaling; the factor multiset is unchanged.
     """
@@ -366,18 +374,19 @@ def exp_normalized_to_monic(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def exp_monic_to_normalized(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Inverse converter; requires constant term c_m != 0 (else the
-    function has P(0) = 0 and no normalized form)."""
+    """Inverse converter; requires m >= 1 and constant term c_m != 0
+    (else the function has P(0) = 0 and no normalized form)."""
     return _reflect(c, "exp_monic_to_normalized", "no normalized form: constant term is zero")
 
 
 def _reflect(c: Sequence[Fraction], what: str, deficient: str) -> tuple[Fraction, ...]:
-    """(c_(m-1), ..., c_1, 1) / c_m, which is both converters: the map is
-    its own inverse."""
+    """(1, c_1, ..., c_m) in monic order over its first entry, which is
+    both converters: the map is its own inverse."""
     cvec = _rationals(c, what)
-    if not cvec or cvec[-1] == 0:
+    top, *rest = [1, *cvec][_exp_order(len(cvec), MONIC)]
+    if top == 0:
         raise DegreeDeficientError(deficient)
-    return tuple(Fraction(v, cvec[-1]) for v in [*cvec[-2::-1], 1])
+    return tuple(Fraction(v, top) for v in rest)
 
 
 def decomposition_map(
@@ -393,8 +402,8 @@ def decomposition_map(
     Read off the exact integer rows: Phi_{n,k} from ``_phi_rows`` in
     finite mode, and in exp mode the signed Stirling numbers of the first
     kind s(d, j) that the falling-factorial transform applies; the map
-    holds them as they are.  The tests check both against maps built
-    from composed factors.
+    holds them as they are (n, k >= 1 or m >= 1; else a ValueError).
+    The tests check both against maps built from composed factors.
     """
     # rows[j-1][l] is the coefficient of c_l in sigma_j over den; c_0 = 1 is
     # the fixed coefficient of the input, so l = 0 is the offset
@@ -405,20 +414,10 @@ def decomposition_map(
     elif mode == "exp":
         if m is None:
             raise ValueError("exp mode needs m")
-        if m < 1:
-            raise ValueError("need m >= 1")
-        # s[d][j] = s(d, j), zero-padded to j <= m
+        pos = range(m + 1)[_exp_order(m, convention)]
+        # s[d][j] = s(d, j), zero-padded: sigma_j = sum_l s(pos[l], pos[j]) c_l
         s = [row + (0,) * (m - d) for d, row in enumerate(_stirling_rows(m))]
-        span = range(1, m + 1)
-        if convention == NORMALIZED:
-            # sigma~_j = [t^j] T(sum_l c_l x^l) = sum_l s(l, j) c_l
-            rows = [[s[l][j] for l in range(m + 1)] for j in span]
-        elif convention == MONIC:
-            # sigma_j = [t^(m-j)] T(sum_l c_l x^(m-l)) = sum_l s(m-l, m-j) c_l
-            rows = [[s[m - l][m - j] for l in range(m + 1)] for j in span]
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-        rows, den = tuple(map(tuple, rows)), 1
+        rows, den = tuple(tuple(s[p][q] for p in pos) for q in pos[1:]), 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return AffineMap._from_rows(rows, den)

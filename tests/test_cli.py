@@ -129,6 +129,11 @@ def test_compose_needs_ambient(capsys):
             ["compose", "--from-sigma", '{"mode":"finite","sigma":["1","2"],"n":2,"k":-1}'],
             "need n >= 1 and k >= 1",
         ),
+        (
+            ["compose", "--from-sigma", '{"mode":"exp","sigma":["1","0"],"m":2}'],
+            "degree deficient",
+        ),
+        (["compose", "--from-sigma", '{"mode":"exp","sigma":[],"m":0}'], "need m >= 1"),
         (["decompose", "--mode", "exp", "--c", " , "], "empty coefficient list"),
         (["xi-iterate", "--poly", "1,1", "--nu", "-1"], "iteration count must be >= 0"),
         (
@@ -146,6 +151,8 @@ def test_compose_needs_ambient(capsys):
         "phi_finite_no_k",
         "phi_exp_no_m",
         "from_sigma_negative_k",
+        "from_sigma_exp_deficient",
+        "from_sigma_exp_no_factors",
         "decompose_blank_list",
         "xi_iterate_negative_nu",
         "decompose_float_entry",
@@ -662,6 +669,10 @@ MALFORMED = {
     "report_elapsed_not_a_number": (
         ["report", "--input", "{report}"],
         {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": [1]}}},
+    ),
+    "report_elapsed_bool": (
+        ["report", "--input", "{report}"],
+        {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": True}}},
     ),
 }
 

@@ -233,11 +233,20 @@ def test_exp_round_trips_both_conventions():
 def test_exp_degree_deficient_rejection():
     with pytest.raises(DegreeDeficientError):
         decompose_exp([F(1), F(0)], NORMALIZED)
+    # m factors give sigma~_m = prod 1/a_j != 0, so recompose rejects 0 there
+    with pytest.raises(DegreeDeficientError):
+        recompose(Decomposition(mode="exp", sigma=(F(1), F(0)), m=2, convention=NORMALIZED))
     # monic convention is total
     dec = decompose_exp([F(1), F(0)], MONIC, want_roots=False)
     assert dec.sigma[-1] == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need m >= 1"):
         decompose_exp([], NORMALIZED)
+    for convention in (NORMALIZED, MONIC):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            recompose(Decomposition(mode="exp", sigma=(), m=0, convention=convention))
+    for convert in (exp_normalized_to_monic, exp_monic_to_normalized):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            convert([])
     with pytest.raises(ValueError):
         decompose_exp([F(1)], "other")
 
@@ -478,6 +487,8 @@ def test_recompose_against_the_homogenized_reference():
 def test_recompose_validation():
     with pytest.raises(ValueError):
         recompose(Decomposition(mode="finite", sigma=(F(1),), n=2, k=1))
+    with pytest.raises(ValueError, match="malformed finite decomposition"):
+        recompose(Decomposition(mode="finite", sigma=(F(1),), n=None, k=1))
     with pytest.raises(ValueError):
         recompose(Decomposition(mode="exp", sigma=(F(1),), m=2, convention=NORMALIZED))
     with pytest.raises(ValueError):
