@@ -24,8 +24,9 @@ from .decompose import (
     padded_core,
     recompose,
 )
-from .exact import binomial, format_rational, parse_rational
+from .exact import binomial, falling_factorial_coeffs, format_rational, parse_rational
 from .poly import (
+    NEG_INF,
     ExpPoly,
     Poly,
     exp_poly_from_json,
@@ -51,6 +52,7 @@ from .roots import (
     hurwitz_determinants,
     is_hyperbolic,
     kernel_backend,
+    place_positive_roots,
     region_membership,
     sign_changes,
     square_free_decomposition,
@@ -96,6 +98,7 @@ __all__ = [
     "ExpPoly",
     "Hyperbolicity",
     "INSIDE",
+    "NEG_INF",
     "OUTSIDE",
     "Poly",
     "RegionVerdict",
@@ -120,6 +123,7 @@ __all__ = [
     "exp_poly_from_json",
     "exp_poly_to_json",
     "extract_core",
+    "falling_factorial_coeffs",
     "falling_factorial_poly",
     "falling_factorial_transform",
     "format_rational",
@@ -132,6 +136,7 @@ __all__ = [
     "localization_intervals",
     "padded_core",
     "parse_rational",
+    "place_positive_roots",
     "poly_from_json",
     "poly_gcd",
     "poly_to_json",

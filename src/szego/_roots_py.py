@@ -118,18 +118,15 @@ def solve(
                 residuals[i] = size / bound
                 continue
             moving.append(i)
-            if dp == 0:
-                # flat spot: nudge deterministically and retry next sweep
-                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
-                continue
-            ratio = p / dp
             acc = 0j
             try:
+                ratio = p / dp
                 for w in z[:i]:
                     acc += 1.0 / (zi - w)
                 for w in z[i + 1 :]:
                     acc += 1.0 / (zi - w)
-            except ZeroDivisionError:  # zi collides with another root
+            except ZeroDivisionError:  # dp == 0, or zi on another root
+                # nudge deterministically and retry next sweep
                 z[i] = zi + (1e-8 + 1e-8j) * (1.0 + r)
                 continue
             denom = 1.0 - ratio * acc

@@ -190,13 +190,8 @@ def _step(rows, u: Sequence[int]) -> list[int]:
 
 
 def _binomial_row(k: int) -> list[int]:
-    """C(k, 0), ..., C(k, k), the coefficients of (x+1)^k, by the running
-    product C(k, s+1) = C(k, s) (k-s) / (s+1)."""
-    row, c = [], 1
-    for s in range(k + 1):
-        row.append(c)
-        c = c * (k - s) // (s + 1)
-    return row
+    """C(k, 0), ..., C(k, k), the coefficients of (x+1)^k."""
+    return [math.comb(k, s) for s in range(k + 1)]
 
 
 def padded_core(c: Sequence[Fraction], n: int, k: int) -> Poly:
@@ -227,8 +222,13 @@ def decompose_poly(
     if len(c) != n:
         raise ValueError(f"expected {n} coefficients, got {len(c)}")
     q = _finite_image(_clear([1, *_rationals(c, "decompose_poly")])[0], n, k)
-    roots = tuple(-z for z in aberth_roots(q)) if want_roots else None
+    roots = _offsets(q) if want_roots else None
     return Decomposition(mode="finite", sigma=q.coeffs[-2::-1], n=n, k=k, roots=roots)
+
+
+def _offsets(q: Poly) -> tuple[complex, ...]:
+    """The offsets a_i of q = prod (t + a_i), as 0j - root: no part is -0.0."""
+    return tuple(0j - z for z in aberth_roots(q))
 
 
 def _finite_image(u: Sequence[int], n: int, k: int) -> Poly:
@@ -309,7 +309,7 @@ def decompose_exp(
     order = _exp_order(len(cvec), convention)
     g = falling_factorial_transform(_exp_poly(cvec, order))
     sigma = g.coeffs[order][1:]
-    roots = tuple(-z for z in aberth_roots(g)) if want_roots else None
+    roots = _offsets(g) if want_roots else None
     return Decomposition(mode="exp", sigma=sigma, m=len(cvec), convention=convention, roots=roots)
 
 

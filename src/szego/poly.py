@@ -49,6 +49,7 @@ __all__ = [
     "inverse_falling_factorial_transform",
     "iterate_falling_factorial_transform",
     "interpolate",
+    "poly_gcd",
     "poly_to_json",
     "poly_from_json",
     "exp_poly_to_json",
@@ -137,22 +138,18 @@ class Poly:
         return len(self._num) - 1 if self._num else NEG_INF
 
     def coeff(self, i: int) -> Fraction | complex:
-        if 0 <= i < len(self._num):
-            return self._entry(i)
-        return Fraction(0) if self._den is not None else 0j
+        """coeffs[i] (zero past either end), without building the tuple."""
+        if not 0 <= i < len(self._num):
+            return Fraction(0) if self._den is not None else 0j
+        if self._den is None:
+            return self._num[i]
+        return Fraction(self._num[i], self._den)
 
     @property
     def lead(self) -> Fraction | complex:
         if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._entry(-1)
-
-    def _entry(self, i: int) -> Fraction | complex:
-        """coeffs[i] for an index into _num, without building the whole
-        tuple."""
-        if self._den is None:
-            return self._num[i]
-        return Fraction(self._num[i], self._den)
+        return self.coeff(self.degree)
 
     @property
     def constant(self) -> Fraction | complex:

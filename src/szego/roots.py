@@ -105,7 +105,7 @@ def aberth_roots(p: Poly) -> tuple[complex, ...]:
     roots = [0j] * mu
     rest = coeffs[mu:]
     if len(rest) == 2:
-        roots.append(-rest[0] / rest[1])
+        roots.append(0j - rest[0] / rest[1])
     elif len(rest) > 2:
         found, residuals, _, ok = _kernel.solve(rest, _TOL, _MAX_ITER)
         if not ok:
@@ -519,7 +519,7 @@ def _right_halfplane(p: Poly) -> tuple[str, Optional[tuple[complex, ...]]]:
 
     # the signs of the minors are those of their integer numerators
     minors = _leading_minors(_hurwitz_matrix(refl[::-1]))
-    if len(minors) == len(refl) - 1 and all(minors):  # no minor vanishes
+    if all(minors):  # none vanishes: _leading_minors stops at the first that does
         return INSIDE if all(d > 0 for d in minors) else OUTSIDE, None
     # a vanishing minor: q is not Hurwitz-stable, so p has a root with
     # Re <= 0 and is never inside; a witness tells if one is clearly left

@@ -50,7 +50,7 @@ from .decompose import (
     decomposition_map,
     localization_intervals,
 )
-from .exact import binomial, format_rational
+from .exact import _json_field, binomial, format_rational
 from .poly import (
     ExpPoly,
     Poly,
@@ -1088,17 +1088,25 @@ def reports_payload(reports: Sequence[CheckReport]) -> dict:
 
 
 def payload_csv_rows(payload: dict) -> list[list]:
-    elapsed = payload.get("metadata", {}).get("elapsed_seconds", {})
+    """The CSV rows of a verification report document, a header and one row
+    per report; anything that is not such a document is a ValueError."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("reports"), list):
+        raise ValueError("not a verification report document")
     rows: list[list] = [["check_id", "trials", "failures", "seed", "seconds"]]
     for rep in payload["reports"]:
-        sec = elapsed.get(rep["check_id"])
-        rows.append(
-            [
-                rep["check_id"],
-                rep["trials"],
-                len(rep["failures"]),
-                rep["seed"],
-                "" if sec is None else f"{sec:.3f}",
-            ]
-        )
+        check_id = _json_field(rep, "check_id", str, "a string")
+        failures = _json_field(rep, "failures", list, "an array")
+        trials, seed = (_json_field(rep, key, int, "an integer") for key in ("trials", "seed"))
+        rows.append([check_id, trials, len(failures), seed])
+    metadata = payload.get("metadata", {})
+    elapsed = metadata.get("elapsed_seconds", {}) if isinstance(metadata, dict) else None
+    # exact types: a JSON true or false loads as a bool, which is an int;
+    # json.load also reads NaN and Infinity, which are no durations
+    if not isinstance(elapsed, dict) or not all(
+        type(v) in (int, float) and 0 <= v < math.inf for v in elapsed.values()
+    ):
+        raise ValueError("'metadata' must map 'elapsed_seconds' to seconds per check")
+    for row in rows[1:]:
+        sec = elapsed.get(row[0])
+        row.append("" if sec is None else f"{sec:.3f}")
     return rows

@@ -6,6 +6,7 @@ subprocess to cover environment handling and real exit codes.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -673,6 +674,18 @@ MALFORMED = {
     "report_elapsed_bool": (
         ["report", "--input", "{report}"],
         {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": True}}},
+    ),
+    "report_elapsed_nan": (
+        ["report", "--input", "{report}"],
+        {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": math.nan}}},
+    ),
+    "report_elapsed_negative": (
+        ["report", "--input", "{report}"],
+        {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": -5}}},
+    ),
+    "report_elapsed_infinite": (
+        ["report", "--input", "{report}"],
+        {"reports": [_ROW], "metadata": {"elapsed_seconds": {"c": math.inf}}},
     ),
 }
 

@@ -86,6 +86,14 @@ def test_decompose_worked_zero_offsets():
     assert dec.sigma == (F(0), F(0))
     assert dec.mode == "finite" and dec.n == 2 and dec.k == 1
     assert max(abs(z) for z in dec.roots) < 1e-6
+    # a zero part of an offset is +0.0, so it never prints as -0.0; the
+    # exp inputs reach the linear root and the zero roots of aberth_roots
+    exp_zero = decompose_exp([F(1), F(0)], convention=MONIC)
+    exp_linear = decompose_exp([F(2)], convention=MONIC)
+    assert exp_linear.roots == (2,)
+    for d in (dec, exp_zero, exp_linear):
+        parts = [part for z in d.roots for part in (z.real, z.imag) if part == 0]
+        assert parts and all(math.copysign(1.0, part) == 1.0 for part in parts)
 
 
 def test_decompose_recovers_chain_offsets_exactly():

@@ -79,3 +79,16 @@ def test_importing_the_cli_loads_no_dataclasses_or_suites():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == ["[]", "[True, True, True, True]"]
+
+
+def test_the_package_exports_exactly_the_modules_public_names():
+    import szego
+    from szego import decompose, exact, poly, roots, ssc
+
+    modules = (decompose, exact, poly, roots, ssc)
+    public = set(szego._FROM_VERIFY).union(*(m.__all__ for m in modules))
+    assert set(szego.__all__) == public
+    # every name resolves, to the object its module defines
+    for module in modules:
+        assert all(getattr(szego, name) is getattr(module, name) for name in module.__all__)
+    assert all(callable(getattr(szego, name)) for name in szego._FROM_VERIFY)
